@@ -17,10 +17,10 @@ json emits one JSON record per line.  HOMSUPER_WORKERS > 1 verifies files
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import constructions, freealg, identities, search, serialize
+from .kernel import scalar
 
 
 def main(argv=None):
@@ -28,7 +28,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (serialize.DocumentError, search.SearchSpaceError) as exc:
+    except (serialize.DocumentError, search.SearchSpaceError,
+            identities.UnknownSuite, identities.MissingOpSlot) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
@@ -111,6 +112,8 @@ def cmd_verify(args):
     workers = search.worker_count()
     jobs = [(path, args.suite) for path in args.files]
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_file_args, jobs))
     else:
@@ -200,6 +203,12 @@ def _parse_rational_list(text, what):
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise search.SearchSpaceError("empty %s list" % what)
+    for item in items:
+        try:
+            scalar(item)
+        except (ValueError, ZeroDivisionError):
+            raise search.SearchSpaceError(
+                "%s %r is not a rational number" % (what, item)) from None
     return items
 
 
@@ -219,6 +228,7 @@ def cmd_search(args):
     spec = search.SearchSpec(
         (even, odd), _parse_rational_list(args.coeffs, "coefficient"),
         alpha, args.suite, args.max_results, args.budget_ms)
+    spec.checks()  # an unknown suite fails before any output
     _emit({"space_size": spec.space_size(), "slots": len(spec.slots)},
           "search space: %d candidates (%d free constants)"
           % (spec.space_size(), len(spec.slots)), args.report)

@@ -60,7 +60,8 @@ class UnboundVariable(LookupError):
 
 
 class UnknownSuite(KeyError):
-    pass
+    def __str__(self):
+        return "unknown suite or law: %s" % self.args[0]
 
 
 # --------------------------------------------------------------------------
@@ -273,7 +274,10 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "num" and not self._number_is_zero_element():
             self.next()
-            value = Fraction(tok[1])
+            try:
+                value = Fraction(tok[1])
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", tok[2]) from None
             if value == 0:
                 raise ParseError("zero coefficient", tok[2])
             coeff *= value
@@ -739,6 +743,20 @@ def _expand_suite(names, algebra):
     return deduped
 
 
+def resolve_suite(names, algebra):
+    """The checks that `names` expands to on `algebra`, in order.  Raises
+    UnknownSuite for a name that is neither a suite nor a check, and
+    MissingOpSlot for a law needing an operation the algebra lacks."""
+    if isinstance(names, str):
+        names = [names]
+    checks = _expand_suite(names, algebra)
+    if algebra.op_for_slot("{,,}") is None:
+        for check in checks:
+            if check in REGISTRY and _uses_ternary(check):
+                raise MissingOpSlot("algebra has no %r operation" % "{,,}")
+    return checks
+
+
 def _uses_ternary(key):
     def walk(n):
         if isinstance(n, Ternary):
@@ -781,4 +799,9 @@ def check_suite(names, algebra, sign_free=False, first_only=False):
 
 
 def suite_passes(names, algebra):
-    return all(r.passed for r in check_suite(names, algebra, first_only=True))
+    """True iff every check of the suite passes; stops at the first check
+    that fails, and each law at its first counterexample."""
+    if isinstance(names, str):
+        names = [names]
+    return all(check_suite([check], algebra, first_only=True)[0].passed
+               for check in _expand_suite(names, algebra))

@@ -11,6 +11,8 @@ Index conventions: structure constants are 0-based internally; reports and
 serialized documents use the 1-based labels b1..bn.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from .report import Report
@@ -211,15 +213,25 @@ class EvenMap:
         return EvenMap(self.space, rows)
 
     def power(self, k):
+        """The k-fold composite, by repeated squaring (k >= 0)."""
         if k < 0:
             raise ValueError("negative power of a map")
-        acc = EvenMap.identity(self.space)
-        for _ in range(k):
-            acc = self.compose(acc)
-        return acc
+        if k == 0:
+            return EvenMap.identity(self.space)
+        acc = None
+        square = self
+        while True:
+            if k & 1:
+                acc = square if acc is None else acc.compose(square)
+            k >>= 1
+            if not k:
+                return acc
+            square = square.compose(square)
 
     def is_identity(self):
-        return self == EvenMap.identity(self.space)
+        return all(c == (ONE if i == k else ZERO)
+                   for i, row in enumerate(self.rows)
+                   for k, c in enumerate(row))
 
     def __eq__(self, other):
         return (isinstance(other, EvenMap) and self.space == other.space
@@ -520,34 +532,56 @@ def check_multiplicativity(algebra):
     alpha(b_i * b_j) = alpha(b_i) * alpha(b_j) on all basis pairs (and the
     ternary analogue when a ternary product is present).  Updates the cached
     flag on the algebra.
+
+    The identity map passes without evaluating anything; otherwise only the
+    nonzero structure constants and map entries enter the sums.
     """
     sp = algebra.space
-    alpha = algebra.alpha
     n = sp.dim
-    bad = []
-    checked = 0
-    for i in range(n):
-        for j in range(n):
-            checked += 1
-            lhs = alpha(algebra.product.on_basis(i, j))
-            rhs = algebra.product(alpha.on_basis(i), alpha.on_basis(j))
-            if lhs != rhs:
-                bad.append({"tuple": [sp.labels[i], sp.labels[j]],
-                            "lhs": dict(lhs.nonzero_items()),
-                            "rhs": dict(rhs.nonzero_items())})
+    operations = [(algebra.product.table, 2)]
     if algebra.ternary is not None:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    checked += 1
-                    lhs = alpha(algebra.ternary.on_basis(i, j, k))
-                    rhs = algebra.ternary(alpha.on_basis(i), alpha.on_basis(j),
-                                          alpha.on_basis(k))
-                    if lhs != rhs:
-                        bad.append({"tuple": [sp.labels[i], sp.labels[j],
-                                              sp.labels[k]],
-                                    "lhs": dict(lhs.nonzero_items()),
-                                    "rhs": dict(rhs.nonzero_items())})
+        operations.append((algebra.ternary.table, 3))
+    checked = sum(n ** arity for _, arity in operations)
+    bad = []
+    if not algebra.alpha.is_identity():
+        alpha = [[(k, c) for k, c in enumerate(row) if c != 0]
+                 for row in algebra.alpha.rows]
+        for table, arity in operations:
+            bad.extend(_endomorphism_failures(sp, alpha, table, arity))
     report = Report("multiplicativity", not bad, checked, bad)
     algebra._multiplicative = report.passed
     return report
+
+
+def _endomorphism_failures(space, alpha, table, arity):
+    """Counterexamples to alpha(op(b_i, ...)) = op(alpha(b_i), ...) over all
+    basis tuples, where alpha holds each row's nonzero (column, entry)
+    pairs and table is the operation's structure constant tensor."""
+    n = space.dim
+    labels = space.labels
+    constants = {}
+    for index in itertools.product(range(n), repeat=arity):
+        row = table
+        for i in index:
+            row = row[i]
+        nonzero = [(k, c) for k, c in enumerate(row) if c != 0]
+        if nonzero:
+            constants[index] = nonzero
+    bad = []
+    for index in itertools.product(range(n), repeat=arity):
+        lhs = [ZERO] * n
+        for l, c in constants.get(index, ()):
+            for k, a in alpha[l]:
+                lhs[k] += c * a
+        rhs = [ZERO] * n
+        for image in itertools.product(*(alpha[i] for i in index)):
+            terms = constants.get(tuple(p for p, _ in image))
+            if terms:
+                scale = math.prod(a for _, a in image)
+                for k, c in terms:
+                    rhs[k] += scale * c
+        if lhs != rhs:
+            bad.append({"tuple": [labels[i] for i in index],
+                        "lhs": dict(Vector(space, lhs).nonzero_items()),
+                        "rhs": dict(Vector(space, rhs).nonzero_items())})
+    return bad

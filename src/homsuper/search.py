@@ -9,14 +9,25 @@ and refused when it exceeds the configured bound; an optional time budget
 stops the scan early with the partial flag set.  Results are re-buildable
 from their candidate index, so the output is deterministic.
 
+For a diagonal twisting map diag(d), multiplicativity splits into one
+condition per structure constant: c_ijk * (d_k - d_i * d_j) = 0.  So when
+the suite checks multiplicativity and alpha comes from a diagonal pool, the
+scan works out, per alpha digit string, which slots (i,j,k) satisfy
+d_k = d_i * d_j and walks only the candidates holding a zero coefficient on
+every other slot, in index order.  The rest are rejected without being
+built.  `examined` counts every index the scan passed, built or not: a full
+scan reports the whole space, and a capped scan stops at the same index as
+a scan that builds every candidate.  The time budget is checked before each
+candidate that is built.
+
 The candidate space can be partitioned across worker processes (the
 HOMSUPER_WORKERS environment variable); chunks are merged back in index
 order, so the result order does not depend on the worker count.
 """
 
+import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import identities as idn
 from . import serialize
@@ -62,6 +73,13 @@ class SearchSpec:
 
     def space_size(self):
         return self.alpha_count() * len(self.coeffs) ** len(self.slots)
+
+    def checks(self):
+        """The checks the suite expands to on this space.  Raises
+        UnknownSuite or MissingOpSlot without building a candidate."""
+        space = self.space
+        return idn.resolve_suite(self.suite, HomSuperalgebra(
+            space, BilinearOp(space), EvenMap.identity(space)))
 
     def candidate(self, index):
         """Rebuild candidate number `index` (0-based, lexicographic)."""
@@ -130,30 +148,66 @@ class SearchOutcome:
         self.space_size = spec.space_size()
 
 
-def _scan(spec, start, end, deadline, cap):
+def _slot_digits(spec, alpha_index, filtered):
+    """Per slot, the coefficient digits a candidate of this alpha block may
+    hold.  With the slot filter on, a slot (i,j,k) where d_k != d_i * d_j
+    only keeps the digits of zero coefficients: a nonzero constant there
+    breaks multiplicativity, c_ijk * (d_k - d_i * d_j) = 0."""
+    every = range(len(spec.coeffs))
+    if not filtered:
+        return [every] * len(spec.slots)
+    zeros = [digit for digit, value in enumerate(spec.coeffs) if value == 0]
+    d = [spec.alpha_pool[digit] for digit in
+         _digits(alpha_index, len(spec.alpha_pool), spec.space.dim)]
+    return [every if d[k] == d[i] * d[j] else zeros
+            for i, j, k in spec.slots]
+
+
+def _block_indices(spec, alpha_index, lo, hi, filtered):
+    """The candidate indices of one alpha block whose value index lies in
+    [lo, hi) and whose digits the slot filter allows, in increasing order."""
+    base = len(spec.coeffs)
+    weights = [base ** power for power in range(len(spec.slots) - 1, -1, -1)]
+    offset = alpha_index * base ** len(spec.slots)
+    # Each slot's digits ascend, so the product runs in index order.
+    for digits in itertools.product(*_slot_digits(spec, alpha_index,
+                                                  filtered)):
+        value = sum(digit * weight for digit, weight in zip(digits, weights))
+        if value >= hi:
+            return
+        if value >= lo:
+            yield offset + value
+
+
+def _scan(spec, start, end, deadline, cap, filtered):
     """Scan candidate indices [start, end); returns (documents, examined,
-    hit_deadline)."""
+    hit_deadline).  Indices the slot filter rejects are counted as examined
+    without being built."""
     documents = []
-    examined = 0
-    for index in range(start, end):
-        if deadline is not None and time.monotonic() > deadline:
-            return documents, examined, True
-        examined += 1
-        algebra = spec.candidate(index)
-        if idn.suite_passes(spec.suite, algebra):
-            algebra.metadata = {"source": "search", "candidate": index,
-                                "expected": {spec.suite: True}}
-            documents.append(serialize.algebra_to_document(algebra))
-            if cap is not None and len(documents) >= cap:
-                return documents, examined, False
-    return documents, examined, False
+    constants_count = len(spec.coeffs) ** len(spec.slots)
+    for alpha_index in range(start // constants_count,
+                             (end - 1) // constants_count + 1):
+        block = alpha_index * constants_count
+        for index in _block_indices(spec, alpha_index,
+                                    max(start - block, 0),
+                                    min(end - block, constants_count),
+                                    filtered):
+            if deadline is not None and time.monotonic() > deadline:
+                return documents, index - start, True
+            algebra = spec.candidate(index)
+            if idn.suite_passes(spec.suite, algebra):
+                algebra.metadata = {"source": "search", "candidate": index,
+                                    "expected": {spec.suite: True}}
+                documents.append(serialize.algebra_to_document(algebra))
+                if cap is not None and len(documents) >= cap:
+                    return documents, index + 1 - start, False
+    return documents, end - start, False
 
 
 def _scan_worker(args):
-    data, start, end, deadline = args
+    data, start, end, deadline, filtered = args
     spec = SearchSpec.from_data(data)
-    docs, examined, hit = _scan(spec, start, end, deadline, cap=None)
-    return docs, examined, hit
+    return _scan(spec, start, end, deadline, None, filtered)
 
 
 def worker_count():
@@ -172,17 +226,22 @@ def run_search(spec):
         raise SearchSpaceError(
             "search space has %d candidates, above the bound %d"
             % (size, spec.max_space))
+    checks = spec.checks()
+    filtered = spec.alpha_pool is not None and "multiplicativity" in checks
     deadline = None
     if spec.budget_ms is not None:
         deadline = time.monotonic() + spec.budget_ms / 1000.0
     workers = worker_count()
     if workers <= 1 or size < 2 * workers:
         documents, examined, hit = _scan(spec, 0, size, deadline,
-                                         spec.max_results)
+                                         spec.max_results, filtered)
         return SearchOutcome(spec, documents, examined,
                              hit or examined < size)
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = (size + workers - 1) // workers
-    jobs = [(spec.to_data(), start, min(start + chunk, size), deadline)
+    jobs = [(spec.to_data(), start, min(start + chunk, size), deadline,
+             filtered)
             for start in range(0, size, chunk)]
     documents = []
     examined = 0

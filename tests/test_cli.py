@@ -167,6 +167,52 @@ def test_search_rejects_oversized_space(capsys):
     assert "space" in capsys.readouterr().err
 
 
+def test_verify_unknown_suite_exits_2(capsys):
+    code = cli.main(["verify", corpus_file("zero_1_1.json"),
+                     "--suite", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: unknown suite or law: bogus\n"
+    assert captured.out == ""
+
+
+def test_search_unknown_suite_exits_2(capsys):
+    code = cli.main(["search", "--dims", "1,1", "--suite", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: unknown suite or law: bogus\n"
+    assert captured.out == ""
+
+
+def test_search_zero_denominator_coefficient_exits_2(capsys):
+    code = cli.main(["search", "--dims", "1,1", "--coeffs", "1/0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: coefficient '1/0'")
+
+
+def test_search_non_rational_coefficient_exits_2(capsys):
+    code = cli.main(["search", "--dims", "1,1", "--coeffs", "x"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: coefficient 'x'")
+
+
+def test_search_suite_needing_ternary_slot_exits_2(capsys):
+    code = cli.main(["search", "--dims", "1,1", "--suite", "akivis"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: algebra has no '{,,}' operation\n"
+    assert captured.out == ""
+
+
+def test_import_does_not_load_the_process_pool():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, homsuper; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "homsuper.cli", "prove", "prop32-i"],

@@ -67,6 +67,7 @@ def test_parse_cyclic_sum():
     ("x ? y", "unexpected character"),
     ("2 = 0", "expected an element"),
     ("x = y = z", "trailing input"),
+    ("1/0 x*y = 0", "zero denominator"),
 ])
 def test_parse_errors_carry_positions(text, fragment):
     with pytest.raises(hs.ParseError) as err:
@@ -238,6 +239,21 @@ def test_check_suite_ly_on_derived(f2e):
 def test_check_suite_unknown_name(a2b):
     with pytest.raises(hs.UnknownSuite):
         hs.check_suite("nonsense", a2b)
+
+
+def test_unknown_suite_names_itself(a2b):
+    with pytest.raises(hs.UnknownSuite) as err:
+        idn.resolve_suite("nonsense", a2b)
+    assert str(err.value) == "unknown suite or law: nonsense"
+
+
+def test_resolve_suite_rejects_ternary_law_without_ternary_slot(a2b):
+    assert idn.resolve_suite("leibniz", a2b) == ["grading",
+                                                 "multiplicativity", "LLSI"]
+    with pytest.raises(hs.MissingOpSlot):
+        idn.resolve_suite("akivis", a2b)
+    derived = hs.build_hom_akivis(a2b, verify=False)
+    assert "AKIVIS" in idn.resolve_suite("akivis", derived)
 
 
 def test_check_suite_all_skips_ternary_laws_when_absent(a2b):

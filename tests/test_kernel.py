@@ -219,3 +219,106 @@ def test_bilinear_agrees_with_naive_oracle():
         want = naive.mul(algebra.product.table, naive.basis(n, i),
                          naive.basis(n, j))
         assert list(got) == want
+
+
+_SMALL = st.sampled_from([Fraction(0), Fraction(0), Fraction(1),
+                          Fraction(-1), Fraction(2), Fraction(1, 2)])
+
+
+@st.composite
+def twisted_algebras(draw):
+    """A graded product with an even map that is the identity, diagonal or
+    full within the parity blocks, and sometimes a ternary part."""
+    space, product = draw(graded_bilinear_ops())
+    n = space.dim
+    shape = draw(st.sampled_from(["identity", "diagonal", "block"]))
+    rows = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    for i, k in itertools.product(range(n), repeat=2):
+        if shape == "block" and space.parity(i) == space.parity(k) \
+                or shape == "diagonal" and i == k:
+            rows[i][k] = draw(_SMALL)
+    ternary = None
+    if draw(st.booleans()):
+        ternary = hs.TernaryOp(space, entries={
+            index: draw(_SMALL)
+            for index in itertools.product(range(n), repeat=4)
+            if sum(space.parity(i) for i in index[:3]) % 2
+            == space.parity(index[3])})
+    return hs.HomSuperalgebra(space, product, hs.EvenMap(space, rows),
+                              ternary=ternary)
+
+
+def _naive_multiplicativity(algebra):
+    """(passed, checked, counterexamples) straight from the tables."""
+    n = algebra.space.dim
+    labels = algebra.space.labels
+    rows = algebra.alpha.rows
+
+    def image(i):
+        return naive.amap(rows, naive.basis(n, i))
+
+    def payload(index, lhs, rhs):
+        return {"tuple": [labels[i] for i in index],
+                "lhs": {labels[k]: str(c) for k, c in enumerate(lhs) if c},
+                "rhs": {labels[k]: str(c) for k, c in enumerate(rhs) if c}}
+
+    bad = []
+    checked = 0
+    table = algebra.product.table
+    for i, j in itertools.product(range(n), repeat=2):
+        checked += 1
+        lhs = naive.amap(rows, naive.mul(table, naive.basis(n, i),
+                                         naive.basis(n, j)))
+        rhs = naive.mul(table, image(i), image(j))
+        if lhs != rhs:
+            bad.append(payload((i, j), lhs, rhs))
+    if algebra.ternary is not None:
+        table = algebra.ternary.table
+        for i, j, k in itertools.product(range(n), repeat=3):
+            checked += 1
+            lhs = naive.amap(rows, naive.tmul(
+                table, naive.basis(n, i), naive.basis(n, j),
+                naive.basis(n, k)))
+            rhs = naive.tmul(table, image(i), image(j), image(k))
+            if lhs != rhs:
+                bad.append(payload((i, j, k), lhs, rhs))
+    return not bad, checked, bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_algebras())
+def test_check_multiplicativity_matches_naive_oracle(algebra):
+    report = hs.check_multiplicativity(algebra)
+    assert (report.passed, report.checked, report.counterexamples) == \
+        _naive_multiplicativity(algebra)
+    assert algebra.multiplicative is report.passed
+
+
+def test_check_multiplicativity_identity_counts_every_tuple():
+    sp = hs.SuperSpace(1, 1)
+    tern = hs.TernaryOp(sp, entries={(0, 0, 1, 1): 1})
+    algebra = hs.HomSuperalgebra(sp, hs.BilinearOp(sp, entries={
+        (1, 1, 0): 1}), hs.EvenMap.identity(sp), ternary=tern)
+    report = hs.check_multiplicativity(algebra)
+    assert report.passed and report.checked == 2 ** 2 + 2 ** 3
+
+
+def test_even_map_power_is_repeated_composition():
+    sp = hs.SuperSpace(2, 1)
+    m = hs.EvenMap(sp, [["1", "2", "0"], ["-1", "1/2", "0"], ["0", "0", "3"]])
+    composed = hs.EvenMap.identity(sp)
+    for k in range(10):
+        assert m.power(k) == composed, k
+        composed = m.compose(composed)
+
+
+def test_is_identity_only_for_the_identity():
+    for dims in ((0, 0), (1, 0), (0, 2), (2, 1)):
+        sp = hs.SuperSpace(*dims)
+        assert hs.EvenMap.identity(sp).is_identity()
+        assert hs.EvenMap.diagonal(sp, [1] * sp.dim).is_identity()
+    sp = hs.SuperSpace(2, 1)
+    assert not hs.EvenMap.diagonal(sp, [1, 1, 2]).is_identity()
+    assert not hs.EvenMap.diagonal(sp, [0, 0, 0]).is_identity()
+    assert not hs.EvenMap(sp, [["1", "1", "0"], ["0", "1", "0"],
+                               ["0", "0", "1"]]).is_identity()

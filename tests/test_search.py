@@ -3,6 +3,7 @@ import json
 import pytest
 
 import homsuper as hs
+from homsuper import identities
 from homsuper.search import SearchSpec, SearchSpaceError, run_search
 from homsuper.serialize import algebra_to_document
 
@@ -110,3 +111,85 @@ def test_parallel_scan_matches_serial(monkeypatch):
     parallel = run_search(spec)
     assert [d["product"] for d in serial.documents] == \
         [d["product"] for d in parallel.documents]
+
+
+def _brute_force(spec):
+    """Every passing candidate, from spec.candidate and check_suite on each
+    index, as (index, document) pairs."""
+    hits = []
+    for index in range(spec.space_size()):
+        algebra = spec.candidate(index)
+        if all(r.passed for r in hs.check_suite(spec.suite, algebra,
+                                                first_only=True)):
+            algebra.metadata = {"source": "search", "candidate": index,
+                                "expected": {spec.suite: True}}
+            hits.append((index, algebra_to_document(algebra)))
+    return hits
+
+
+def _expected_outcome(spec, hits, workers):
+    """(documents, examined, partial) that run_search must report."""
+    size = spec.space_size()
+    documents = [doc for _, doc in hits[:spec.max_results]]
+    if workers > 1:
+        # Worker chunks scan to their end; the merge truncates to the cap.
+        return documents, size, len(hits) > spec.max_results
+    if len(hits) < spec.max_results:
+        return documents, size, False
+    examined = hits[spec.max_results - 1][0] + 1
+    return documents, examined, examined < size
+
+
+@pytest.mark.parametrize("dims,coeffs,alpha,max_results", [
+    ((1, 1), ("-1", "0", "1"), ("0", "-1", "2", "1/2"), 1000),
+    ((1, 1), ("1", "2"), ("0", "-1", "2", "1/2"), 1000),
+    ((1, 1), ("0", "1", "0"), ("-1", "2"), 1000),
+    ((2, 0), ("0", "1"), ("0", "2", "1/2"), 1000),
+    ((2, 0), ("1", "-1"), ("-1", "2"), 1000),
+    ((0, 2), ("0", "1"), ("0", "-1", "2", "1/2"), 1000),
+    ((1, 1), ("-1", "0", "1"), ("0", "-1", "2", "1/2"), 5),
+    ((1, 1), ("0", "1", "0"), "id", 3),
+])
+def test_slot_filtered_scan_matches_brute_force(monkeypatch, dims, coeffs,
+                                                alpha, max_results):
+    spec = SearchSpec(dims, coeffs=coeffs, alpha=alpha, suite="leibniz",
+                      max_results=max_results)
+    hits = _brute_force(spec)
+    for workers in (1, 2):
+        monkeypatch.setenv("HOMSUPER_WORKERS", str(workers))
+        documents, examined, partial = _expected_outcome(spec, hits, workers)
+        outcome = run_search(spec)
+        assert outcome.documents == documents, workers
+        assert (outcome.examined, outcome.partial) == (examined, partial)
+
+
+@pytest.mark.parametrize("suite,error", [
+    ("bogus", hs.UnknownSuite),
+    ("akivis", hs.MissingOpSlot),
+])
+def test_suite_is_resolved_even_when_every_candidate_is_skipped(suite,
+                                                                 error):
+    # Under diag(2,2) no slot satisfies d_k = d_i * d_j and the pool has no
+    # zero, so the filter rejects every candidate before it is built.
+    spec = SearchSpec((1, 1), coeffs=("1",), alpha=("2",), suite=suite)
+    with pytest.raises(error):
+        run_search(spec)
+    assert run_search(SearchSpec((1, 1), coeffs=("1",), alpha=("2",),
+                                 suite="leibniz")).examined == 1
+
+
+def test_suite_passes_stops_at_the_first_failing_check(monkeypatch):
+    algebra = SearchSpec((2, 0), coeffs=("0", "1"), alpha=("2", "3"),
+                         suite="leibniz").candidate(2 ** 8 + 2 ** 7)
+    assert not hs.check_multiplicativity(algebra).passed
+    ran = []
+    original = identities.check_identity
+    monkeypatch.setattr(identities, "check_identity",
+                        lambda *a, **k: ran.append(a) or original(*a, **k))
+    assert not identities.suite_passes("leibniz", algebra)
+    assert ran == []
+
+
+def test_ternary_law_raises_even_when_no_candidate_reaches_it():
+    with pytest.raises(hs.MissingOpSlot):
+        run_search(SearchSpec((1, 1), coeffs=("1",), suite="akivis"))
