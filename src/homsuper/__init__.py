@@ -18,14 +18,8 @@ from .kernel import (
     SuperSpace,
     TernaryOp,
     Vector,
-    apply_map,
     check_grading,
     check_multiplicativity,
-    compose,
-    eval_bilinear,
-    eval_ternary,
-    make_superspace,
-    power,
     scalar,
 )
 from .identities import (

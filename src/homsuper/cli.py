@@ -2,7 +2,7 @@
 
     homsuper verify <files...> --suite <name> [--report json|text]
     homsuper construct <file> --target akivis|ly --out <file>
-    homsuper prove <target> [--parities all] [--report json|text]
+    homsuper prove <target> [--report json|text]
     homsuper search --dims E,O --coeffs <list> --suite <name>
                     [--alpha id|diag:<list>] [--max N] [--budget-ms T]
                     [--out-dir DIR] [--report json|text]
@@ -59,7 +59,6 @@ def _build_parser():
     p = sub.add_parser("prove",
                        help="certify an identity over the free graded magma")
     p.add_argument("target", help="one of: %s" % ", ".join(freealg.PROOF_TARGETS))
-    p.add_argument("--parities", choices=("all",), default="all")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_prove)
 

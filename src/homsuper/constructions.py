@@ -4,13 +4,18 @@ commutator/associator type and of Lie-Yamaguti type carried by a left
 Leibniz product, admissibility and equivalence checks, the left/right
 conversion, and a twist generator used to produce test fixtures.
 
+Every derived operation is a template in the identity language, evaluated
+by `identities.Evaluator` on each basis tuple: its values are the structure
+constants.  The laws the checks need are templates too, so no formula is
+written twice.
+
 Constructions are pure: they return fresh immutable objects.  Preconditions
 are enforced (a refused input raises PreconditionError); the classical
 theorems backing each construction are re-verified as postconditions, so a
 sign error here cannot survive unnoticed.
 """
 
-from fractions import Fraction
+import itertools
 
 from . import identities as idn
 from .kernel import (
@@ -23,7 +28,11 @@ from .kernel import (
 )
 from .report import Report
 
-HALF = Fraction(1, 2)
+# Templates of the derived operations; each reads "template = 0", and its
+# residual is the operation's value.
+ASSOCIATOR = idn.parse_identity("(x*y)*a(z) - a(x)*(y*z)")
+LY_TERNARY = idn.parse_identity("- (x*y)*a(z)")
+YAU_TWIST = idn.parse_identity("a(x*y)")
 
 
 class PreconditionError(ValueError):
@@ -54,6 +63,23 @@ def _require_leibniz(algebra):
                                 + report.summary())
 
 
+def _template_op(template, algebra):
+    """The multilinear operation a template defines on an algebra: its
+    residual on every basis tuple, one argument per free variable, in
+    order of first occurrence."""
+    space = algebra.space
+    evaluator = idn.Evaluator(algebra)
+    names = idn.free_variables(template)
+    entries = {}
+    for combo in itertools.product(range(space.dim), repeat=len(names)):
+        value = evaluator.eval(template, dict(zip(names, combo)))
+        for k, c in enumerate(value.coords):
+            if c:
+                entries[combo + (k,)] = c
+    op = {2: BilinearOp, 3: TernaryOp}[len(names)]
+    return op(space, entries=entries)
+
+
 def supercommutator(algebra):
     """Structure constants of [x,y] = x*y - (-1)^{|x||y|} y*x."""
     _require_grading(algebra)
@@ -63,60 +89,14 @@ def supercommutator(algebra):
 def hom_associator(algebra):
     """Twisted associator (x*y)*a(z) - a(x)*(y*z) as a ternary tensor."""
     _require_grading(algebra)
-    sp = algebra.space
-    star = algebra.product
-    alpha = algebra.alpha
-    n = sp.dim
-    table = []
-    for i in range(n):
-        cube = []
-        for j in range(n):
-            plane = []
-            xy = star.on_basis(i, j)
-            ax = alpha.on_basis(i)
-            for k in range(n):
-                value = (star(xy, alpha.on_basis(k))
-                         - star(ax, star.on_basis(j, k)))
-                plane.append(value.coords)
-            cube.append(plane)
-        table.append(cube)
-    return TernaryOp(sp, table)
+    return _template_op(ASSOCIATOR, algebra)
 
 
 def hom_super_jacobian(algebra):
     """Signed cyclic sum (x*y)*a(z) + (-1)^{|x|(|y|+|z|)}(y*z)*a(x)
     + (-1)^{|z|(|x|+|y|)}(z*x)*a(y) as a ternary tensor."""
     _require_grading(algebra)
-    sp = algebra.space
-    star = algebra.product
-    alpha = algebra.alpha
-    n = sp.dim
-
-    def shifted(i, j, k):
-        return star(star.on_basis(i, j), alpha.on_basis(k))
-
-    table = []
-    for i in range(n):
-        cube = []
-        pi = sp.parity(i)
-        for j in range(n):
-            plane = []
-            pj = sp.parity(j)
-            for k in range(n):
-                pk = sp.parity(k)
-                value = shifted(i, j, k)
-                term = shifted(j, k, i)
-                if pi and (pj + pk) % 2:
-                    term = -term
-                value = value + term
-                term = shifted(k, i, j)
-                if pk and (pi + pj) % 2:
-                    term = -term
-                value = value + term
-                plane.append(value.coords)
-            cube.append(plane)
-        table.append(cube)
-    return TernaryOp(sp, table)
+    return _template_op(idn.REGISTRY["HOM_SUPER_JACOBI"], algebra)
 
 
 def build_hom_akivis(algebra, verify=True):
@@ -145,23 +125,9 @@ def build_hom_ly(algebra, verify=True):
     binary [x,y] = x*y - (-1)^{|x||y|} y*x, ternary {x,y,z} = -(x*y)*a(z).
     The eight SHLY axioms are re-verified as a postcondition."""
     _require_leibniz(algebra)
-    sp = algebra.space
-    star = algebra.product
-    alpha = algebra.alpha
-    n = sp.dim
-    table = []
-    for i in range(n):
-        cube = []
-        for j in range(n):
-            plane = []
-            xy = star.on_basis(i, j)
-            for k in range(n):
-                value = -star(xy, alpha.on_basis(k))
-                plane.append(value.coords)
-            cube.append(plane)
-        table.append(cube)
     derived = BinaryTernaryAlgebra(
-        sp, supercommutator(algebra), TernaryOp(sp, table), alpha,
+        algebra.space, supercommutator(algebra),
+        _template_op(LY_TERNARY, algebra), algebra.alpha,
         name="ly(%s)" % (algebra.name or "?"))
     if verify:
         reports = idn.check_suite("ly", derived)
@@ -211,33 +177,18 @@ def check_ternary_equivalence(algebra):
     setting; without it the first expression differs on odd-odd sectors.
     """
     _require_leibniz(algebra)
-    sp = algebra.space
-    star = algebra.product
-    alpha = algebra.alpha
-    bracket = supercommutator(algebra)
-    associator = hom_associator(algebra)
-    n = sp.dim
+    space = algebra.space
+    evaluator = idn.Evaluator(algebra)
     bad = []
-    checked = 0
-    for i in range(n):
-        for j in range(n):
-            sign = -1 if sp.parity(i) and sp.parity(j) else 1
-            for k in range(n):
-                checked += 1
-                swapped = associator.on_basis(j, i, k)
-                if sign < 0:
-                    swapped = -swapped
-                first = swapped - associator.on_basis(i, j, k)
-                second = -star(star.on_basis(i, j), alpha.on_basis(k))
-                third = -star(bracket.on_basis(i, j),
-                              alpha.on_basis(k)).scale(HALF)
-                if not (first == second and second == third):
-                    bad.append({"tuple": [sp.labels[i], sp.labels[j],
-                                          sp.labels[k]],
-                                "residual": dict((first - second).nonzero_items()),
-                                "residual_half": dict(
-                                    (second - third).nonzero_items())})
-    return Report("ternary_equivalence", not bad, checked, bad)
+    for combo in itertools.product(range(space.dim), repeat=3):
+        env = dict(zip("xyz", combo))
+        residual = evaluator.eval(idn.TERNARY_EQ_DEF, env)
+        residual_half = evaluator.eval(idn.TERNARY_EQ_HALF, env)
+        if not (residual.is_zero() and residual_half.is_zero()):
+            bad.append({"tuple": [space.labels[i] for i in combo],
+                        "residual": dict(residual.nonzero_items()),
+                        "residual_half": dict(residual_half.nonzero_items())})
+    return Report("ternary_equivalence", not bad, space.dim ** 3, bad)
 
 
 def yau_twist(algebra, beta):
@@ -252,15 +203,8 @@ def yau_twist(algebra, beta):
     endo_probe = HomSuperalgebra(algebra.space, algebra.product, beta)
     if not check_multiplicativity(endo_probe).passed:
         raise PreconditionError("beta is not an algebra endomorphism")
-    sp = algebra.space
-    n = sp.dim
-    table = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            plane.append(beta(algebra.product.on_basis(i, j)).coords)
-        table.append(plane)
-    twisted = HomSuperalgebra(sp, BilinearOp(sp, table), beta,
+    twisted = HomSuperalgebra(algebra.space,
+                              _template_op(YAU_TWIST, endo_probe), beta,
                               name="twist(%s)" % (algebra.name or "?"))
     reports = idn.check_suite("leibniz", twisted)
     if not all(r.passed for r in reports):

@@ -1,6 +1,8 @@
 """Symbolic engine over the free graded magma: identity templates are
 expanded over formal generators with chosen parities, normalized by directed
 rewriting, and certified when every residual cancels to the zero expression.
+The expansion is the package's one identity evaluator, `identities.Evaluator`,
+with formal expressions as its values.
 
 Terms are binary product trees whose leaves are generators carrying an
 exponent of the twisting map; an `("a", k, t)` wrapper marks a not yet
@@ -241,6 +243,36 @@ def ly_ternary_expr(e1, e2, e3):
 # --------------------------------------------------------------------------
 # Template expansion
 
+class _FreeEvaluator(idn.Evaluator):
+    """The identity evaluator over formal expressions: a variable is bound
+    to its own name and becomes that generator, parities come from the
+    assignment, and the operation slots from `ops`."""
+
+    basis_shortcuts = False
+
+    def __init__(self, parities, ops):
+        self.parities = parities
+        self.ops = ops
+
+    def leaf(self, bound):
+        return FreeExpr.of(generator(bound))
+
+    def zero(self):
+        return FreeExpr.zero()
+
+    def alpha(self, k):
+        return lambda expr: alpha_expr(expr, k)
+
+    def op(self, slot):
+        op = self.ops[slot]
+        if op is None:
+            raise idn.MissingOpSlot("no %r operation bound" % slot)
+        return op
+
+    def parity(self, bound):
+        return self.parities[bound]
+
+
 def expand_template(node, parities, ops=None):
     """Interpret an identity AST over the free algebra.
 
@@ -251,7 +283,7 @@ def expand_template(node, parities, ops=None):
     commutator for "[,]" and no ternary operation.
     """
     bindings = {
-        "*": lambda a, b: free_product(a, b),
+        "*": free_product,
         "[,]": lambda a, b: commutator_expr(a, b, parities),
         "{,,}": None,
     }
@@ -260,69 +292,7 @@ def expand_template(node, parities, ops=None):
     for name in env:
         if name not in parities:
             raise ValueError("no parity assigned to generator %r" % name)
-    return _expand(node, env, parities, bindings)
-
-
-def _expand(node, env, parities, ops):
-    if isinstance(node, idn.Identity):
-        return (_expand(node.lhs, env, parities, ops)
-                - _expand(node.rhs, env, parities, ops))
-    if isinstance(node, idn.Var):
-        try:
-            return FreeExpr.of(generator(env[node.name]))
-        except KeyError:
-            raise idn.UnboundVariable(node.name) from None
-    if isinstance(node, idn.Zero):
-        return FreeExpr.zero()
-    if isinstance(node, idn.Alpha):
-        return alpha_expr(_expand(node.sub, env, parities, ops), node.power)
-    if isinstance(node, idn.Prod):
-        op = ops[node.slot]
-        if op is None:
-            raise idn.MissingOpSlot("no %r operation bound" % node.slot)
-        return op(_expand(node.left, env, parities, ops),
-                  _expand(node.right, env, parities, ops))
-    if isinstance(node, idn.Ternary):
-        op = ops["{,,}"]
-        if op is None:
-            raise idn.MissingOpSlot("no '{,,}' operation bound")
-        return op(_expand(node.a, env, parities, ops),
-                  _expand(node.b, env, parities, ops),
-                  _expand(node.c, env, parities, ops))
-    if isinstance(node, idn.Scale):
-        return _expand(node.sub, env, parities, ops).scale(node.coeff)
-    if isinstance(node, idn.Sign):
-        value = _expand(node.sub, env, parities, ops)
-        if _koszul(node.factors, env, parities) < 0:
-            value = -value
-        return value
-    if isinstance(node, idn.Sum):
-        total = FreeExpr.zero()
-        for item in node.items:
-            total = total + _expand(item, env, parities, ops)
-        return total
-    if isinstance(node, idn.Cyc):
-        x, y, z = node.vars
-        total = FreeExpr.zero()
-        for rotated in (env,
-                        {**env, x: env[y], y: env[z], z: env[x]},
-                        {**env, x: env[z], y: env[x], z: env[y]}):
-            value = _expand(node.body, rotated, parities, ops)
-            if node.factors and _koszul(node.factors, rotated, parities) < 0:
-                value = -value
-            total = total + value
-        return total
-    raise TypeError("not an identity node: %r" % (node,))
-
-
-def _koszul(factors, env, parities):
-    sign = 1
-    for p, q in factors:
-        pp = sum(parities[env[name]] for name in p) % 2
-        qq = sum(parities[env[name]] for name in q) % 2
-        if pp and qq:
-            sign = -sign
-    return sign
+    return _FreeEvaluator(parities, bindings).eval(node, env)
 
 
 # --------------------------------------------------------------------------
@@ -417,11 +387,6 @@ def _ops_ly(parities):
             "{,,}": ly_ternary_expr}
 
 
-_TERNARY_EQ_DEF = ("s(x,y) ((y*x)*a(z) - a(y)*(x*z))"
-                   " - ((x*y)*a(z) - a(x)*(y*z)) + (x*y)*a(z)")
-_TERNARY_EQ_HALF = "- (x*y)*a(z) + 1/2 [x, y]*a(z)"
-
-
 def _targets():
     reg = idn.REGISTRY
     return {
@@ -431,10 +396,8 @@ def _targets():
         "prop32-i": [_obligation(reg["PROP32_I"], _ops_commutator, True)],
         "prop32-ii": [_obligation(reg["PROP32_II"], _ops_commutator, True)],
         "ternary-equiv": [
-            _obligation(idn.parse_identity(_TERNARY_EQ_DEF), _ops_commutator,
-                        True),
-            _obligation(idn.parse_identity(_TERNARY_EQ_HALF), _ops_commutator,
-                        True),
+            _obligation(idn.TERNARY_EQ_DEF, _ops_commutator, True),
+            _obligation(idn.TERNARY_EQ_HALF, _ops_commutator, True),
         ],
         "shly5": [_obligation(reg["SHLY5"], _ops_ly, True)],
         "shly6": [_obligation(reg["SHLY6"], _ops_ly, True)],

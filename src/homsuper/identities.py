@@ -32,6 +32,13 @@ which is evaluated with the substituted parities.
 Checking an identity iterates over all homogeneous basis tuples.  Because
 every law here is multilinear once the parities of its arguments are fixed,
 a pass over basis tuples decides the law for all homogeneous elements.
+
+`Evaluator` is the one interpreter of the language.  Over an algebra it
+gives the residual vectors of the checker and the structure constants of the
+derived operations in `constructions`, which are templates in this language;
+the free expansion of the prover in `freealg` is a subclass of it over
+formal expressions.  Structural questions about an AST (its variables,
+whether it needs "{,,}") are answered from `walk`, which visits every node.
 """
 
 import itertools
@@ -133,54 +140,50 @@ class Identity:
     rhs: object
 
 
+def walk(node):
+    """Every node of an AST, each parent before its children, children left
+    to right."""
+    yield node
+    if isinstance(node, (Var, Zero)):
+        return
+    if isinstance(node, (Alpha, Scale, Sign)):
+        children = (node.sub,)
+    elif isinstance(node, Prod):
+        children = (node.left, node.right)
+    elif isinstance(node, Ternary):
+        children = (node.a, node.b, node.c)
+    elif isinstance(node, Sum):
+        children = node.items
+    elif isinstance(node, Cyc):
+        children = (node.body,)
+    elif isinstance(node, Identity):
+        children = (node.lhs, node.rhs)
+    else:
+        raise TypeError("not an identity node: %r" % (node,))
+    for child in children:
+        yield from walk(child)
+
+
 def free_variables(node):
     """Variable names in first-occurrence order, including the names used
     only inside sign factors or as cyclic-sum variables."""
-    seen = []
-
-    def note(name):
-        if name not in seen:
-            seen.append(name)
-
-    def walk(n):
+    seen = {}
+    for n in walk(node):
         if isinstance(n, Var):
-            note(n.name)
-        elif isinstance(n, Zero):
-            pass
-        elif isinstance(n, Alpha):
-            walk(n.sub)
-        elif isinstance(n, Prod):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, Ternary):
-            walk(n.a)
-            walk(n.b)
-            walk(n.c)
-        elif isinstance(n, Scale):
-            walk(n.sub)
+            names = (n.name,)
         elif isinstance(n, Sign):
-            for p, q in n.factors:
-                for name in p + q:
-                    note(name)
-            walk(n.sub)
-        elif isinstance(n, Sum):
-            for item in n.items:
-                walk(item)
+            names = _factor_names(n.factors)
         elif isinstance(n, Cyc):
-            for name in n.vars:
-                note(name)
-            for p, q in n.factors:
-                for name in p + q:
-                    note(name)
-            walk(n.body)
-        elif isinstance(n, Identity):
-            walk(n.lhs)
-            walk(n.rhs)
+            names = n.vars + _factor_names(n.factors)
         else:
-            raise TypeError("not an identity node: %r" % (n,))
+            continue
+        for name in names:
+            seen.setdefault(name)
+    return list(seen)
 
-    walk(node)
-    return seen
+
+def _factor_names(factors):
+    return tuple(name for p, q in factors for name in p + q)
 
 
 # --------------------------------------------------------------------------
@@ -432,15 +435,6 @@ def parse_identity_file(path):
         return parse_identity(handle.read())
 
 
-def parse_expr(text):
-    parser = _Parser(text)
-    node = parser.expr()
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise ParseError("trailing input", tok[2])
-    return node
-
-
 # --------------------------------------------------------------------------
 # Printer (parse . pretty == identity on ASTs)
 
@@ -518,15 +512,27 @@ def _star_arg(node):
 
 
 # --------------------------------------------------------------------------
-# Evaluation over an algebra
+# Evaluation
 
 class Evaluator:
-    """Evaluates identity ASTs on basis-element bindings over one algebra.
+    """The interpreter of identity ASTs.
 
-    With sign_free=True every Koszul factor evaluates to +1; this is the
-    ungraded reading of the same law, used to cross-check the purely even
-    case against the graded machinery.
+    `eval` walks a node once and takes every value from a few hooks: `leaf`
+    (the value of a bound variable), `zero`, `alpha(k)`, `op(slot)` and
+    `parity` (of a bound variable).  This class evaluates over an algebra,
+    with variables bound to basis indices; the free expansion in `freealg`
+    is a subclass over formal expressions.
+
+    A product of two bare variables, and the map on a bare variable, are
+    read off the structure constants instead of being computed from basis
+    vectors.
+
+    With sign_free=True every parity reads as 0, so every Koszul factor is
+    +1; this is the ungraded reading of the same law, used to cross-check
+    the purely even case against the graded machinery.
     """
+
+    basis_shortcuts = True
 
     def __init__(self, algebra, sign_free=False):
         self.algebra = algebra
@@ -536,7 +542,13 @@ class Evaluator:
                       for i in range(self.space.dim)]
         self._alpha_powers = {}
 
-    def alpha_power(self, k):
+    def leaf(self, bound):
+        return self.basis[bound]
+
+    def zero(self):
+        return self.space.zero_vector()
+
+    def alpha(self, k):
         maps = self._alpha_powers
         if k not in maps:
             maps[k] = self.algebra.alpha.power(k)
@@ -548,22 +560,29 @@ class Evaluator:
             raise MissingOpSlot("algebra has no %r operation" % slot)
         return op
 
-    def residual(self, identity, env):
-        return self.eval(identity.lhs, env) - self.eval(identity.rhs, env)
+    def parity(self, bound):
+        return 0 if self.sign_free else self.space.parity(bound)
 
     def eval(self, node, env):
+        """The value of a node under env, which maps variable names to
+        bound values; for an Identity, the residual lhs - rhs."""
         if isinstance(node, Var):
-            try:
-                return self.basis[env[node.name]]
-            except KeyError:
-                raise UnboundVariable(node.name) from None
+            return self.leaf(_bound(node.name, env))
         if isinstance(node, Zero):
-            return self.space.zero_vector()
+            return self.zero()
         if isinstance(node, Alpha):
-            return self.alpha_power(node.power)(self.eval(node.sub, env))
+            alpha = self.alpha(node.power)
+            if self.basis_shortcuts and isinstance(node.sub, Var):
+                return alpha.on_basis(_bound(node.sub.name, env))
+            return alpha(self.eval(node.sub, env))
         if isinstance(node, Prod):
             op = self.op(node.slot)
-            return op(self.eval(node.left, env), self.eval(node.right, env))
+            left, right = node.left, node.right
+            if (self.basis_shortcuts and isinstance(left, Var)
+                    and isinstance(right, Var)):
+                return op.on_basis(_bound(left.name, env),
+                                   _bound(right.name, env))
+            return op(self.eval(left, env), self.eval(right, env))
         if isinstance(node, Ternary):
             op = self.op("{,,}")
             return op(self.eval(node.a, env), self.eval(node.b, env),
@@ -576,12 +595,12 @@ class Evaluator:
                 value = -value
             return value
         if isinstance(node, Sum):
-            total = self.space.zero_vector()
+            total = self.zero()
             for item in node.items:
                 total = total + self.eval(item, env)
             return total
         if isinstance(node, Cyc):
-            total = self.space.zero_vector()
+            total = self.zero()
             for rotated in _rotations(env, node.vars):
                 value = self.eval(node.body, rotated)
                 if node.factors and \
@@ -589,24 +608,30 @@ class Evaluator:
                     value = -value
                 total = total + value
             return total
+        if isinstance(node, Identity):
+            return self.eval(node.lhs, env) - self.eval(node.rhs, env)
         raise TypeError("not an identity node: %r" % (node,))
 
     def koszul_sign(self, factors, env):
-        if self.sign_free:
-            return 1
+        """The product of (-1)^{|P| |Q|} over the factors; both sides of
+        every factor are evaluated, so an unbound name always raises."""
         sign = 1
         for p, q in factors:
-            pp = sum(self._parity(name, env) for name in p) % 2
-            qq = sum(self._parity(name, env) for name in q) % 2
+            pp = self._parity_sum(p, env)
+            qq = self._parity_sum(q, env)
             if pp and qq:
                 sign = -sign
         return sign
 
-    def _parity(self, name, env):
-        try:
-            return self.space.parity(env[name])
-        except KeyError:
-            raise UnboundVariable(name) from None
+    def _parity_sum(self, names, env):
+        return sum(self.parity(_bound(name, env)) for name in names) % 2
+
+
+def _bound(name, env):
+    try:
+        return env[name]
+    except KeyError:
+        raise UnboundVariable(name) from None
 
 
 def _rotations(env, names):
@@ -627,7 +652,7 @@ def eval_identity_on_tuple(identity, algebra, binding, sign_free=False):
 
     binding maps variable names to 0-based basis indices.
     """
-    return Evaluator(algebra, sign_free).residual(identity, binding)
+    return Evaluator(algebra, sign_free).eval(identity, binding)
 
 
 def check_identity(identity, algebra, name="identity", sign_free=False,
@@ -648,7 +673,7 @@ def check_identity(identity, algebra, name="identity", sign_free=False,
     for combo in itertools.product(range(n), repeat=len(variables)):
         env = dict(zip(variables, combo))
         checked += 1
-        residual = evaluator.residual(identity, env)
+        residual = evaluator.eval(identity, env)
         if not residual.is_zero():
             bad.append({"tuple": [labels[i] for i in combo],
                         "residual": dict(residual.nonzero_items())})
@@ -706,6 +731,20 @@ _REGISTRY_TEXT = {
 REGISTRY = {name: parse_identity(text)
             for name, text in _REGISTRY_TEXT.items()}
 
+# The registry laws that need the "{,,}" slot.
+TERNARY_LAWS = frozenset(name for name, law in REGISTRY.items()
+                         if any(isinstance(n, Ternary) for n in walk(law)))
+
+# The three readings of the Lie-Yamaguti ternary of a left Leibniz product,
+#     (-1)^{|x||y|} as(y,x,z) - as(x,y,z) = -(x*y)*a(z) = -1/2 [x,y]*a(z)
+# with as(x,y,z) = (x*y)*a(z) - a(x)*(y*z), as two residuals: the first
+# reading minus the second, and the second minus the third.  They hold on
+# left Leibniz products only, so they belong to no suite.
+TERNARY_EQ_DEF = parse_identity(
+    "s(x,y) ((y*x)*a(z) - a(y)*(x*z)) - ((x*y)*a(z) - a(x)*(y*z))"
+    " + (x*y)*a(z)")
+TERNARY_EQ_HALF = parse_identity("- (x*y)*a(z) + 1/2 [x, y]*a(z)")
+
 
 def registry_text():
     """The raw source strings of the builtin identities."""
@@ -728,10 +767,9 @@ def _expand_suite(names, algebra):
             checks.extend(_expand_suite(SUITES[name], algebra))
         elif name == "all":
             checks.extend(["grading", "multiplicativity"])
-            for key in REGISTRY:
-                if algebra.op_for_slot("{,,}") is None and _uses_ternary(key):
-                    continue
-                checks.append(key)
+            ternary = algebra.op_for_slot("{,,}") is not None
+            checks.extend(key for key in REGISTRY
+                          if ternary or key not in TERNARY_LAWS)
         elif name in ("grading", "multiplicativity") or name in REGISTRY:
             checks.append(name)
         else:
@@ -752,32 +790,9 @@ def resolve_suite(names, algebra):
     checks = _expand_suite(names, algebra)
     if algebra.op_for_slot("{,,}") is None:
         for check in checks:
-            if check in REGISTRY and _uses_ternary(check):
+            if check in TERNARY_LAWS:
                 raise MissingOpSlot("algebra has no %r operation" % "{,,}")
     return checks
-
-
-def _uses_ternary(key):
-    def walk(n):
-        if isinstance(n, Ternary):
-            return True
-        if isinstance(n, (Var, Zero)):
-            return False
-        if isinstance(n, Alpha):
-            return walk(n.sub)
-        if isinstance(n, Prod):
-            return walk(n.left) or walk(n.right)
-        if isinstance(n, (Scale, Sign)):
-            return walk(n.sub)
-        if isinstance(n, Sum):
-            return any(walk(i) for i in n.items)
-        if isinstance(n, Cyc):
-            return walk(n.body)
-        if isinstance(n, Identity):
-            return walk(n.lhs) or walk(n.rhs)
-        raise TypeError(n)
-
-    return walk(REGISTRY[key])
 
 
 def check_suite(names, algebra, sign_free=False, first_only=False):

@@ -84,10 +84,6 @@ class SuperSpace:
         return "SuperSpace(%d, %d)" % (self.dim_even, self.dim_odd)
 
 
-def make_superspace(dim_even, dim_odd):
-    return SuperSpace(dim_even, dim_odd)
-
-
 class Vector:
     """Coordinate vector over a SuperSpace basis, with exact entries."""
 
@@ -243,18 +239,6 @@ class EvenMap:
     def __repr__(self):
         return "EvenMap(%r, %r)" % (self.space, [list(map(str, r))
                                                  for r in self.rows])
-
-
-def apply_map(m, x):
-    return m(x)
-
-
-def compose(m1, m2):
-    return m1.compose(m2)
-
-
-def power(m, k):
-    return m.power(k)
 
 
 class BilinearOp:
@@ -424,14 +408,6 @@ class TernaryOp:
     def __repr__(self):
         nz = sum(1 for c in self.table for p in c for r in p for v in r if v)
         return "TernaryOp(%r, %d nonzero)" % (self.space, nz)
-
-
-def eval_bilinear(op, x, y):
-    return op(x, y)
-
-
-def eval_ternary(op, x, y, z):
-    return op(x, y, z)
 
 
 class HomSuperalgebra:

@@ -63,8 +63,3 @@ def _render_counterexample(c):
         rest = {k: v for k, v in c.items() if k != "tuple"}
         return "(%s) -> %s" % (parts, rest.get("residual", rest))
     return repr(c)
-
-
-def merge_passed(reports):
-    """True iff every report in the list passed."""
-    return all(r.passed for r in reports)

@@ -207,7 +207,7 @@ def _scan(spec, start, end, deadline, cap, filtered):
 def _scan_worker(args):
     data, start, end, deadline, filtered = args
     spec = SearchSpec.from_data(data)
-    return _scan(spec, start, end, deadline, None, filtered)
+    return _scan(spec, start, end, deadline, spec.max_results, filtered)
 
 
 def worker_count():
@@ -243,14 +243,20 @@ def run_search(spec):
     jobs = [(spec.to_data(), start, min(start + chunk, size), deadline,
              filtered)
             for start in range(0, size, chunk)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = list(pool.map(_scan_worker, jobs))
     documents = []
     examined = 0
     hit = False
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for docs, count, chunk_hit in pool.map(_scan_worker, jobs):
-            documents.extend(docs)
-            examined += count
-            hit = hit or chunk_hit
-    truncated = len(documents) > spec.max_results
-    documents = documents[:spec.max_results]
-    return SearchOutcome(spec, documents, examined, hit or truncated)
+    # Each chunk stops at the cap on its own; merged in index order, the
+    # scan ends at the same document as a serial scan.
+    for docs, count, chunk_hit in chunks:
+        hit = hit or chunk_hit
+        for doc in docs:
+            documents.append(doc)
+            if len(documents) >= spec.max_results:
+                examined = doc["metadata"]["candidate"] + 1
+                return SearchOutcome(spec, documents, examined,
+                                     hit or examined < size)
+        examined += count
+    return SearchOutcome(spec, documents, examined, hit or examined < size)

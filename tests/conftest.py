@@ -1,7 +1,9 @@
+import itertools
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import homsuper as hs
 
@@ -16,6 +18,24 @@ def make_algebra(dim_even, dim_odd, entries, alpha=None, name=""):
     elif not isinstance(alpha, hs.EvenMap):
         alpha = hs.EvenMap.diagonal(space, alpha)
     return hs.HomSuperalgebra(space, product, alpha, name=name)
+
+
+@st.composite
+def graded_algebras(draw):
+    """A random algebra of dimension up to (2|2): structure constants in
+    -2..2 on every slot the parity rule allows, and an even twisting map
+    with entries in -2..2 anywhere inside the parity blocks, so in general
+    neither diagonal nor multiplicative."""
+    space = hs.SuperSpace(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    n = space.dim
+    entries = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if (space.parity(i) + space.parity(j)) % 2 == space.parity(k):
+            entries[(i, j, k)] = draw(st.integers(-2, 2))
+    rows = [[draw(st.integers(-2, 2)) if space.parity(i) == space.parity(k)
+             else 0 for k in range(n)] for i in range(n)]
+    return hs.HomSuperalgebra(space, hs.BilinearOp(space, entries=entries),
+                              hs.EvenMap(space, rows))
 
 
 @pytest.fixture

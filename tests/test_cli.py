@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import homsuper as hs
 from homsuper import cli
@@ -8,6 +10,14 @@ from homsuper import cli
 
 def corpus_file(name):
     return str([p for p in hs.corpus_paths() if p.name == name][0])
+
+
+def run_python(*args):
+    """A fresh interpreter that imports the same homsuper as these tests."""
+    path = [str(Path(hs.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def test_verify_leibniz_suite_passes(capsys):
@@ -205,17 +215,13 @@ def test_search_suite_needing_ternary_slot_exits_2(capsys):
 
 
 def test_import_does_not_load_the_process_pool():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, homsuper; "
-         "print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True)
+    proc = run_python("-c", "import sys, homsuper; "
+                      "print('concurrent.futures' in sys.modules)")
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "homsuper.cli", "prove", "prop32-i"],
-        capture_output=True, text=True)
+    proc = run_python("-m", "homsuper.cli", "prove", "prop32-i")
     assert proc.returncode == 0
     assert "PROVED prop32-i" in proc.stdout

@@ -2,10 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homsuper as hs
-from conftest import make_algebra
+from homsuper.search import SearchSpec, run_search
+from conftest import graded_algebras, make_algebra
 import naive
 
 
@@ -269,3 +274,115 @@ def test_eq12_holds_on_leibniz_sources_only(corpus):
             assert eq12
         else:
             assert not eq12
+
+def _basis_tables(algebra, arity, value):
+    """value(i, j, ...) over every basis tuple, as naive vectors."""
+    n = algebra.space.dim
+    return {combo: value(*combo)
+            for combo in itertools.product(range(n), repeat=arity)}
+
+
+def _op_tables(op, arity):
+    n = op.space.dim
+    return {combo: list(op.on_basis(*combo).coords)
+            for combo in itertools.product(range(n), repeat=arity)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_algebras())
+def test_associator_and_jacobian_match_naive(algebra):
+    assert _op_tables(hs.hom_associator(algebra), 3) == _basis_tables(
+        algebra, 3, lambda *c: naive.associator(algebra, *c))
+    assert _op_tables(hs.hom_super_jacobian(algebra), 3) == _basis_tables(
+        algebra, 3, lambda *c: naive.jacobi_residual(algebra, *c))
+
+
+@functools.lru_cache(maxsize=None)
+def _twist_sources():
+    """(left Leibniz algebra with the identity map, diagonal endomorphism)
+    pairs: the untwisted Leibniz fixtures and the (2|0) search hits over
+    -1, 0, 1, each with every diagonal endomorphism over -1, 0, 1, 2, 4.
+    Most of these are nilpotent, so the second list keeps the pairs whose
+    twist has a nonzero LY ternary."""
+    sources = [hs.load_algebra(path) for path in hs.corpus_paths()]
+    spec = SearchSpec((2, 0), coeffs=("-1", "0", "1"), max_results=10 ** 6)
+    sources += [spec.candidate(doc["metadata"]["candidate"])
+                for doc in run_search(spec).documents]
+    pairs = []
+    for source in sources:
+        if not (source.alpha.is_identity()
+                and all(r.passed for r in hs.check_suite("leibniz", source))):
+            continue
+        space = source.space
+        for diagonal in itertools.product((-1, 0, 1, 2, 4), repeat=space.dim):
+            beta = hs.EvenMap.diagonal(space, diagonal)
+            probe = hs.HomSuperalgebra(space, source.product, beta)
+            if hs.check_multiplicativity(probe).passed:
+                pairs.append((source, beta))
+    ternary = [pair for pair in pairs if not hs.build_hom_ly(
+        hs.yau_twist(*pair), verify=False).ternary.is_zero()]
+    return pairs, ternary
+
+
+def _transvection(space, a, b, c):
+    rows = [[int(i == k) for k in range(space.dim)] for i in range(space.dim)]
+    rows[a][b] = c
+    return hs.EvenMap(space, rows)
+
+
+@st.composite
+def twist_cases(draw):
+    """A source and an endomorphism from _twist_sources, carried over by an
+    even change of basis p: x *' y = p^-1(p(x) * p(y)), beta' = p^-1 beta p.
+    Inside a parity block of size 2, beta' is in general not diagonal.
+    Half the draws come from the pairs with a nonzero LY ternary."""
+    pairs, ternary = _twist_sources()
+    source, beta = draw(st.sampled_from(ternary if draw(st.booleans())
+                                        else pairs))
+    space = source.space
+    pairs = [(a, b) for a, b in itertools.permutations(range(space.dim), 2)
+             if space.parity(a) == space.parity(b)]
+    p = q = hs.EvenMap.identity(space)
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=3)
+                     if pairs else st.just([])):
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        p = p.compose(_transvection(space, a, b, c))
+        q = _transvection(space, a, b, -c).compose(q)
+    n = space.dim
+    table = [[q(source.product(p.on_basis(i), p.on_basis(j))).coords
+              for j in range(n)] for i in range(n)]
+    moved = hs.HomSuperalgebra(space, hs.BilinearOp(space, table),
+                               source.alpha)
+    return moved, q.compose(beta.compose(p))
+
+
+def _assert_twist_matches_naive(source, beta):
+    n = source.space.dim
+    c = source.product.table
+    twisted = hs.yau_twist(source, beta)
+    assert _op_tables(twisted.product, 2) == _basis_tables(
+        source, 2, lambda i, j: naive.amap(
+            beta.rows, naive.mul(c, naive.basis(n, i), naive.basis(n, j))))
+    # The twisted product is left Leibniz, with beta as its map.
+    t = twisted.product.table
+    ternary = hs.build_hom_ly(twisted, verify=False).ternary
+    assert _op_tables(ternary, 3) == _basis_tables(
+        source, 3, lambda i, j, k: naive.smul(-1, naive.mul(
+            t, naive.mul(t, naive.basis(n, i), naive.basis(n, j)),
+            naive.amap(beta.rows, naive.basis(n, k)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(twist_cases())
+def test_yau_twist_and_ly_ternary_match_naive(case):
+    _assert_twist_matches_naive(*case)
+
+
+def test_yau_twist_by_a_swap_matches_naive():
+    # Two copies of aff2 swapped by beta: beta^2 = id differs from beta on
+    # the products, which no endomorphism of a 2-dimensional source shows.
+    double = make_algebra(4, 0, {(0, 1, 1): 1, (1, 0, 1): -1,
+                                 (2, 3, 3): 1, (3, 2, 3): -1})
+    swap = hs.EvenMap(double.space, [[int(k == (i + 2) % 4)
+                                      for k in range(4)] for i in range(4)])
+    _assert_twist_matches_naive(double, swap)

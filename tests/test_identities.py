@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homsuper as hs
+from homsuper import freealg as fa
 from homsuper import identities as idn
-from conftest import make_algebra
+from conftest import graded_algebras, make_algebra
 import naive
 
 
@@ -160,6 +161,15 @@ def test_eval_reports_unbound_variable(a2b):
         hs.eval_identity_on_tuple(hs.REGISTRY["LLSI"], a2b, {"x": 0})
 
 
+@pytest.mark.parametrize("sign_free", [False, True])
+def test_eval_reports_variable_bound_only_in_a_sign(a2b, sign_free):
+    # x is even, so s(x,u) is +1 whatever u is; u must still be bound.
+    ident = hs.parse_identity("s(x,u) x*x = 0")
+    assert idn.free_variables(ident) == ["x", "u"]
+    with pytest.raises(hs.UnboundVariable):
+        hs.eval_identity_on_tuple(ident, a2b, {"x": 0}, sign_free=sign_free)
+
+
 def test_eval_reports_missing_ternary_slot(a2b):
     with pytest.raises(hs.MissingOpSlot):
         hs.eval_identity_on_tuple(hs.REGISTRY["SHLY4"], a2b,
@@ -280,3 +290,51 @@ def test_cyclic_sum_rotates_leading_sign():
     ident = hs.parse_identity("cyc[x,y,z; s(x,z)](x*y) = 0")
     out = hs.eval_identity_on_tuple(ident, algebra, {"x": 1, "y": 1, "z": 0})
     assert list(out.coords) == [Fraction(1), Fraction(-1)]
+
+
+def test_ternary_laws_are_the_registry_laws_with_a_ternary():
+    assert idn.TERNARY_LAWS == {"AKIVIS", "SHLY2", "SHLY4", "SHLY5", "SHLY6",
+                                "SHLY7", "SHLY8"}
+
+
+def _free_value(expr, algebra, env):
+    """A free expression evaluated in an algebra: the generator named g
+    under k maps is alpha^k of basis element env[g], and a product node is
+    the algebra's product."""
+    def value(term):
+        if term[0] == "g":
+            base = algebra.space.basis_vector(env[term[1]])
+            return algebra.alpha.power(term[2])(base)
+        if term[0] == "a":
+            return algebra.alpha.power(term[1])(value(term[2]))
+        return algebra.product(value(term[1]), value(term[2]))
+
+    total = algebra.space.zero_vector()
+    for term, coeff in expr.items():
+        total = total + value(term).scale(coeff)
+    return total
+
+
+@settings(max_examples=20, deadline=None)
+@given(graded_algebras())
+def test_numeric_and_free_evaluation_agree(algebra):
+    # The two value domains of the one evaluator: on every basis tuple, the
+    # residual over the algebra equals the free expansion for the tuple's
+    # parities evaluated in the algebra.  The registry laws without {,,}
+    # cover bare-variable products and maps, nested products, brackets,
+    # signs and cyclic sums.
+    space = algebra.space
+    evaluator = idn.Evaluator(algebra)
+    for name, law in hs.REGISTRY.items():
+        if name in idn.TERNARY_LAWS:
+            continue
+        names = idn.free_variables(law)
+        expansions = {}
+        for combo in itertools.product(range(space.dim), repeat=len(names)):
+            env = dict(zip(names, combo))
+            parities = tuple(space.parity(i) for i in combo)
+            if parities not in expansions:
+                expansions[parities] = fa.expand_template(
+                    law, dict(zip(names, parities)))
+            assert evaluator.eval(law, env) == \
+                _free_value(expansions[parities], algebra, env), (name, combo)

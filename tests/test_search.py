@@ -127,13 +127,11 @@ def _brute_force(spec):
     return hits
 
 
-def _expected_outcome(spec, hits, workers):
-    """(documents, examined, partial) that run_search must report."""
+def _expected_outcome(spec, hits):
+    """(documents, examined, partial) that run_search must report, with any
+    number of workers."""
     size = spec.space_size()
     documents = [doc for _, doc in hits[:spec.max_results]]
-    if workers > 1:
-        # Worker chunks scan to their end; the merge truncates to the cap.
-        return documents, size, len(hits) > spec.max_results
     if len(hits) < spec.max_results:
         return documents, size, False
     examined = hits[spec.max_results - 1][0] + 1
@@ -157,7 +155,7 @@ def test_slot_filtered_scan_matches_brute_force(monkeypatch, dims, coeffs,
     hits = _brute_force(spec)
     for workers in (1, 2):
         monkeypatch.setenv("HOMSUPER_WORKERS", str(workers))
-        documents, examined, partial = _expected_outcome(spec, hits, workers)
+        documents, examined, partial = _expected_outcome(spec, hits)
         outcome = run_search(spec)
         assert outcome.documents == documents, workers
         assert (outcome.examined, outcome.partial) == (examined, partial)
