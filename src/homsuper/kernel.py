@@ -9,10 +9,16 @@ mutation is monotone caching) and can be shared freely.
 
 Index conventions: structure constants are 0-based internally; reports and
 serialized documents use the 1-based labels b1..bn.
+
+Storage: a multilinear operation is built from entries {(i, j[, k], l): c}
+and keeps only its nonzero constants, {(i, j[, k]): ((l, c), ...)}; its
+`table` is a dense view derived from them.  Even maps keep dense rows.
 """
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .report import Report
@@ -241,173 +247,134 @@ class EvenMap:
                                                  for r in self.rows])
 
 
-class BilinearOp:
-    """Bilinear product as structure constants c[i][j][k]:
-    b_{i+1} * b_{j+1} = sum_k c[i][j][k] b_{k+1}.
+class MultilinearOp:
+    """Multilinear operation of a given arity, stored as its nonzero
+    structure constants: constants[(i, j, ...)] = ((l, c), ...) means the
+    product of b_{i+1}, b_{j+1}, ... is the sum of c b_{l+1}.  Keys and
+    pairs are in index order; zero entries are never stored.
     """
+
+    arity = None
+
+    def __init__(self, space, entries=None):
+        width = self.arity + 1
+        indices = frozenset(range(space.dim))
+        rows = {}
+        for key, value in (entries or {}).items():
+            if len(key) != width or not indices.issuperset(key):
+                raise DimensionMismatch(
+                    "structure constant key %r is not %d indices in 0..%d"
+                    % (key, width, space.dim - 1))
+            value = scalar(value)
+            if value:
+                rows.setdefault(key[:-1], []).append((key[-1], value))
+        self.space = space
+        self.constants = {index: tuple(sorted(rows[index]))
+                          for index in sorted(rows)}
+        self._basis = {}
+
+    def on_basis(self, *index):
+        """The image of a basis tuple, built once."""
+        vector = self._basis.get(index)
+        if vector is None:
+            vector = self._basis[index] = Vector(self.space, self._row(index))
+        return vector
+
+    def _row(self, index):
+        row = [ZERO] * self.space.dim
+        for l, c in self.constants.get(index, ()):
+            row[l] = c
+        return tuple(row)
+
+    def _apply(self, args):
+        space = self.space
+        nonzero = []
+        for v in args:
+            if v.space is not space and v.space != space:
+                raise DimensionMismatch("arguments over a different space")
+            nonzero.append([(i, a) for i, a in enumerate(v.coords) if a])
+        constants = self.constants
+        out = [ZERO] * space.dim
+        for combo in itertools.product(*nonzero):
+            index, values = zip(*combo)
+            terms = constants.get(index)
+            if terms:
+                scale = functools.reduce(operator.mul, values)
+                for l, c in terms:
+                    out[l] += scale * c
+        return Vector(space, out)
+
+    @functools.cached_property
+    def table(self):
+        """Dense view: table[i][j]...[l] is the constant of b_{l+1} in the
+        product of b_{i+1}, b_{j+1}, ..."""
+        n = self.space.dim
+
+        def block(index):
+            if len(index) == self.arity:
+                return self._row(index)
+            return tuple(block(index + (i,)) for i in range(n))
+
+        return block(())
+
+    def grading_violations(self):
+        """1-based index tuples whose nonzero constant breaks the parity
+        rule, in lexicographic order."""
+        parity = self.space.parity
+        return [tuple(i + 1 for i in index) + (l + 1,)
+                for index, terms in self.constants.items() for l, _ in terms
+                if parity(l) != sum(map(parity, index)) % 2]
+
+    def is_zero(self):
+        return not self.constants
+
+    def __eq__(self, other):
+        return (isinstance(other, MultilinearOp) and self.arity == other.arity
+                and self.space == other.space
+                and self.constants == other.constants)
+
+    def __hash__(self):
+        return hash((self.arity, self.space, tuple(self.constants.items())))
+
+    def __repr__(self):
+        return "%s(%r, %d nonzero)" % (
+            type(self).__name__, self.space,
+            sum(len(terms) for terms in self.constants.values()))
+
+
+class BilinearOp(MultilinearOp):
+    """Bilinear product: b_{i+1} * b_{j+1} = sum of c b_{l+1} over the pairs
+    (l, c) in constants[(i, j)]."""
 
     arity = 2
 
-    def __init__(self, space, table=None, entries=None):
-        n = space.dim
-        if table is None:
-            c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-            for (i, j, k), v in (entries or {}).items():
-                c[i][j][k] = scalar(v)
-            table = c
-        self.space = space
-        self.table = tuple(tuple(tuple(scalar(v) for v in row)
-                                 for row in plane) for plane in table)
-        if len(self.table) != n or any(
-                len(p) != n or any(len(r) != n for r in p)
-                for p in self.table):
-            raise DimensionMismatch("structure constant tensor has wrong shape")
-
-    def on_basis(self, i, j):
-        return Vector(self.space, self.table[i][j])
-
     def __call__(self, x, y):
-        if x.space != self.space or y.space != self.space:
-            raise DimensionMismatch("arguments over a different space")
-        n = self.space.dim
-        out = [ZERO] * n
-        for i, a in enumerate(x.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(y.coords):
-                if b == 0:
-                    continue
-                ab = a * b
-                row = self.table[i][j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += ab * row[k]
-        return Vector(self.space, out)
-
-    def grading_violations(self):
-        """1-based index triples whose nonzero constant breaks the parity rule."""
-        sp = self.space
-        bad = []
-        for i in range(sp.dim):
-            for j in range(sp.dim):
-                want = (sp.parity(i) + sp.parity(j)) % 2
-                for k in range(sp.dim):
-                    if self.table[i][j][k] != 0 and sp.parity(k) != want:
-                        bad.append((i + 1, j + 1, k + 1))
-        return bad
+        return self._apply((x, y))
 
     def transpose(self):
-        n = self.space.dim
-        return BilinearOp(self.space, [[self.table[j][i] for j in range(n)]
-                                       for i in range(n)])
+        return BilinearOp(self.space, entries={
+            (j, i, l): c for (i, j), terms in self.constants.items()
+            for l, c in terms})
 
     def graded_commutator(self):
         """Structure constants of [x,y] = x*y - (-1)^{|x||y|} y*x."""
-        sp = self.space
-        n = sp.dim
-        c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                sign = -ONE if sp.parity(i) and sp.parity(j) else ONE
-                for k in range(n):
-                    c[i][j][k] = self.table[i][j][k] - sign * self.table[j][i][k]
-        return BilinearOp(sp, c)
-
-    def scale(self, c):
-        c = scalar(c)
-        return BilinearOp(self.space,
-                          [[[c * v for v in row] for row in plane]
-                           for plane in self.table])
-
-    def is_zero(self):
-        return all(v == 0 for plane in self.table for row in plane for v in row)
-
-    def __eq__(self, other):
-        return (isinstance(other, BilinearOp) and self.space == other.space
-                and self.table == other.table)
-
-    def __hash__(self):
-        return hash((self.space, self.table))
-
-    def __repr__(self):
-        return "BilinearOp(%r, %d nonzero)" % (
-            self.space, sum(1 for p in self.table for r in p for v in r if v))
+        parity = self.space.parity
+        entries = {}
+        for (i, j), terms in self.constants.items():
+            sign = -1 if parity(i) and parity(j) else 1
+            for l, c in terms:
+                entries[i, j, l] = entries.get((i, j, l), ZERO) + c
+                entries[j, i, l] = entries.get((j, i, l), ZERO) - sign * c
+        return BilinearOp(self.space, entries=entries)
 
 
-class TernaryOp:
-    """Trilinear product as structure constants t[i][j][k][l]."""
+class TernaryOp(MultilinearOp):
+    """Trilinear product, constants[(i, j, k)] = ((l, c), ...)."""
 
     arity = 3
 
-    def __init__(self, space, table=None, entries=None):
-        n = space.dim
-        if table is None:
-            t = [[[[ZERO] * n for _ in range(n)] for _ in range(n)]
-                 for _ in range(n)]
-            for (i, j, k, l), v in (entries or {}).items():
-                t[i][j][k][l] = scalar(v)
-            table = t
-        self.space = space
-        self.table = tuple(
-            tuple(tuple(tuple(scalar(v) for v in row) for row in plane)
-                  for plane in cube) for cube in table)
-        if len(self.table) != n or any(
-                len(c) != n or any(
-                    len(p) != n or any(len(r) != n for r in p) for p in c)
-                for c in self.table):
-            raise DimensionMismatch("structure constant tensor has wrong shape")
-
-    def on_basis(self, i, j, k):
-        return Vector(self.space, self.table[i][j][k])
-
     def __call__(self, x, y, z):
-        for v in (x, y, z):
-            if v.space != self.space:
-                raise DimensionMismatch("arguments over a different space")
-        n = self.space.dim
-        out = [ZERO] * n
-        for i, a in enumerate(x.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(y.coords):
-                if b == 0:
-                    continue
-                ab = a * b
-                for k, c in enumerate(z.coords):
-                    if c == 0:
-                        continue
-                    abc = ab * c
-                    row = self.table[i][j][k]
-                    for l in range(n):
-                        if row[l] != 0:
-                            out[l] += abc * row[l]
-        return Vector(self.space, out)
-
-    def grading_violations(self):
-        sp = self.space
-        bad = []
-        for i in range(sp.dim):
-            for j in range(sp.dim):
-                for k in range(sp.dim):
-                    want = (sp.parity(i) + sp.parity(j) + sp.parity(k)) % 2
-                    for l in range(sp.dim):
-                        if self.table[i][j][k][l] != 0 and sp.parity(l) != want:
-                            bad.append((i + 1, j + 1, k + 1, l + 1))
-        return bad
-
-    def is_zero(self):
-        return all(v == 0 for c in self.table for p in c for r in p for v in r)
-
-    def __eq__(self, other):
-        return (isinstance(other, TernaryOp) and self.space == other.space
-                and self.table == other.table)
-
-    def __hash__(self):
-        return hash((self.space, self.table))
-
-    def __repr__(self):
-        nz = sum(1 for c in self.table for p in c for r in p for v in r if v)
-        return "TernaryOp(%r, %d nonzero)" % (self.space, nz)
+        return self._apply((x, y, z))
 
 
 class HomSuperalgebra:
@@ -513,38 +480,31 @@ def check_multiplicativity(algebra):
     nonzero structure constants and map entries enter the sums.
     """
     sp = algebra.space
-    n = sp.dim
-    operations = [(algebra.product.table, 2)]
+    operations = [algebra.product]
     if algebra.ternary is not None:
-        operations.append((algebra.ternary.table, 3))
-    checked = sum(n ** arity for _, arity in operations)
+        operations.append(algebra.ternary)
+    checked = sum(sp.dim ** op.arity for op in operations)
     bad = []
     if not algebra.alpha.is_identity():
         alpha = [[(k, c) for k, c in enumerate(row) if c != 0]
                  for row in algebra.alpha.rows]
-        for table, arity in operations:
-            bad.extend(_endomorphism_failures(sp, alpha, table, arity))
+        for op in operations:
+            bad.extend(_endomorphism_failures(alpha, op))
     report = Report("multiplicativity", not bad, checked, bad)
     algebra._multiplicative = report.passed
     return report
 
 
-def _endomorphism_failures(space, alpha, table, arity):
+def _endomorphism_failures(alpha, op):
     """Counterexamples to alpha(op(b_i, ...)) = op(alpha(b_i), ...) over all
     basis tuples, where alpha holds each row's nonzero (column, entry)
-    pairs and table is the operation's structure constant tensor."""
+    pairs."""
+    space = op.space
     n = space.dim
     labels = space.labels
-    constants = {}
-    for index in itertools.product(range(n), repeat=arity):
-        row = table
-        for i in index:
-            row = row[i]
-        nonzero = [(k, c) for k, c in enumerate(row) if c != 0]
-        if nonzero:
-            constants[index] = nonzero
+    constants = op.constants
     bad = []
-    for index in itertools.product(range(n), repeat=arity):
+    for index in itertools.product(range(n), repeat=op.arity):
         lhs = [ZERO] * n
         for l, c in constants.get(index, ()):
             for k, a in alpha[l]:

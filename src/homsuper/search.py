@@ -22,7 +22,9 @@ candidate that is built.
 
 The candidate space can be partitioned across worker processes (the
 HOMSUPER_WORKERS environment variable); chunks are merged back in index
-order, so the result order does not depend on the worker count.
+order, so the result order does not depend on the worker count.  The merge
+ends at the result cap or after the first chunk that ran out of time, so
+the results are always those of a scanned prefix of the index order.
 """
 
 import itertools
@@ -50,6 +52,9 @@ class SearchSpec:
                  suite="leibniz", max_results=100, budget_ms=None,
                  max_space=DEFAULT_MAX_SPACE):
         self.dims = (int(dims[0]), int(dims[1]))
+        if min(self.dims) < 0:
+            raise SearchSpaceError("dimensions must be nonnegative, got %d,%d"
+                                   % self.dims)
         self.coeffs = tuple(scalar(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("empty coefficient set")
@@ -61,6 +66,9 @@ class SearchSpec:
                 raise ValueError("empty diagonal pool")
         self.suite = suite
         self.max_results = int(max_results)
+        if self.max_results < 1:
+            raise SearchSpaceError("the result cap must be at least 1, got %d"
+                                   % self.max_results)
         self.budget_ms = budget_ms
         self.max_space = int(max_space)
         self.space = SuperSpace(*self.dims)
@@ -235,28 +243,34 @@ def run_search(spec):
     if workers <= 1 or size < 2 * workers:
         documents, examined, hit = _scan(spec, 0, size, deadline,
                                          spec.max_results, filtered)
-        return SearchOutcome(spec, documents, examined,
-                             hit or examined < size)
-    from concurrent.futures import ProcessPoolExecutor
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    chunk = (size + workers - 1) // workers
-    jobs = [(spec.to_data(), start, min(start + chunk, size), deadline,
-             filtered)
-            for start in range(0, size, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_scan_worker, jobs))
+        chunk = (size + workers - 1) // workers
+        starts = range(0, size, chunk)
+        jobs = [(spec.to_data(), start, min(start + chunk, size), deadline,
+                 filtered) for start in starts]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_scan_worker, jobs))
+        documents, examined, hit = _merge_chunks(starts, chunks,
+                                                 spec.max_results)
+    return SearchOutcome(spec, documents, examined, hit or examined < size)
+
+
+def _merge_chunks(starts, chunks, cap):
+    """Merge the (documents, examined, hit_deadline) results of chunks
+    starting at `starts`, in index order, into the outcome of one serial
+    scan: (documents, examined, hit_deadline).  The merge ends at the
+    cap-th document, or after the first chunk that hit the deadline, so
+    the documents are those of a scanned prefix of the index order."""
     documents = []
     examined = 0
-    hit = False
-    # Each chunk stops at the cap on its own; merged in index order, the
-    # scan ends at the same document as a serial scan.
-    for docs, count, chunk_hit in chunks:
-        hit = hit or chunk_hit
+    for start, (docs, count, hit) in zip(starts, chunks):
         for doc in docs:
             documents.append(doc)
-            if len(documents) >= spec.max_results:
-                examined = doc["metadata"]["candidate"] + 1
-                return SearchOutcome(spec, documents, examined,
-                                     hit or examined < size)
-        examined += count
-    return SearchOutcome(spec, documents, examined, hit or examined < size)
+            if len(documents) >= cap:
+                return documents, doc["metadata"]["candidate"] + 1, False
+        examined = start + count
+        if hit:
+            return documents, examined, True
+    return documents, examined, False

@@ -71,8 +71,7 @@ def _parse_sparse(where, raw, n, width):
         if key in entries:
             _fail(here, "duplicate entry for index %s"
                   % (tuple(i + 1 for i in key),))
-        if value != 0:
-            entries[key] = value
+        entries[key] = value
     return entries
 
 
@@ -161,33 +160,22 @@ def document_to_algebra(doc, where="document"):
 
 def algebra_to_document(algebra):
     space = algebra.space
-    n = space.dim
     doc = {
         "name": algebra.name,
         "kind": algebra.kind,
         "dims": {"even": space.dim_even, "odd": space.dim_odd},
-        "product": _sparse_entries(algebra.product.table, 3),
+        "product": _sparse_entries(algebra.product),
     }
     if algebra.ternary is not None:
-        doc["ternary"] = _sparse_entries(algebra.ternary.table, 4)
+        doc["ternary"] = _sparse_entries(algebra.ternary)
     doc["alpha"] = [[str(v) for v in row] for row in algebra.alpha.rows]
     doc["metadata"] = getattr(algebra, "metadata", {})
     return doc
 
 
-def _sparse_entries(table, width):
-    out = []
-
-    def walk(node, index):
-        if len(index) == width:
-            if node != 0:
-                out.append([i + 1 for i in index] + [str(node)])
-            return
-        for i, sub in enumerate(node):
-            walk(sub, index + (i,))
-
-    walk(table, ())
-    return out
+def _sparse_entries(op):
+    return [[i + 1 for i in index] + [l + 1, str(c)]
+            for index, terms in op.constants.items() for l, c in terms]
 
 
 def _dense_identity(n):

@@ -169,6 +169,15 @@ def test_search_stream_and_out_dir(capsys, tmp_path):
 
 def test_search_rejects_bad_dims(capsys):
     assert cli.main(["search", "--dims", "nope"]) == 2
+    capsys.readouterr()
+    # A negative dimension and a result cap below 1 are typed errors too.
+    for args in (["--dims=-1,1"], ["--dims", "1,1", "--max", "0"],
+                 ["--dims", "1,1", "--max", "-3"]):
+        assert cli.main(["search", *args, "--coeffs=-1,0,1"]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_search_rejects_oversized_space(capsys):

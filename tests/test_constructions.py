@@ -349,9 +349,12 @@ def twist_cases(draw):
         p = p.compose(_transvection(space, a, b, c))
         q = _transvection(space, a, b, -c).compose(q)
     n = space.dim
-    table = [[q(source.product(p.on_basis(i), p.on_basis(j))).coords
-              for j in range(n)] for i in range(n)]
-    moved = hs.HomSuperalgebra(space, hs.BilinearOp(space, table),
+    entries = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        image = q(source.product(p.on_basis(i), p.on_basis(j)))
+        for k, c in enumerate(image.coords):
+            entries[i, j, k] = c
+    moved = hs.HomSuperalgebra(space, hs.BilinearOp(space, entries=entries),
                                source.alpha)
     return moved, q.compose(beta.compose(p))
 

@@ -11,20 +11,20 @@ import naive
 
 
 @st.composite
-def graded_bilinear_ops(draw):
-    dim_even = draw(st.integers(0, 2))
-    dim_odd = draw(st.integers(0, 2))
-    space = hs.SuperSpace(dim_even, dim_odd)
+def graded_entries(draw, arity):
+    """A space of dimension up to (2|2) and structure constants in -3..3,
+    zeros included, on every slot the parity rule allows."""
+    space = hs.SuperSpace(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
     entries = {}
-    for i, j in itertools.product(range(space.dim), repeat=2):
-        want = (space.parity(i) + space.parity(j)) % 2
-        for k in range(space.dim):
-            if space.parity(k) != want:
-                continue
-            value = draw(st.integers(-3, 3))
-            if value:
-                entries[(i, j, k)] = value
-    return space, hs.BilinearOp(space, entries=entries)
+    for index in itertools.product(range(space.dim), repeat=arity + 1):
+        if sum(map(space.parity, index[:-1])) % 2 == space.parity(index[-1]):
+            entries[index] = draw(st.integers(-3, 3))
+    return space, entries
+
+
+def graded_bilinear_ops():
+    return graded_entries(2).map(
+        lambda drawn: (drawn[0], hs.BilinearOp(drawn[0], entries=drawn[1])))
 
 
 def test_make_superspace_cases():
@@ -73,6 +73,24 @@ def test_eval_bilinear_examples():
     prod = hs.BilinearOp(sp, entries={(0, 0, 1): 1})
     assert prod(a, a) == b
     assert prod(a, a.scale(2) + b) == b.scale(2)
+
+
+def test_structure_constant_keys_must_be_in_range():
+    sp = hs.SuperSpace(2, 0)
+    for key in ((-1, 0, 0), (0, 2, 0), (0, 0, -2)):
+        with pytest.raises(hs.DimensionMismatch):
+            hs.BilinearOp(sp, entries={key: 1})
+    with pytest.raises(hs.DimensionMismatch):
+        hs.TernaryOp(sp, entries={(0, 0, 0, 5): 1})
+
+
+def test_structure_constant_keys_must_have_one_index_per_slot():
+    sp = hs.SuperSpace(2, 0)
+    for key in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(hs.DimensionMismatch):
+            hs.BilinearOp(sp, entries={key: 1})
+    with pytest.raises(hs.DimensionMismatch):
+        hs.TernaryOp(sp, entries={(0, 0, 1): 1})
 
 
 def test_eval_ternary_examples():
@@ -223,6 +241,41 @@ def test_bilinear_agrees_with_naive_oracle():
 
 _SMALL = st.sampled_from([Fraction(0), Fraction(0), Fraction(1),
                           Fraction(-1), Fraction(2), Fraction(1, 2)])
+
+
+def _dense_table(n, entries, arity):
+    """Nested tuples table[i][j]...[l] from {(i, j, ..., l): value}."""
+    if arity == 0:
+        return tuple(Fraction(entries.get((l,), 0)) for l in range(n))
+    return tuple(_dense_table(n, {key[1:]: v for key, v in entries.items()
+                                  if key[0] == i}, arity - 1)
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_ops_match_the_dense_oracle(arity, data):
+    space, entries = data.draw(graded_entries(arity))
+    n = space.dim
+    op = {2: hs.BilinearOp, 3: hs.TernaryOp}[arity](space, entries=entries)
+    table = _dense_table(n, entries, arity)
+    assert op.table == table
+    args = [data.draw(st.lists(_SMALL, min_size=n, max_size=n))
+            for _ in range(arity)]
+    naive_op = {2: naive.mul, 3: naive.tmul}[arity]
+    got = op(*(hs.Vector(space, a) for a in args))
+    assert list(got.coords) == naive_op(table, *args)
+    # Explicit zeros, anywhere, and the order of the entries do not change
+    # the operation.
+    padded = dict.fromkeys(itertools.product(range(n), repeat=arity + 1), 0)
+    padded.update(entries)
+    same = type(op)(space, entries=padded)
+    nonzero = type(op)(space, entries={k: v for k, v in
+                                       reversed(entries.items()) if v})
+    assert same == op == nonzero
+    assert hash(same) == hash(op) == hash(nonzero)
+    assert list(nonzero.constants.items()) == sorted(op.constants.items())
 
 
 @st.composite

@@ -4,7 +4,8 @@ import pytest
 
 import homsuper as hs
 from homsuper import identities
-from homsuper.search import SearchSpec, SearchSpaceError, run_search
+from homsuper.search import (SearchSpec, SearchSpaceError, _merge_chunks,
+                              run_search)
 from homsuper.serialize import algebra_to_document
 
 
@@ -191,3 +192,22 @@ def test_suite_passes_stops_at_the_first_failing_check(monkeypatch):
 def test_ternary_law_raises_even_when_no_candidate_reaches_it():
     with pytest.raises(hs.MissingOpSlot):
         run_search(SearchSpec((1, 1), coeffs=("1",), suite="akivis"))
+
+
+def _hits(*indices):
+    return [{"metadata": {"candidate": index}} for index in indices]
+
+
+def test_parallel_merge_stops_after_the_chunk_that_hit_the_deadline():
+    # Three chunks of 100 candidates; the middle one hit the deadline after
+    # 40, so the last chunk's hits lie past the scanned prefix.
+    starts = [0, 100, 200]
+    chunks = [(_hits(5, 80), 100, False), (_hits(130), 40, True),
+              (_hits(210, 290), 100, False)]
+    assert _merge_chunks(starts, chunks, 10) == (_hits(5, 80, 130), 140, True)
+    # A cap reached first ends the merge where a serial scan ends.
+    assert _merge_chunks(starts, chunks, 3) == (_hits(5, 80, 130), 131, False)
+    assert _merge_chunks(starts, chunks, 2) == (_hits(5, 80), 81, False)
+    chunks[1] = (_hits(130), 100, False)
+    assert _merge_chunks(starts, chunks, 10) == \
+        (_hits(5, 80, 130, 210, 290), 300, False)

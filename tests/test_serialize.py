@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +137,17 @@ def test_corpus_expected_verdicts_hold(corpus):
         for suite, verdict in expected.items():
             got = all(r.passed for r in hs.check_suite(suite, algebra))
             assert got == verdict, (path.name, suite)
+
+
+def test_corpus_regenerates_byte_for_byte(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "tools" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", script)
+    make_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_corpus)
+    make_corpus.write_corpus(tmp_path)
+    packaged = hs.corpus_paths()
+    assert [p.name for p in sorted(tmp_path.iterdir())] == \
+        [p.name for p in packaged]
+    for path in packaged:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), \
+            path.name
