@@ -63,13 +63,21 @@ def _require_leibniz(algebra):
                                 + report.summary())
 
 
+def _ensure_passed(reports, prefix):
+    """A postcondition: raise RuntimeError, the prefix followed by the
+    summaries of the failed reports, if any report failed."""
+    failed = [r.summary() for r in reports if not r.passed]
+    if failed:
+        raise RuntimeError(prefix + "; ".join(failed))
+
+
 def _template_op(template, algebra):
     """The multilinear operation a template defines on an algebra: its
     residual on every basis tuple, one argument per free variable, in
     order of first occurrence."""
     space = algebra.space
     evaluator = idn.Evaluator(algebra)
-    names = idn.free_variables(template)
+    names = template.variables
     entries = {}
     for combo in itertools.product(range(space.dim), repeat=len(names)):
         value = evaluator.eval(template, dict(zip(names, combo)))
@@ -112,11 +120,8 @@ def build_hom_akivis(algebra, verify=True):
         algebra.alpha,
         name="akivis(%s)" % (algebra.name or "?"))
     if verify:
-        reports = idn.check_suite("akivis", derived)
-        if not all(r.passed for r in reports):
-            raise RuntimeError("commutator/associator structure failed its "
-                               "own law: " + "; ".join(
-                                   r.summary() for r in reports if not r.passed))
+        _ensure_passed(idn.check_suite("akivis", derived),
+                       "commutator/associator structure failed its own law: ")
     return derived
 
 
@@ -130,11 +135,8 @@ def build_hom_ly(algebra, verify=True):
         _template_op(LY_TERNARY, algebra), algebra.alpha,
         name="ly(%s)" % (algebra.name or "?"))
     if verify:
-        reports = idn.check_suite("ly", derived)
-        if not all(r.passed for r in reports):
-            raise RuntimeError("derived Lie-Yamaguti structure failed an "
-                               "axiom: " + "; ".join(
-                                   r.summary() for r in reports if not r.passed))
+        _ensure_passed(idn.check_suite("ly", derived),
+                       "derived Lie-Yamaguti structure failed an axiom: ")
     return derived
 
 
@@ -150,11 +152,8 @@ def check_lie_admissible(algebra):
         bracket_algebra = HomSuperalgebra(
             algebra.space, supercommutator(algebra), algebra.alpha,
             name="commutator(%s)" % (algebra.name or "?"))
-        cross = idn.check_suite("lie", bracket_algebra)
-        if not all(r.passed for r in cross):
-            raise RuntimeError("admissible verdict disagrees with the "
-                               "bracket laws: " + "; ".join(
-                                   r.summary() for r in cross if not r.passed))
+        _ensure_passed(idn.check_suite("lie", bracket_algebra),
+                       "admissible verdict disagrees with the bracket laws: ")
     return report
 
 
@@ -206,9 +205,6 @@ def yau_twist(algebra, beta):
     twisted = HomSuperalgebra(algebra.space,
                               _template_op(YAU_TWIST, endo_probe), beta,
                               name="twist(%s)" % (algebra.name or "?"))
-    reports = idn.check_suite("leibniz", twisted)
-    if not all(r.passed for r in reports):
-        raise RuntimeError("twisted product lost the Leibniz law: "
-                           + "; ".join(r.summary() for r in reports
-                                       if not r.passed))
+    _ensure_passed(idn.check_suite("leibniz", twisted),
+                   "twisted product lost the Leibniz law: ")
     return twisted

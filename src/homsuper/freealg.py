@@ -425,7 +425,7 @@ def prove_identity_free(target):
     checked = 0
     for obligation in targets[target]:
         identity = obligation["identity"]
-        names = idn.free_variables(identity)
+        names = identity.variables
         if len(names) > 6:
             raise ValueError("proof scope is limited to 6 generators")
         for combo in itertools.product((0, 1), repeat=len(names)):

@@ -41,6 +41,7 @@ formal expressions.  Structural questions about an AST (its variables,
 whether it needs "{,,}") are answered from `walk`, which visits every node.
 """
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -138,6 +139,12 @@ class Cyc:
 class Identity:
     lhs: object
     rhs: object
+
+    @functools.cached_property
+    def variables(self):
+        """free_variables of the law, walked once; not a field, so it
+        takes no part in == or hash."""
+        return tuple(free_variables(self))
 
 
 def walk(node):
@@ -665,7 +672,7 @@ def check_identity(identity, algebra, name="identity", sign_free=False,
     counterexample (used by the search, where only the verdict matters).
     """
     evaluator = Evaluator(algebra, sign_free)
-    variables = free_variables(identity)
+    variables = identity.variables
     n = algebra.space.dim
     labels = algebra.space.labels
     checked = 0
@@ -761,6 +768,8 @@ SUITES = {
 
 
 def _expand_suite(names, algebra):
+    if isinstance(names, str):
+        names = [names]
     checks = []
     for name in names:
         if name in SUITES:
@@ -785,8 +794,6 @@ def resolve_suite(names, algebra):
     """The checks that `names` expands to on `algebra`, in order.  Raises
     UnknownSuite for a name that is neither a suite nor a check, and
     MissingOpSlot for a law needing an operation the algebra lacks."""
-    if isinstance(names, str):
-        names = [names]
     checks = _expand_suite(names, algebra)
     if algebra.op_for_slot("{,,}") is None:
         for check in checks:
@@ -798,8 +805,6 @@ def resolve_suite(names, algebra):
 def check_suite(names, algebra, sign_free=False, first_only=False):
     """Run the named checks (suite names, registry names, or "grading" /
     "multiplicativity") and return their reports in deterministic order."""
-    if isinstance(names, str):
-        names = [names]
     reports = []
     for check in _expand_suite(names, algebra):
         if check == "grading":
@@ -816,7 +821,5 @@ def check_suite(names, algebra, sign_free=False, first_only=False):
 def suite_passes(names, algebra):
     """True iff every check of the suite passes; stops at the first check
     that fails, and each law at its first counterexample."""
-    if isinstance(names, str):
-        names = [names]
     return all(check_suite([check], algebra, first_only=True)[0].passed
                for check in _expand_suite(names, algebra))

@@ -12,7 +12,9 @@ serialized documents use the 1-based labels b1..bn.
 
 Storage: a multilinear operation is built from entries {(i, j[, k], l): c}
 and keeps only its nonzero constants, {(i, j[, k]): ((l, c), ...)}; its
-`table` is a dense view derived from them.  Even maps keep dense rows.
+`table` is a dense view derived from them.  An even map is the arity-1
+case: it is built from dense rows, keeps its nonzero entries {(i,): ((k,
+c), ...)}, and its `rows` are the dense view.
 """
 
 import functools
@@ -155,98 +157,6 @@ class Vector:
             "%s %s" % (c, l) if c != "1" else l for l, c in items)
 
 
-class EvenMap:
-    """Parity-preserving linear map, stored as rows[i][k] = coefficient of
-    b_{k+1} in the image of b_{i+1}.  Off-block entries are rejected at
-    construction, so every EvenMap really is even.
-    """
-
-    def __init__(self, space, rows):
-        rows = tuple(tuple(scalar(c) for c in row) for row in rows)
-        if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
-            raise DimensionMismatch("matrix shape does not match space")
-        for i in range(space.dim):
-            for k in range(space.dim):
-                if rows[i][k] != 0 and space.parity(i) != space.parity(k):
-                    raise ParityError(
-                        "entry (%d,%d) crosses the parity blocks" % (i + 1, k + 1))
-        self.space = space
-        self.rows = rows
-
-    @classmethod
-    def identity(cls, space):
-        n = space.dim
-        return cls(space, [[ONE if i == k else ZERO for k in range(n)]
-                           for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, space, entries):
-        entries = [scalar(c) for c in entries]
-        if len(entries) != space.dim:
-            raise DimensionMismatch("need one diagonal entry per basis element")
-        n = space.dim
-        return cls(space, [[entries[i] if i == k else ZERO for k in range(n)]
-                           for i in range(n)])
-
-    def __call__(self, vec):
-        if vec.space != self.space:
-            raise DimensionMismatch("vector over a different space")
-        n = self.space.dim
-        out = [ZERO] * n
-        for i, c in enumerate(vec.coords):
-            if c == 0:
-                continue
-            row = self.rows[i]
-            for k in range(n):
-                if row[k] != 0:
-                    out[k] += c * row[k]
-        return Vector(self.space, out)
-
-    def on_basis(self, i):
-        return Vector(self.space, self.rows[i])
-
-    def compose(self, other):
-        """self after other: (self.compose(other))(x) == self(other(x))."""
-        if other.space != self.space:
-            raise DimensionMismatch("maps over different spaces")
-        n = self.space.dim
-        rows = [[sum((other.rows[i][j] * self.rows[j][k] for j in range(n)),
-                     ZERO) for k in range(n)] for i in range(n)]
-        return EvenMap(self.space, rows)
-
-    def power(self, k):
-        """The k-fold composite, by repeated squaring (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative power of a map")
-        if k == 0:
-            return EvenMap.identity(self.space)
-        acc = None
-        square = self
-        while True:
-            if k & 1:
-                acc = square if acc is None else acc.compose(square)
-            k >>= 1
-            if not k:
-                return acc
-            square = square.compose(square)
-
-    def is_identity(self):
-        return all(c == (ONE if i == k else ZERO)
-                   for i, row in enumerate(self.rows)
-                   for k, c in enumerate(row))
-
-    def __eq__(self, other):
-        return (isinstance(other, EvenMap) and self.space == other.space
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.space, self.rows))
-
-    def __repr__(self):
-        return "EvenMap(%r, %r)" % (self.space, [list(map(str, r))
-                                                 for r in self.rows])
-
-
 class MultilinearOp:
     """Multilinear operation of a given arity, stored as its nonzero
     structure constants: constants[(i, j, ...)] = ((l, c), ...) means the
@@ -342,6 +252,76 @@ class MultilinearOp:
             sum(len(terms) for terms in self.constants.values()))
 
 
+class EvenMap(MultilinearOp):
+    """Parity-preserving linear map, built from dense `rows` and stored as
+    its nonzero entries: constants[(i,)] = ((k, c), ...) means b_{i+1}
+    maps to the sum of c b_{k+1}.  Off-block entries are rejected at
+    construction, so every EvenMap really is even.
+    """
+
+    arity = 1
+
+    def __init__(self, space, rows):
+        rows = [tuple(row) for row in rows]
+        if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
+            raise DimensionMismatch("matrix shape does not match space")
+        super().__init__(space, {(i, k): c for i, row in enumerate(rows)
+                                 for k, c in enumerate(row)})
+        bad = self.grading_violations()
+        if bad:
+            raise ParityError("entry (%d,%d) crosses the parity blocks"
+                              % bad[0])
+
+    @classmethod
+    def identity(cls, space):
+        return cls.diagonal(space, [ONE] * space.dim)
+
+    @classmethod
+    def diagonal(cls, space, entries):
+        entries = list(entries)
+        if len(entries) != space.dim:
+            raise DimensionMismatch("need one diagonal entry per basis element")
+        return cls(space, [[c if i == k else ZERO for k in range(space.dim)]
+                           for i, c in enumerate(entries)])
+
+    @property
+    def rows(self):
+        """Dense view: rows[i][k] is the coefficient of b_{k+1} in the image
+        of b_{i+1}."""
+        return self.table
+
+    def __call__(self, vec):
+        return self._apply((vec,))
+
+    def compose(self, other):
+        """self after other: (self.compose(other))(x) == self(other(x))."""
+        if other.space != self.space:
+            raise DimensionMismatch("maps over different spaces")
+        return EvenMap(self.space, [self._apply((other.on_basis(i),)).coords
+                                    for i in range(self.space.dim)])
+
+    def power(self, k):
+        """The k-fold composite, by repeated squaring (k >= 0)."""
+        if k < 0:
+            raise ValueError("negative power of a map")
+        if k == 0:
+            return EvenMap.identity(self.space)
+        acc = None
+        square = self
+        while True:
+            if k & 1:
+                acc = square if acc is None else acc.compose(square)
+            k >>= 1
+            if not k:
+                return acc
+            square = square.compose(square)
+
+    def is_identity(self):
+        return (len(self.constants) == self.space.dim
+                and all(terms == ((i, ONE),)
+                        for (i,), terms in self.constants.items()))
+
+
 class BilinearOp(MultilinearOp):
     """Bilinear product: b_{i+1} * b_{j+1} = sum of c b_{l+1} over the pairs
     (l, c) in constants[(i, j)]."""
@@ -380,7 +360,8 @@ class TernaryOp(MultilinearOp):
 class HomSuperalgebra:
     """A graded space with a product, an optional ternary product and an even
     twisting map.  The multiplicativity status is cached tri-state: None
-    (unchecked), True or False.
+    (unchecked), True or False.  `metadata` is a JSON-ready dict written
+    with the algebra's document; it starts empty.
 
     Named operation slots (used by the identity language): "*" is the
     product, "[,]" is the graded commutator of the product (derived lazily),
@@ -399,6 +380,7 @@ class HomSuperalgebra:
         self.alpha = alpha
         self.ternary = ternary
         self.name = name
+        self.metadata = {}
         self._multiplicative = None
         self._bracket = None
 
@@ -486,8 +468,7 @@ def check_multiplicativity(algebra):
     checked = sum(sp.dim ** op.arity for op in operations)
     bad = []
     if not algebra.alpha.is_identity():
-        alpha = [[(k, c) for k, c in enumerate(row) if c != 0]
-                 for row in algebra.alpha.rows]
+        alpha = [algebra.alpha.constants.get((i,), ()) for i in range(sp.dim)]
         for op in operations:
             bad.extend(_endomorphism_failures(alpha, op))
     report = Report("multiplicativity", not bad, checked, bad)
@@ -497,8 +478,8 @@ def check_multiplicativity(algebra):
 
 def _endomorphism_failures(alpha, op):
     """Counterexamples to alpha(op(b_i, ...)) = op(alpha(b_i), ...) over all
-    basis tuples, where alpha holds each row's nonzero (column, entry)
-    pairs."""
+    basis tuples, where alpha[i] holds the nonzero (k, entry) pairs of the
+    image of b_{i+1}."""
     space = op.space
     n = space.dim
     labels = space.labels

@@ -73,6 +73,7 @@ class SearchSpec:
         self.max_space = int(max_space)
         self.space = SuperSpace(*self.dims)
         self.slots = _allowed_slots(self.space)
+        self._last_alpha = (None, None)
 
     def alpha_count(self):
         if self.alpha_pool is None:
@@ -93,13 +94,7 @@ class SearchSpec:
         """Rebuild candidate number `index` (0-based, lexicographic)."""
         constants_count = len(self.coeffs) ** len(self.slots)
         alpha_index, value_index = divmod(index, constants_count)
-        if self.alpha_pool is None:
-            alpha = EvenMap.identity(self.space)
-        else:
-            digits = _digits(alpha_index, len(self.alpha_pool),
-                             self.space.dim)
-            alpha = EvenMap.diagonal(self.space,
-                                     [self.alpha_pool[d] for d in digits])
+        alpha = self._alpha(alpha_index)
         digits = _digits(value_index, len(self.coeffs), len(self.slots))
         entries = {}
         for slot, digit in zip(self.slots, digits):
@@ -109,6 +104,21 @@ class SearchSpec:
         product = BilinearOp(self.space, entries=entries)
         name = "search_%d_%d_%d" % (self.dims[0], self.dims[1], index)
         return HomSuperalgebra(self.space, product, alpha, name=name)
+
+    def _alpha(self, alpha_index):
+        """The twisting map of an alpha block.  The scan visits a block's
+        candidates one after another, so the map last built (with its
+        cached basis images) is kept and shared by them."""
+        if self._last_alpha[0] != alpha_index:
+            if self.alpha_pool is None:
+                alpha = EvenMap.identity(self.space)
+            else:
+                digits = _digits(alpha_index, len(self.alpha_pool),
+                                 self.space.dim)
+                alpha = EvenMap.diagonal(self.space,
+                                         [self.alpha_pool[d] for d in digits])
+            self._last_alpha = (alpha_index, alpha)
+        return self._last_alpha[1]
 
     def to_data(self):
         return {

@@ -169,7 +169,7 @@ def algebra_to_document(algebra):
     if algebra.ternary is not None:
         doc["ternary"] = _sparse_entries(algebra.ternary)
     doc["alpha"] = [[str(v) for v in row] for row in algebra.alpha.rows]
-    doc["metadata"] = getattr(algebra, "metadata", {})
+    doc["metadata"] = algebra.metadata
     return doc
 
 

@@ -135,6 +135,21 @@ def test_pretty_parse_round_trip(ident):
     assert hs.parse_identity(idn.pretty(ident)) == ident
 
 
+def test_registry_law_variables_are_its_free_variables():
+    for name, law in hs.REGISTRY.items():
+        assert law.variables == tuple(idn.free_variables(law)), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(idn.Identity, _expr_strategy, _expr_strategy))
+def test_law_variables_are_cached_outside_eq_and_hash(ident):
+    before = hash(ident)
+    assert ident.variables == tuple(idn.free_variables(ident))
+    assert ident.variables is ident.variables
+    fresh = idn.Identity(ident.lhs, ident.rhs)
+    assert ident == fresh and hash(ident) == hash(fresh) == before
+
+
 # --------------------------------------------------------------------------
 # Evaluation on tuples
 

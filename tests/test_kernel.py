@@ -278,6 +278,40 @@ def test_sparse_ops_match_the_dense_oracle(arity, data):
     assert list(nonzero.constants.items()) == sorted(op.constants.items())
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_even_map_matches_the_dense_oracle(data):
+    space, entries = data.draw(graded_entries(1))
+    n = space.dim
+    rows = _dense_table(n, entries, 1)
+    m = hs.EvenMap(space, rows)
+    assert m.rows == rows
+    for _ in range(3):
+        v = data.draw(st.lists(_SMALL, min_size=n, max_size=n))
+        assert list(m(hs.Vector(space, v)).coords) == naive.amap(rows, v)
+    # m after p: the image of b_i is m applied to row i of p.
+    p_rows = [[data.draw(_SMALL) if space.parity(i) == space.parity(k)
+               else 0 for k in range(n)] for i in range(n)]
+    composite = m.compose(hs.EvenMap(space, p_rows)).rows
+    assert [list(row) for row in composite] == \
+        [naive.amap(rows, p_row) for p_row in p_rows]
+    # Zeros are never stored, however they are written.
+    spelled = hs.EvenMap(space, [[str(c) if c else "0/3" for c in row]
+                                 for row in rows])
+    assert spelled == m and hash(spelled) == hash(m)
+    assert all(c for terms in m.constants.values() for _, c in terms)
+
+
+def test_parity_error_names_the_first_off_block_entry_by_rows():
+    sp = hs.SuperSpace(2, 1)
+    # Off-block at (2,3) and (3,1): the first by rows is (2,3), the first
+    # by columns would be (3,1).
+    rows = [["1", "0", "0"], ["0", "1", "5"], ["7", "0", "1"]]
+    with pytest.raises(hs.ParityError) as err:
+        hs.EvenMap(sp, rows)
+    assert str(err.value) == "entry (2,3) crosses the parity blocks"
+
+
 @st.composite
 def twisted_algebras(draw):
     """A graded product with an even map that is the identity, diagonal or

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -80,6 +81,21 @@ def test_diagonal_alpha_family_enumerates_maps():
     square = ((1, 1, 2, "1"),)
     assert (square, (("2", "0"), ("0", "4"))) in found
     assert (square, (("4", "0"), ("0", "2"))) not in found
+
+
+@pytest.mark.parametrize("alpha", ["id", ("0", "2", "-1")])
+def test_candidates_rebuild_the_same_in_any_order(alpha):
+    spec = SearchSpec((1, 1), coeffs=("0", "1"), alpha=alpha)
+    indices = list(range(spec.space_size()))
+    random.Random(5).shuffle(indices)
+    for index in indices:
+        got = spec.candidate(index)
+        want = SearchSpec((1, 1), coeffs=("0", "1"),
+                          alpha=alpha).candidate(index)
+        assert (got.alpha, got.product, got.name) == \
+            (want.alpha, want.product, want.name), index
+    # Candidates of one alpha block share one twisting map.
+    assert spec.candidate(16).alpha is spec.candidate(17).alpha
 
 
 def test_corpus_fixture_is_rediscoverable_from_its_index(corpus):

@@ -92,6 +92,13 @@ def test_missing_alpha_defaults_to_identity():
     assert algebra.alpha.is_identity()
 
 
+def test_fresh_algebras_have_empty_unshared_metadata(a2b, f2e):
+    assert algebra_to_document(a2b)["metadata"] == {}
+    a2b.metadata["note"] = "set on one algebra"
+    assert f2e.metadata == {}
+    assert algebra_to_document(f2e)["metadata"] == {}
+
+
 def test_binary_ternary_kind_round_trip(tmp_path, f2e):
     derived = hs.build_hom_ly(f2e, verify=False)
     derived.metadata = {"expected": {"ly": True}}
