@@ -26,6 +26,7 @@ from .identities import (
     REGISTRY,
     SUITES,
     MissingOpSlot,
+    NonMultilinearLaw,
     ParseError,
     UnboundVariable,
     UnknownSuite,

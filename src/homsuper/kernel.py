@@ -359,9 +359,11 @@ class TernaryOp(MultilinearOp):
 
 class HomSuperalgebra:
     """A graded space with a product, an optional ternary product and an even
-    twisting map.  The multiplicativity status is cached tri-state: None
-    (unchecked), True or False.  `metadata` is a JSON-ready dict written
-    with the algebra's document; it starts empty.
+    twisting map.  The multiplicativity status (set by
+    check_multiplicativity) and the left Leibniz status (set by the
+    constructions that require it) are cached tri-state: None (unchecked),
+    True or False.  `metadata` is a JSON-ready dict written with the
+    algebra's document; it starts empty.
 
     Named operation slots (used by the identity language): "*" is the
     product, "[,]" is the graded commutator of the product (derived lazily),
@@ -382,11 +384,16 @@ class HomSuperalgebra:
         self.name = name
         self.metadata = {}
         self._multiplicative = None
+        self._left_leibniz = None
         self._bracket = None
 
     @property
     def multiplicative(self):
         return self._multiplicative
+
+    @property
+    def left_leibniz(self):
+        return self._left_leibniz
 
     def bracket(self):
         if self._bracket is None:

@@ -1,14 +1,15 @@
+import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-
-import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homsuper as hs
+from homsuper import identities
 from homsuper.search import SearchSpec, run_search
 from conftest import graded_algebras, make_algebra
 import naive
@@ -389,3 +390,54 @@ def test_yau_twist_by_a_swap_matches_naive():
     swap = hs.EvenMap(double.space, [[int(k == (i + 2) % 4)
                                       for k in range(4)] for i in range(4)])
     _assert_twist_matches_naive(double, swap)
+
+
+def _llsi_counter(monkeypatch):
+    """Count the LLSI checks per algebra object from now on."""
+    counts = Counter()
+    original = identities.check_identity
+
+    def counting(identity, algebra, *args, **kwargs):
+        if identity is hs.REGISTRY["LLSI"]:
+            counts[id(algebra)] += 1
+        return original(identity, algebra, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "check_identity", counting)
+    return counts
+
+
+def _derive_outcome(algebra, call):
+    try:
+        result = call(algebra)
+    except hs.PreconditionError as exc:
+        return "refused: %s" % exc
+    if isinstance(result, hs.Report):
+        return result.to_dict(cap=None)
+    return (result.binary.constants, result.ternary.constants)
+
+
+def test_left_leibniz_verdict_is_checked_once_per_algebra(monkeypatch):
+    calls = (hs.build_hom_ly, hs.check_lie_admissible,
+             hs.check_ternary_equivalence)
+    paths = hs.corpus_paths()
+    # Each call on a fresh algebra, before the cache exists.
+    fresh = [[_derive_outcome(hs.load_algebra(path), call) for call in calls]
+             for path in paths]
+    counts = _llsi_counter(monkeypatch)
+    for path, want in zip(paths, fresh):
+        algebra = hs.load_algebra(path)
+        if algebra.kind != "hom_superalgebra":
+            continue
+        assert algebra.left_leibniz is None
+        assert [_derive_outcome(algebra, call) for call in calls] == want
+        if algebra.left_leibniz:
+            assert counts[id(algebra)] == 1, path
+        else:
+            # A refusal checks again, to name its counterexample.
+            assert algebra.left_leibniz is False
+            assert all(out.startswith("refused") for out in want)
+
+
+def test_supercommutator_is_the_cached_bracket(a2b):
+    assert hs.supercommutator(a2b) is a2b.bracket()
+    assert hs.build_hom_ly(a2b).binary is a2b.bracket()

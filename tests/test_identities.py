@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homsuper as hs
+from homsuper import constructions
 from homsuper import freealg as fa
 from homsuper import identities as idn
 from conftest import graded_algebras, make_algebra
@@ -69,6 +71,7 @@ def test_parse_cyclic_sum():
     ("2 = 0", "expected an element"),
     ("x = y = z", "trailing input"),
     ("1/0 x*y = 0", "zero denominator"),
+    ("a99999(x) = 0", "alpha power must be <= %d" % idn.MAX_ALPHA_POWER),
 ])
 def test_parse_errors_carry_positions(text, fragment):
     with pytest.raises(hs.ParseError) as err:
@@ -353,3 +356,339 @@ def test_numeric_and_free_evaluation_agree(algebra):
                     law, dict(zip(names, parities)))
             assert evaluator.eval(law, env) == \
                 _free_value(expansions[parities], algebra, env), (name, combo)
+
+
+# --------------------------------------------------------------------------
+# Multilinearity: the laws basis tuples decide
+
+def test_alpha_power_bound_is_inclusive():
+    law = hs.parse_identity("a%d(x) = x" % idn.MAX_ALPHA_POWER)
+    assert law.lhs.power == idn.MAX_ALPHA_POWER
+    # Very long digit strings fail as a ParseError, not in int().
+    with pytest.raises(hs.ParseError):
+        hs.parse_identity("a%s(x) = 0" % ("9" * 5000))
+
+
+def test_square_law_is_rejected_not_passed():
+    # On b1*b2 = b2*b1 = b1 the square vanishes on the basis, yet
+    # (b1+b2)*(b1+b2) = 2 b1: basis tuples do not decide x*x = 0.
+    algebra = make_algebra(2, 0, {(0, 1, 0): 1, (1, 0, 0): 1})
+    law = hs.parse_identity("x*x = 0")
+    with pytest.raises(hs.NonMultilinearLaw):
+        hs.check_identity(law, algebra)
+    total = algebra.space.basis_vector(0) + algebra.space.basis_vector(1)
+    assert algebra.product(total, total) == \
+        algebra.space.basis_vector(0).scale(2)
+    # The per-tuple evaluator stays unrestricted.
+    assert hs.eval_identity_on_tuple(law, algebra, {"x": 0}).is_zero()
+
+
+def test_law_missing_a_variable_in_some_term_is_rejected(a2b):
+    law = hs.parse_identity("x = x + y - y")
+    assert not law.multilinear
+    for first_only in (False, True):
+        with pytest.raises(hs.NonMultilinearLaw):
+            hs.check_identity(law, a2b, first_only=first_only)
+
+
+def test_shipped_laws_and_templates_are_multilinear():
+    laws = dict(hs.REGISTRY)
+    laws.update(ASSOCIATOR=constructions.ASSOCIATOR,
+                LY_TERNARY=constructions.LY_TERNARY,
+                YAU_TWIST=constructions.YAU_TWIST,
+                TERNARY_EQ_DEF=idn.TERNARY_EQ_DEF,
+                TERNARY_EQ_HALF=idn.TERNARY_EQ_HALF)
+    for name, law in laws.items():
+        assert law.multilinear, name
+
+
+@pytest.mark.parametrize("text,multilinear", [
+    ("0 = 0", True),
+    ("x*0 = 0", True),
+    ("(x + y*y)*0 = 0", True),
+    ("cyc[x,y,z; 1]({x, y, z}) = 0", True),
+    ("cyc[x,y,z; 1](u)*{x, y, z} = 0", True),
+    ("x*y = 2 y*x", True),
+    ("cyc[x,y,z; 1](x*y) = 0", False),
+    ("s(x,u) x*y = 0", False),
+    ("x*(y + z) = 0", False),
+    ("x*y = x", False),
+    ("a(x*x) = 0", False),
+])
+def test_multilinear_examples(text, multilinear):
+    assert hs.parse_identity(text).multilinear is multilinear
+
+
+def _naive_monomials(node):
+    """Every monomial of the expansion, as a Counter of its variables."""
+    if isinstance(node, idn.Var):
+        return [Counter([node.name])]
+    if isinstance(node, idn.Zero):
+        return []
+    if isinstance(node, (idn.Alpha, idn.Scale, idn.Sign)):
+        return _naive_monomials(node.sub)
+    if isinstance(node, (idn.Sum, idn.Identity)):
+        children = node.items if isinstance(node, idn.Sum) else (node.lhs,
+                                                                 node.rhs)
+        return [m for child in children for m in _naive_monomials(child)]
+    if isinstance(node, idn.Cyc):
+        x, y, z = node.vars
+        body = _naive_monomials(node.body)
+        out = []
+        for rename in ({}, {x: y, y: z, z: x}, {x: z, y: x, z: y}):
+            out.extend(Counter({rename.get(v, v): d for v, d in m.items()})
+                       for m in body)
+        return out
+    children = ((node.left, node.right) if isinstance(node, idn.Prod)
+                else (node.a, node.b, node.c))
+    return [sum(combo, Counter()) for combo in itertools.product(
+        *(_naive_monomials(child) for child in children))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(idn.Identity, _expr_strategy, _expr_strategy))
+def test_multilinear_matches_the_expanded_monomials(ident):
+    every_variable_once = Counter(ident.variables)
+    assert ident.multilinear == all(
+        m == every_variable_once for m in _naive_monomials(ident))
+
+
+# --------------------------------------------------------------------------
+# Folding the law against the operations that vanish
+
+@st.composite
+def zeroed_algebras(draw):
+    """A graded_algebras draw with its product, its bracket (the product
+    made supercommutative) or an attached ternary forced to zero.  The
+    ternary is otherwise random, with constants in -2..2 on every slot the
+    parity rule allows.  Dimension (2|2) is left out: SHLY8 alone would
+    take 1024 tuples per check."""
+    algebra = draw(graded_algebras().filter(lambda a: a.space.dim <= 3))
+    space = algebra.space
+    zero = draw(st.sampled_from(["*", "[,]", "{,,}"]))
+    ternary = {}
+    if zero != "{,,}":
+        for key in itertools.product(range(space.dim), repeat=4):
+            if sum(map(space.parity, key[:3])) % 2 == space.parity(key[3]):
+                ternary[key] = draw(st.integers(-2, 2))
+    product = algebra.product
+    if zero == "*":
+        product = hs.BilinearOp(space)
+    elif zero == "[,]":
+        entries = Counter()
+        for (i, j), terms in product.constants.items():
+            sign = -1 if space.parity(i) and space.parity(j) else 1
+            for l, c in terms:
+                entries[i, j, l] += c
+                entries[j, i, l] += sign * c
+        product = hs.BilinearOp(space, entries=entries)
+    return zero, hs.HomSuperalgebra(space, product, algebra.alpha,
+                                    ternary=hs.TernaryOp(space, ternary))
+
+
+def _reference_counterexamples(law, algebra):
+    """(tuple index, counterexample) for every failing tuple, by the
+    unfolded per-tuple evaluator."""
+    names = law.variables
+    labels = algebra.space.labels
+    bad = []
+    combos = itertools.product(range(algebra.space.dim), repeat=len(names))
+    for index, combo in enumerate(combos):
+        residual = hs.eval_identity_on_tuple(law, algebra,
+                                             dict(zip(names, combo)))
+        if not residual.is_zero():
+            bad.append((index, {"tuple": [labels[i] for i in combo],
+                                "residual": dict(residual.nonzero_items())}))
+    return bad
+
+
+# Every slot in each sum: whichever operation vanishes, part of each sum
+# survives the fold, up to three terms of it.
+_MIXED_LAW = hs.parse_identity(
+    "a(x)*(y*z) - (x*y)*a(z) + [[x, y], a(z)] + {x, y, z}"
+    " = s(x,y) {y, x, z} - [a(x), [y, z]]"
+    " + 2 cyc[x,y,z; s(x,z)]((x*y)*a(z))")
+
+
+def _assert_checks_match_the_per_tuple_evaluator(algebra):
+    laws = dict(hs.REGISTRY, MIXED=_MIXED_LAW,
+                TERNARY_EQ_DEF=idn.TERNARY_EQ_DEF,
+                TERNARY_EQ_HALF=idn.TERNARY_EQ_HALF)
+    for name, law in laws.items():
+        bad = _reference_counterexamples(law, algebra)
+        full = hs.check_identity(law, algebra, name=name)
+        assert full.passed == (not bad), name
+        assert full.checked == algebra.space.dim ** len(law.variables), name
+        assert full.counterexamples == [c for _, c in bad], name
+        first = hs.check_identity(law, algebra, name=name, first_only=True)
+        assert first.passed == (not bad), name
+        if bad:
+            assert first.checked == bad[0][0] + 1, name
+            assert first.counterexamples == [bad[0][1]], name
+        else:
+            assert first.checked == full.checked, name
+
+
+@settings(max_examples=25, deadline=None)
+@given(zeroed_algebras())
+def test_folded_check_matches_the_per_tuple_evaluator(case):
+    zero, algebra = case
+    assert algebra.op_for_slot(zero).is_zero()
+    _assert_checks_match_the_per_tuple_evaluator(algebra)
+
+
+def test_zero_ternary_folds_the_ternary_laws():
+    zero = ("{,,}",)
+    trivial = idn.Identity(idn.Zero(), idn.Zero())
+    for name in ("SHLY2", "SHLY4", "SHLY6", "SHLY7", "SHLY8"):
+        assert hs.REGISTRY[name].folded(zero) == trivial, name
+    assert hs.REGISTRY["SHLY5"].folded(zero) == hs.parse_identity(
+        "cyc[x,y,z; s(x,z)]((x*y)*a(z)) = 0")
+
+
+def test_zero_bracket_folds_the_akivis_jacobian():
+    law = hs.REGISTRY["AKIVIS"]
+    folded = law.folded(("[,]",))
+    assert folded.lhs == idn.Zero()
+    assert folded.rhs == law.rhs
+    assert law.folded(("[,]",)) is folded
+
+
+def test_fold_is_skipped_when_no_used_slot_is_zero(a2b):
+    law = hs.parse_identity(idn.registry_text()["LLSI"])
+    assert hs.check_identity(law, a2b).passed
+    assert "_folds" not in vars(law)
+
+
+def test_law_folded_to_zero_passes_without_evaluating(monkeypatch):
+    zero = make_algebra(2, 1, {}, alpha=[2, 3, 5])
+
+    def refuse(*args):
+        raise AssertionError("evaluated a tuple")
+
+    monkeypatch.setattr(idn.Evaluator, "eval", refuse)
+    for first_only in (False, True):
+        report = hs.check_identity(hs.REGISTRY["LLSI"], zero,
+                                   first_only=first_only)
+        assert report.passed and report.checked == 27
+        assert report.counterexamples == []
+
+
+def test_zero_product_still_needs_the_ternary_slot():
+    zero = make_algebra(2, 0, {})
+    # Every operation of SHLY7 would fold away, yet {,,} is missing.
+    with pytest.raises(hs.MissingOpSlot):
+        hs.check_identity(hs.REGISTRY["SHLY7"], zero)
+
+
+# --------------------------------------------------------------------------
+# Scanning only the support of the law
+
+@st.composite
+def sparse_algebras(draw):
+    """A 3-dimensional algebra with at most four nonzero constants in its
+    product and in its ternary, so that the scans of the ternary laws are
+    pruned, and a twisting map that is diagonal or, as in graded_algebras,
+    a random even map."""
+    space = hs.SuperSpace(*draw(st.sampled_from([(3, 0), (2, 1), (1, 2),
+                                                  (0, 3)])))
+    n, parity = space.dim, space.parity
+
+    def sparse(arity):
+        slots = [key for key in itertools.product(range(n), repeat=arity + 1)
+                 if sum(map(parity, key[:-1])) % 2 == parity(key[-1])]
+        if not slots:  # no even product on a purely odd space
+            return {}
+        keys = draw(st.lists(st.sampled_from(slots), max_size=4, unique=True))
+        return {key: draw(st.sampled_from([-1, 1, 2])) for key in keys}
+
+    if draw(st.booleans()):
+        alpha = hs.EvenMap.diagonal(
+            space, [draw(st.sampled_from([1, -1, 2])) for _ in range(n)])
+    else:
+        alpha = hs.EvenMap(space, [[draw(st.integers(-1, 1))
+                                    if parity(i) == parity(k) else 0
+                                    for k in range(n)] for i in range(n)])
+    return hs.HomSuperalgebra(space, hs.BilinearOp(space, entries=sparse(2)),
+                              alpha, ternary=hs.TernaryOp(space, sparse(3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_algebras())
+def test_pruned_check_matches_the_per_tuple_evaluator(algebra):
+    _assert_checks_match_the_per_tuple_evaluator(algebra)
+
+
+def _tuples_evaluated(monkeypatch, law, algebra):
+    """The report of check_identity and the tuples it evaluated."""
+    seen = []
+    evaluate = idn.Evaluator.eval
+
+    def spy(self, node, env):
+        if node is law:
+            seen.append(tuple(env[name] for name in law.variables))
+        return evaluate(self, node, env)
+
+    monkeypatch.setattr(idn.Evaluator, "eval", spy)
+    report = hs.check_identity(law, algebra)
+    monkeypatch.undo()
+    return report, seen
+
+
+def test_sparse_ternary_law_scans_only_its_support(monkeypatch):
+    # The Lie algebra b1*b3 = b3 plus a line: its Lie-Yamaguti ternary
+    # {x,y,z} = -(x*y)*a(z) has two nonzero constants.
+    lie = make_algebra(2, 1, {(0, 2, 2): 1, (2, 0, 2): -1})
+    ly = constructions.build_hom_ly(lie)
+    law = hs.REGISTRY["SHLY8"]
+    assert not ly.ternary.is_zero()
+    report, seen = _tuples_evaluated(monkeypatch, law, ly)
+    n = ly.space.dim
+    assert report.checked == n ** 5
+    assert 0 < len(seen) < n ** 5 // 4
+    assert seen == sorted(set(seen))
+    bad = _reference_counterexamples(law, ly)
+    assert report.counterexamples == [c for _, c in bad]
+
+
+def test_binary_laws_keep_the_full_scan(monkeypatch):
+    # Sparse enough to prune, but LLSI has no ternary operation.
+    algebra = make_algebra(2, 1, {(0, 2, 2): 1, (2, 0, 2): -1})
+    _, seen = _tuples_evaluated(monkeypatch, hs.REGISTRY["LLSI"], algebra)
+    assert seen == list(itertools.product(range(3), repeat=3))
+
+
+def test_support_follows_the_twisting_map_to_its_preimages():
+    # a swaps b1 and b2, so a(x)*y, nonzero only at b1*b1 = b2, needs
+    # x = b2 and y = b1, and then lies on b2.
+    algebra = make_algebra(2, 0, {(0, 0, 1): 1},
+                           alpha=hs.EvenMap(hs.SuperSpace(2, 0),
+                                            [[0, 1], [1, 0]]))
+    support = idn._Support(idn.Evaluator(algebra), 100)
+    assert support.boxes(hs.parse_identity("a(x)*y = 0")) == {
+        1: [{"x": {1}, "y": {0}}]}
+    assert support.boxes(hs.parse_identity("a2(x)*y = x*a(y)")) == {
+        1: [{"x": {0}, "y": {0}}, {"x": {0}, "y": {1}}]}
+
+
+def test_support_follows_output_coordinates_through_operations():
+    # x*y lies on b2 or b4, never on b1 or b3, so (x*y)*a(z) can only use
+    # b2*b1 = -b2 and b4*b3 = -2 b4: 4 of the 64 tuples.
+    algebra = make_algebra(4, 0, {(0, 1, 1): 1, (1, 0, 1): -1,
+                                  (2, 3, 3): 2, (3, 2, 3): -2})
+    support = idn._Support(idn.Evaluator(algebra), 100)
+    assert support.boxes(hs.parse_identity("(x*y)*a(z) = 0")) == {
+        1: [{"x": {0}, "y": {1}, "z": {0}}, {"x": {1}, "y": {0}, "z": {0}}],
+        3: [{"x": {2}, "y": {3}, "z": {2}}, {"x": {3}, "y": {2}, "z": {2}}]}
+
+
+def test_support_rotates_with_the_cyclic_sum():
+    algebra = make_algebra(3, 0, {(0, 1, 2): 1})
+    support = idn._Support(idn.Evaluator(algebra), 100)
+    law = hs.parse_identity("cyc[x,y,z; 1](x*y) = 0")
+    assert support.boxes(law) == {2: [{"x": {0}, "y": {1}},
+                                      {"y": {0}, "z": {1}},
+                                      {"z": {0}, "x": {1}}]}
+    # Over its limit, a node gets one box allowing everything.
+    assert idn._Support(idn.Evaluator(algebra), 2).boxes(law) == {
+        0: [{}], 1: [{}], 2: [{}]}
