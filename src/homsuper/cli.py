@@ -8,7 +8,8 @@
                     [--out-dir DIR] [--report json|text]
 
 Exit codes: 0 everything passed, 1 some law failed (or a proof stayed
-inconclusive, or a construction precondition failed), 2 usage or I/O error.
+inconclusive, or a construction precondition failed), 2 usage or I/O error,
+or a proof that exceeded the rewrite step limit.
 Reports stream line by line to stdout, deterministically ordered; --report
 json emits one JSON record per line.  HOMSUPER_WORKERS > 1 verifies files
 (and scans search chunks) in parallel without changing the output order.
@@ -29,7 +30,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (serialize.DocumentError, search.SearchSpaceError,
-            identities.UnknownSuite, identities.MissingOpSlot) as exc:
+            identities.UnknownSuite, identities.MissingOpSlot,
+            freealg.RewriteLimit) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

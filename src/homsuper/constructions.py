@@ -4,18 +4,16 @@ commutator/associator type and of Lie-Yamaguti type carried by a left
 Leibniz product, admissibility and equivalence checks, the left/right
 conversion, and a twist generator used to produce test fixtures.
 
-Every derived operation is a template in the identity language, evaluated
-by `identities.Evaluator` on each basis tuple: its values are the structure
-constants.  The laws the checks need are templates too, so no formula is
-written twice.
+Every derived operation is a template in the identity language, declared
+once in `identities.DERIVED` for the constructions and the prover alike;
+its structure constants are the template's residuals (`identities.residuals`).
+The laws the checks need are templates too, so no formula is written twice.
 
 Constructions are pure: they return fresh immutable objects.  Preconditions
 are enforced (a refused input raises PreconditionError); the classical
 theorems backing each construction are re-verified as postconditions, so a
 sign error here cannot survive unnoticed.
 """
-
-import itertools
 
 from . import identities as idn
 from .kernel import (
@@ -28,10 +26,7 @@ from .kernel import (
 )
 from .report import Report
 
-# Templates of the derived operations; each reads "template = 0", and its
-# residual is the operation's value.
-ASSOCIATOR = idn.parse_identity("(x*y)*a(z) - a(x)*(y*z)")
-LY_TERNARY = idn.parse_identity("- (x*y)*a(z)")
+# The twisted product x *' y = a(x*y) of yau_twist, read "template = 0".
 YAU_TWIST = idn.parse_identity("a(x*y)")
 
 
@@ -80,17 +75,13 @@ def _template_op(template, algebra):
     """The multilinear operation a template defines on an algebra: its
     residual on every basis tuple, one argument per free variable, in
     order of first occurrence."""
-    space = algebra.space
-    evaluator = idn.Evaluator(algebra)
-    names = template.variables
     entries = {}
-    for combo in itertools.product(range(space.dim), repeat=len(names)):
-        value = evaluator.eval(template, dict(zip(names, combo)))
+    for combo, value in idn.residuals(template, algebra):
         for k, c in enumerate(value.coords):
             if c:
                 entries[combo + (k,)] = c
-    op = {2: BilinearOp, 3: TernaryOp}[len(names)]
-    return op(space, entries=entries)
+    op = {2: BilinearOp, 3: TernaryOp}[len(template.variables)]
+    return op(algebra.space, entries=entries)
 
 
 def supercommutator(algebra):
@@ -103,7 +94,7 @@ def supercommutator(algebra):
 def hom_associator(algebra):
     """Twisted associator (x*y)*a(z) - a(x)*(y*z) as a ternary tensor."""
     _require_grading(algebra)
-    return _template_op(ASSOCIATOR, algebra)
+    return _template_op(idn.ASSOCIATOR, algebra)
 
 
 def hom_super_jacobian(algebra):
@@ -113,22 +104,27 @@ def hom_super_jacobian(algebra):
     return _template_op(idn.REGISTRY["HOM_SUPER_JACOBI"], algebra)
 
 
+def _derive(algebra, structure, verify, failure):
+    """The binary-ternary algebra of a structure in identities.DERIVED:
+    the graded commutator and the structure's ternary template.  With
+    verify, the suite of the same name is a postcondition."""
+    derived = BinaryTernaryAlgebra(
+        algebra.space, supercommutator(algebra),
+        _template_op(idn.DERIVED[structure]["{,,}"], algebra), algebra.alpha,
+        name="%s(%s)" % (structure, algebra.name or "?"))
+    if verify:
+        _ensure_passed(idn.check_suite(structure, derived), failure)
+    return derived
+
+
 def build_hom_akivis(algebra, verify=True):
     """The commutator/associator binary-ternary algebra of a multiplicative
     input.  The result always satisfies the AKIVIS suite; this is re-checked
     unless verify=False."""
     _require_grading(algebra)
     _require_multiplicative(algebra)
-    derived = BinaryTernaryAlgebra(
-        algebra.space,
-        supercommutator(algebra),
-        hom_associator(algebra),
-        algebra.alpha,
-        name="akivis(%s)" % (algebra.name or "?"))
-    if verify:
-        _ensure_passed(idn.check_suite("akivis", derived),
-                       "commutator/associator structure failed its own law: ")
-    return derived
+    return _derive(algebra, "akivis", verify,
+                   "commutator/associator structure failed its own law: ")
 
 
 def build_hom_ly(algebra, verify=True):
@@ -136,14 +132,8 @@ def build_hom_ly(algebra, verify=True):
     binary [x,y] = x*y - (-1)^{|x||y|} y*x, ternary {x,y,z} = -(x*y)*a(z).
     The eight SHLY axioms are re-verified as a postcondition."""
     _require_leibniz(algebra)
-    derived = BinaryTernaryAlgebra(
-        algebra.space, supercommutator(algebra),
-        _template_op(LY_TERNARY, algebra), algebra.alpha,
-        name="ly(%s)" % (algebra.name or "?"))
-    if verify:
-        _ensure_passed(idn.check_suite("ly", derived),
-                       "derived Lie-Yamaguti structure failed an axiom: ")
-    return derived
+    return _derive(algebra, "ly", verify,
+                   "derived Lie-Yamaguti structure failed an axiom: ")
 
 
 def check_lie_admissible(algebra):
@@ -183,16 +173,15 @@ def check_ternary_equivalence(algebra):
     """
     _require_leibniz(algebra)
     space = algebra.space
-    evaluator = idn.Evaluator(algebra)
-    bad = []
-    for combo in itertools.product(range(space.dim), repeat=3):
-        env = dict(zip("xyz", combo))
-        residual = evaluator.eval(idn.TERNARY_EQ_DEF, env)
-        residual_half = evaluator.eval(idn.TERNARY_EQ_HALF, env)
-        if not (residual.is_zero() and residual_half.is_zero()):
-            bad.append({"tuple": [space.labels[i] for i in combo],
-                        "residual": dict(residual.nonzero_items()),
-                        "residual_half": dict(residual_half.nonzero_items())})
+    found = {}
+    for key, law in (("residual", idn.TERNARY_EQ_DEF),
+                     ("residual_half", idn.TERNARY_EQ_HALF)):
+        for combo, value in idn.residuals(law, algebra):
+            residuals = found.setdefault(combo, {"residual": {},
+                                                 "residual_half": {}})
+            residuals[key] = dict(value.nonzero_items())
+    bad = [{"tuple": [space.labels[i] for i in combo], **found[combo]}
+           for combo in sorted(found)]
     return Report("ternary_equivalence", not bad, space.dim ** 3, bad)
 
 

@@ -2,7 +2,11 @@
 expanded over formal generators with chosen parities, normalized by directed
 rewriting, and certified when every residual cancels to the zero expression.
 The expansion is the package's one identity evaluator, `identities.Evaluator`,
-with formal expressions as its values.
+with formal expressions as its values.  Each proof obligation names the
+structure whose operations fill the law's slots; a derived operation is the
+template that `identities.DERIVED` declares for it, evaluated on the formal
+values of its arguments over the free product, so the prover and the
+constructions share one definition of every operation.
 
 Terms are binary product trees whose leaves are generators carrying an
 exponent of the twisting map; an `("a", k, t)` wrapper marks a not yet
@@ -145,6 +149,13 @@ class FreeExpr:
         self._coeffs = clean
 
     @classmethod
+    def _trusted(cls, coeffs):
+        """An expression over coeffs as given: nonzero Fractions only."""
+        expr = object.__new__(cls)
+        expr._coeffs = coeffs
+        return expr
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -162,22 +173,29 @@ class FreeExpr:
         return not self._coeffs
 
     def __add__(self, other):
+        if not other._coeffs:
+            return self
         coeffs = dict(self._coeffs)
         for t, c in other._coeffs.items():
-            coeffs[t] = coeffs.get(t, Fraction(0)) + c
-        return FreeExpr(coeffs)
+            if t in coeffs:
+                c += coeffs[t]
+                if not c:
+                    del coeffs[t]
+                    continue
+            coeffs[t] = c
+        return FreeExpr._trusted(coeffs)
 
     def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
+        return self + -other
 
     def __neg__(self):
-        return self.scale(MINUS_ONE)
+        return FreeExpr._trusted({t: -c for t, c in self._coeffs.items()})
 
     def scale(self, c):
         c = Fraction(c)
         if c == 0:
             return FreeExpr()
-        return FreeExpr({t: c * v for t, v in self._coeffs.items()})
+        return FreeExpr._trusted({t: c * v for t, v in self._coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, FreeExpr) and self._coeffs == other._coeffs
@@ -199,63 +217,45 @@ class FreeExpr:
 
 
 def free_product(e1, e2):
-    coeffs = {}
-    for t1, c1 in e1._coeffs.items():
-        for t2, c2 in e2._coeffs.items():
-            t = product(t1, t2)
-            coeffs[t] = coeffs.get(t, Fraction(0)) + c1 * c2
-    return FreeExpr(coeffs)
+    # Distinct pairs of terms have distinct products, so nothing merges.
+    return FreeExpr._trusted({product(t1, t2): c1 * c2
+                              for t1, c1 in e1._coeffs.items()
+                              for t2, c2 in e2._coeffs.items()})
 
 
 def alpha_expr(e, k):
     if k == 0:
         return e
-    return FreeExpr({alpha_wrap(t, k): c for t, c in e._coeffs.items()})
-
-
-def commutator_expr(e1, e2, parities):
-    """Graded commutator, expanded termwise with Koszul signs."""
-    coeffs = {}
-    for t1, c1 in e1._coeffs.items():
-        p1 = term_parity(t1, parities)
-        for t2, c2 in e2._coeffs.items():
-            p2 = term_parity(t2, parities)
-            c = c1 * c2
-            t = product(t1, t2)
-            coeffs[t] = coeffs.get(t, Fraction(0)) + c
-            t = product(t2, t1)
-            sign = MINUS_ONE if p1 and p2 else ONE
-            coeffs[t] = coeffs.get(t, Fraction(0)) - sign * c
-    return FreeExpr(coeffs)
-
-
-def associator_expr(e1, e2, e3):
-    """Twisted associator (x*y)*a(z) - a(x)*(y*z)."""
-    return (free_product(free_product(e1, e2), alpha_expr(e3, 1))
-            - free_product(alpha_expr(e1, 1), free_product(e2, e3)))
-
-
-def ly_ternary_expr(e1, e2, e3):
-    """The ternary operation -(x*y)*a(z) carried by a left Leibniz product."""
-    return -free_product(free_product(e1, e2), alpha_expr(e3, 1))
+    # alpha_wrap is injective, so nothing merges.
+    return FreeExpr._trusted({alpha_wrap(t, k): c
+                              for t, c in e._coeffs.items()})
 
 
 # --------------------------------------------------------------------------
 # Template expansion
 
 class _FreeEvaluator(idn.Evaluator):
-    """The identity evaluator over formal expressions: a variable is bound
-    to its own name and becomes that generator, parities come from the
-    assignment, and the operation slots from `ops`."""
+    """The identity evaluator over formal expressions.  A variable is bound
+    to its value, an expression, and a sign reads the parity of that value.
+    "*" is the free product; every slot of the structure, in
+    `identities.DERIVED`, evaluates its template on the argument values in
+    `source`, the evaluator of the free algebra itself."""
 
     basis_shortcuts = False
 
-    def __init__(self, parities, ops):
+    def __init__(self, parities, structure=None):
         self.parities = parities
-        self.ops = ops
+        self.source = self if structure is None else _FreeEvaluator(parities)
+        self.ops = {"*": free_product}
+        for slot, template in idn.DERIVED[structure].items():
+            self.ops[slot] = self._template_op(template)
+
+    def _template_op(self, template):
+        source, names = self.source, template.variables
+        return lambda *args: source.eval(template, dict(zip(names, args)))
 
     def leaf(self, bound):
-        return FreeExpr.of(generator(bound))
+        return bound
 
     def zero(self):
         return FreeExpr.zero()
@@ -264,35 +264,36 @@ class _FreeEvaluator(idn.Evaluator):
         return lambda expr: alpha_expr(expr, k)
 
     def op(self, slot):
-        op = self.ops[slot]
+        op = self.ops.get(slot)
         if op is None:
             raise idn.MissingOpSlot("no %r operation bound" % slot)
         return op
 
     def parity(self, bound):
-        return self.parities[bound]
+        # The values of a multilinear law are homogeneous: all their terms
+        # hold the same generators, and every operation is even.
+        for term in bound._coeffs:
+            return term_parity(term, self.parities)
+        return 0
 
 
-def expand_template(node, parities, ops=None):
-    """Interpret an identity AST over the free algebra.
-
-    Variables become generators named after themselves; sign factors are
-    evaluated to +-1 using `parities`; cyclic sums are expanded.  For an
-    Identity the residual lhs - rhs is returned.  `ops` may rebind the
-    operation slots; the defaults are the free product for "*", the graded
-    commutator for "[,]" and no ternary operation.
+def expand_template(identity, parities, structure=None):
+    """The residual lhs - rhs of a multilinear law over the free algebra,
+    each variable bound to the generator named after it; any other law
+    raises NonMultilinearLaw.  Sign factors are evaluated with `parities`
+    and cyclic sums expanded.  `structure`, a key of `identities.DERIVED`,
+    fills its slots with its templates over the free product; "*" is the
+    free product unless the structure fills it.
     """
-    bindings = {
-        "*": free_product,
-        "[,]": lambda a, b: commutator_expr(a, b, parities),
-        "{,,}": None,
-    }
-    bindings.update(ops or {})
-    env = {name: name for name in idn.free_variables(node)}
-    for name in env:
+    if not identity.multilinear:
+        raise idn.NonMultilinearLaw("not multilinear: %s"
+                                    % idn.pretty(identity))
+    env = {}
+    for name in identity.variables:
         if name not in parities:
             raise ValueError("no parity assigned to generator %r" % name)
-    return _FreeEvaluator(parities, bindings).eval(node, env)
+        env[name] = FreeExpr.of(generator(name))
+    return _FreeEvaluator(parities, structure).eval(identity, env)
 
 
 # --------------------------------------------------------------------------
@@ -366,47 +367,23 @@ def normal_form(expr, parities, assume_leibniz):
 # --------------------------------------------------------------------------
 # Proof targets
 
-def _obligation(identity, ops_builder, assume_leibniz):
-    return {"identity": identity, "ops": ops_builder,
-            "leibniz": assume_leibniz}
+# Each target's obligations: a law, the structure whose operations fill its
+# slots (see expand_template), and whether the left Leibniz rule may be
+# assumed.
+TARGETS = {
+    "akivis-free": [(idn.REGISTRY["AKIVIS"], "akivis", False)],
+    "eq12": [(idn.REGISTRY["AKIVIS_LEIBNIZ_FORM"], None, True)],
+    "prop32-i": [(idn.REGISTRY["PROP32_I"], None, True)],
+    "prop32-ii": [(idn.REGISTRY["PROP32_II"], None, True)],
+    "ternary-equiv": [(idn.TERNARY_EQ_DEF, None, True),
+                      (idn.TERNARY_EQ_HALF, None, True)],
+    "shly5": [(idn.REGISTRY["SHLY5"], "ly", True)],
+    "shly6": [(idn.REGISTRY["SHLY6"], "ly", True)],
+    "shly7": [(idn.REGISTRY["SHLY7"], "ly", True)],
+    "shly8": [(idn.REGISTRY["SHLY8"], "ly", True)],
+}
 
-
-def _ops_commutator(parities):
-    return {}
-
-
-def _ops_akivis(parities):
-    return {"{,,}": associator_expr}
-
-
-def _ops_ly(parities):
-    # The binary operation of the derived binary-ternary structure is the
-    # graded commutator; the ternary one is -(x*y)*a(z) over the source
-    # product.
-    return {"*": lambda a, b: commutator_expr(a, b, parities),
-            "{,,}": ly_ternary_expr}
-
-
-def _targets():
-    reg = idn.REGISTRY
-    return {
-        "akivis-free": [_obligation(reg["AKIVIS"], _ops_akivis, False)],
-        "eq12": [_obligation(reg["AKIVIS_LEIBNIZ_FORM"], _ops_commutator,
-                             True)],
-        "prop32-i": [_obligation(reg["PROP32_I"], _ops_commutator, True)],
-        "prop32-ii": [_obligation(reg["PROP32_II"], _ops_commutator, True)],
-        "ternary-equiv": [
-            _obligation(idn.TERNARY_EQ_DEF, _ops_commutator, True),
-            _obligation(idn.TERNARY_EQ_HALF, _ops_commutator, True),
-        ],
-        "shly5": [_obligation(reg["SHLY5"], _ops_ly, True)],
-        "shly6": [_obligation(reg["SHLY6"], _ops_ly, True)],
-        "shly7": [_obligation(reg["SHLY7"], _ops_ly, True)],
-        "shly8": [_obligation(reg["SHLY8"], _ops_ly, True)],
-    }
-
-
-PROOF_TARGETS = tuple(_targets().keys())
+PROOF_TARGETS = tuple(TARGETS)
 
 
 def prove_identity_free(target):
@@ -418,22 +395,19 @@ def prove_identity_free(target):
     normal-form terms).  The rewriting is sound but not complete, so
     INCONCLUSIVE is never a refutation.
     """
-    targets = _targets()
-    if target not in targets:
+    if target not in TARGETS:
         raise KeyError("unknown proof target: %r" % target)
     survivors = []
     checked = 0
-    for obligation in targets[target]:
-        identity = obligation["identity"]
+    for identity, structure, assume_leibniz in TARGETS[target]:
         names = identity.variables
         if len(names) > 6:
             raise ValueError("proof scope is limited to 6 generators")
         for combo in itertools.product((0, 1), repeat=len(names)):
             parities = dict(zip(names, combo))
             checked += 1
-            expr = expand_template(identity, parities,
-                                   obligation["ops"](parities))
-            expr = normal_form(expr, parities, obligation["leibniz"])
+            expr = expand_template(identity, parities, structure)
+            expr = normal_form(expr, parities, assume_leibniz)
             if not expr.is_zero():
                 survivors.append({
                     "parities": {n: parities[n] for n in names},

@@ -36,7 +36,7 @@ its expansion (sums and cyclic sums multiplied out) has degree exactly 1 in
 every variable.  `check_identity` refuses any other law with
 NonMultilinearLaw; `Identity.multilinear` holds the verdict.
 
-Before the scan, `check_identity` folds the law against the operations of
+Before the scan, `residuals` folds the law against the operations of
 the algebra that are zero (`fold_zero_ops`, a partial evaluation): an
 operation on such a slot becomes 0, and 0 propagates outwards and drops out
 of sums.  The folded law has the same residual on every tuple, so the
@@ -47,12 +47,13 @@ because its operations are sparse: `_Support` bounds where each term can
 be nonzero from the indices of the structure constants, and only the
 tuples inside that bound are evaluated, still in lexicographic order.
 
-`Evaluator` is the one interpreter of the language.  Over an algebra it
-gives the residual vectors of the checker and the structure constants of the
-derived operations in `constructions`, which are templates in this language;
-the free expansion of the prover in `freealg` is a subclass of it over
-formal expressions.  Structural questions about an AST (its variables,
-whether it needs "{,,}") are answered from `walk`, which visits every node.
+`Evaluator` is the one interpreter of the language, and `residuals` its one
+scan over basis tuples: the checker reports from it, and the derived
+operations of `constructions`, templates declared once in `DERIVED`, are
+the residuals of their templates.  The prover's free expansion in `freealg`
+is an `Evaluator` over formal expressions that reads the same templates.
+Structural questions about an AST (its variables, whether it needs "{,,}")
+are answered from `walk`, which visits every node.
 """
 
 import functools
@@ -411,6 +412,9 @@ class _Parser:
                 value = Fraction(tok[1])
             except ZeroDivisionError:
                 raise ParseError("zero denominator", tok[2]) from None
+            except ValueError:
+                # int() refuses very long digit strings.
+                raise ParseError("number too long", tok[2]) from None
             if value == 0:
                 raise ParseError("zero coefficient", tok[2])
             coeff *= value
@@ -562,7 +566,12 @@ class _Parser:
 
 def parse_identity(text):
     """Parse one identity; a missing right-hand side defaults to 0."""
-    return _Parser(text).identity()
+    parser = _Parser(text)
+    try:
+        return parser.identity()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         parser.peek()[2]) from None
 
 
 def parse_identity_file(path):
@@ -731,10 +740,8 @@ class Evaluator:
                 value = -value
             return value
         if isinstance(node, Sum):
-            total = self.zero()
-            for item in node.items:
-                total = total + self.eval(item, env)
-            return total
+            first, *rest = (self.eval(item, env) for item in node.items)
+            return sum(rest, first)
         if isinstance(node, Cyc):
             total = self.zero()
             for rotated in _rotations(env, node.vars):
@@ -796,22 +803,37 @@ def check_identity(identity, algebra, name="identity", sign_free=False,
     """Exhaustively check a multilinear law over all homogeneous basis
     tuples.
 
-    For k variables over an n-dimensional space this examines n^k bindings
-    in lexicographic order; because every monomial of the law has degree 1
-    in every variable, this decides the law for all homogeneous elements.
-    Any other law raises NonMultilinearLaw.  With first_only=True the scan
-    stops at the first counterexample (used by the search, where only the
-    verdict matters).
-
-    The scan evaluates the law folded against the operations of the
-    algebra that vanish (fold_zero_ops), which has the same residual on
-    every tuple; a law that folds to 0 = 0 passes on all n^k tuples
-    without evaluating any.  On a law with a ternary operation it
-    evaluates only the tuples where the support analysis (_Support) leaves
-    the law a chance to be nonzero; the rest pass.  `checked` counts the
-    tuples decided, so it is n^k, or with first_only the position of the
-    first counterexample, as in a full scan.
+    For k variables over an n-dimensional space this decides the n^k
+    bindings in lexicographic order; because every monomial of the law has
+    degree 1 in every variable, this decides the law for all homogeneous
+    elements.  Any other law raises NonMultilinearLaw.  With first_only=True
+    the scan stops at the first counterexample (used by the search, where
+    only the verdict matters).  The counterexamples are the tuples that
+    `residuals` yields; `checked` counts the tuples decided, so it is n^k,
+    or with first_only the position of the first counterexample, as in a
+    full scan.
     """
+    labels = algebra.space.labels
+    n = algebra.space.dim
+    checked = n ** len(identity.variables)
+    bad = []
+    for combo, residual in residuals(identity, algebra, sign_free):
+        bad.append({"tuple": [labels[i] for i in combo],
+                    "residual": dict(residual.nonzero_items())})
+        if first_only:
+            # Every tuple before this one passed.
+            checked = functools.reduce(lambda rank, i: rank * n + i,
+                                       combo, 0) + 1
+            break
+    return Report(name, not bad, checked, bad)
+
+
+def residuals(identity, algebra, sign_free=False):
+    """Yield (tuple of basis indices, residual Vector) for every basis
+    tuple, in lexicographic order, where a multilinear law does not vanish;
+    any other law raises NonMultilinearLaw.  The scan evaluates the folded
+    law, pruned by the support analysis on ternary laws (see the module
+    docstring)."""
     if not identity.multilinear:
         raise NonMultilinearLaw(
             "not multilinear, so basis tuples do not decide it: %s"
@@ -821,26 +843,15 @@ def check_identity(identity, algebra, name="identity", sign_free=False,
     zero_slots = _zero_slots(identity, algebra)
     law = identity.folded(zero_slots) if zero_slots else identity
     if isinstance(law.lhs, Zero) and isinstance(law.rhs, Zero):
-        return Report(name, True, n ** len(variables), [])
+        return
     evaluator = Evaluator(algebra, sign_free)
     tuples = _support_tuples(law, evaluator, variables, n)
     if tuples is None:
         tuples = itertools.product(range(n), repeat=len(variables))
-    labels = algebra.space.labels
-    checked = n ** len(variables)
-    bad = []
     for combo in tuples:
-        env = dict(zip(variables, combo))
-        residual = evaluator.eval(law, env)
+        residual = evaluator.eval(law, dict(zip(variables, combo)))
         if not residual.is_zero():
-            bad.append({"tuple": [labels[i] for i in combo],
-                        "residual": dict(residual.nonzero_items())})
-            if first_only:
-                # Every tuple before this one passed.
-                checked = functools.reduce(lambda rank, i: rank * n + i,
-                                           combo, 0) + 1
-                break
-    return Report(name, not bad, checked, bad)
+            yield combo, residual
 
 
 def _zero_slots(identity, algebra):
@@ -1053,6 +1064,22 @@ TERNARY_EQ_DEF = parse_identity(
     "s(x,y) ((y*x)*a(z) - a(y)*(x*z)) - ((x*y)*a(z) - a(x)*(y*z))"
     " + (x*y)*a(z)")
 TERNARY_EQ_HALF = parse_identity("- (x*y)*a(z) + 1/2 [x, y]*a(z)")
+
+# The derived operations, each a template read "template = 0": its residual
+# is the operation's value on its arguments, one per variable in order of
+# first occurrence.  kernel.BilinearOp.graded_commutator is the one other
+# copy of COMMUTATOR; a test pins the two equal.
+COMMUTATOR = parse_identity("x*y - s(x,y) y*x")
+ASSOCIATOR = parse_identity("(x*y)*a(z) - a(x)*(y*z)")
+LY_TERNARY = parse_identity("- (x*y)*a(z)")
+
+# The slots of each derived structure (None: the algebra itself), filled by
+# templates over the source algebra; constructions and the prover read it.
+DERIVED = {
+    None: {"[,]": COMMUTATOR},
+    "akivis": {"*": COMMUTATOR, "[,]": COMMUTATOR, "{,,}": ASSOCIATOR},
+    "ly": {"*": COMMUTATOR, "[,]": COMMUTATOR, "{,,}": LY_TERNARY},
+}
 
 
 def registry_text():

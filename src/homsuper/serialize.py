@@ -190,13 +190,17 @@ def load_algebra(path):
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("%s: %s" % (path, exc)) from None
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DocumentError("%s: invalid JSON at line %d column %d"
                             % (path, exc.lineno, exc.colno)) from None
+    except (ValueError, RecursionError) as exc:
+        # An integer longer than int() accepts, or nesting deeper than the
+        # decoder's recursion allows.
+        raise DocumentError("%s: invalid JSON: %s" % (path, exc)) from None
     return document_to_algebra(doc, where=str(path))
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import homsuper as hs
 from homsuper import cli
+from homsuper import freealg as fa
 
 
 def corpus_file(name):
@@ -139,6 +140,15 @@ def test_prove_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "PROVED akivis-free" in out
     assert cli.main(["prove", "unknown-target"]) == 2
+
+
+def test_prove_rewrite_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(fa, "_STEP_LIMIT", 3)
+    code = cli.main(["prove", "shly8", "--report", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: rewrite step limit exceeded\n"
 
 
 def test_prove_json_record(capsys):

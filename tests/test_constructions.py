@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homsuper as hs
-from homsuper import identities
+from homsuper import constructions, identities
 from homsuper.search import SearchSpec, run_search
 from conftest import graded_algebras, make_algebra
 import naive
@@ -281,6 +282,40 @@ def _basis_tables(algebra, arity, value):
     n = algebra.space.dim
     return {combo: value(*combo)
             for combo in itertools.product(range(n), repeat=arity)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_algebras())
+def test_commutator_template_is_the_kernel_bracket(algebra):
+    # kernel.BilinearOp.graded_commutator is the one other copy of the
+    # COMMUTATOR template; the two must agree.
+    assert constructions._template_op(identities.COMMUTATOR, algebra) == \
+        algebra.bracket()
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_algebras())
+def test_ternary_equivalence_lists_every_failing_triple(algebra):
+    # The report merges the residuals of two laws.  On an algebra that is
+    # not left Leibniz (its verdicts forced, to pass the precondition) it
+    # lists, in order, every triple where either law fails.
+    algebra._multiplicative = algebra._left_leibniz = True
+    labels = algebra.space.labels
+    n = algebra.space.dim
+    expected = []
+    for combo in itertools.product(range(n), repeat=3):
+        env = dict(zip("xyz", combo))
+        residual = hs.eval_identity_on_tuple(identities.TERNARY_EQ_DEF,
+                                             algebra, env)
+        half = hs.eval_identity_on_tuple(identities.TERNARY_EQ_HALF,
+                                         algebra, env)
+        if not (residual.is_zero() and half.is_zero()):
+            expected.append({"tuple": [labels[i] for i in combo],
+                             "residual": dict(residual.nonzero_items()),
+                             "residual_half": dict(half.nonzero_items())})
+    report = hs.check_ternary_equivalence(algebra)
+    assert json.dumps(report.counterexamples) == json.dumps(expected)
+    assert report.passed == (not expected) and report.checked == n ** 3
 
 
 def _op_tables(op, arity):

@@ -108,11 +108,9 @@ def test_parity_coherence_through_normalization():
 def test_normalization_is_deterministic():
     parities = {"x": 1, "y": 0, "z": 1, "u": 1}
     ident = hs.REGISTRY["SHLY6"]
-    ops = {"*": lambda a, b: fa.commutator_expr(a, b, parities),
-           "{,,}": fa.ly_ternary_expr}
-    one = fa.normal_form(fa.expand_template(ident, parities, ops),
+    one = fa.normal_form(fa.expand_template(ident, parities, "ly"),
                          parities, True)
-    two = fa.normal_form(fa.expand_template(ident, parities, ops),
+    two = fa.normal_form(fa.expand_template(ident, parities, "ly"),
                          parities, True)
     assert one == two and one.is_zero()
 
@@ -128,24 +126,21 @@ def test_all_targets_prove(target):
 def test_normalization_stays_within_step_bound(target):
     # Saturation terminates within the sum of squared term sizes for every
     # target obligation and parity sector.
-    for obligation in fa._targets()[target]:
-        if not obligation["leibniz"]:
+    for identity, structure, assume_leibniz in fa.TARGETS[target]:
+        if not assume_leibniz:
             continue
-        names = idn.free_variables(obligation["identity"])
+        names = idn.free_variables(identity)
         for combo in itertools.product((0, 1), repeat=len(names)):
             parities = dict(zip(names, combo))
             expr = fa.alpha_distribute(fa.expand_template(
-                obligation["identity"], parities,
-                obligation["ops"](parities)))
+                identity, parities, structure))
             budget = sum(fa.term_size(t) ** 2 for t in expr.terms())
             fa.leibniz_normalize(expr, parities, step_budget=budget)
 
 
 def test_prove_rejects_too_many_generators(monkeypatch):
     wide = hs.parse_identity("{x, y, z}*{u, v, p} + {x, y, z}*{u, v, q} = 0")
-    monkeypatch.setattr(
-        fa, "_targets",
-        lambda: {"wide": [fa._obligation(wide, fa._ops_ly, True)]})
+    monkeypatch.setitem(fa.TARGETS, "wide", [(wide, "ly", True)])
     with pytest.raises(ValueError):
         fa.prove_identity_free("wide")
 

@@ -334,28 +334,46 @@ def _free_value(expr, algebra, env):
 
 
 @settings(max_examples=20, deadline=None)
-@given(graded_algebras())
-def test_numeric_and_free_evaluation_agree(algebra):
+@given(graded_algebras(), st.data())
+def test_numeric_and_free_evaluation_agree(algebra, data):
     # The two value domains of the one evaluator: on every basis tuple, the
     # residual over the algebra equals the free expansion for the tuple's
     # parities evaluated in the algebra.  The registry laws without {,,}
     # cover bare-variable products and maps, nested products, brackets,
-    # signs and cyclic sums.
-    space = algebra.space
-    evaluator = idn.Evaluator(algebra)
-    for name, law in hs.REGISTRY.items():
-        if name in idn.TERNARY_LAWS:
-            continue
-        names = idn.free_variables(law)
+    # signs and cyclic sums.  For the derived structures, the laws of their
+    # suites on {,,} are evaluated on the algebra that constructions build
+    # from identities.DERIVED, and the free expansion fills the slots from
+    # the same table; laws of more than three variables are checked on a
+    # few drawn tuples.
+    plain = {name: law for name, law in hs.REGISTRY.items()
+             if name not in idn.TERNARY_LAWS}
+    _assert_free_agrees(algebra, algebra, None, plain, data)
+    for structure in ("akivis", "ly"):
+        derived = constructions._derive(algebra, structure, False, "")
+        laws = {name: hs.REGISTRY[name] for name in idn.SUITES[structure]
+                if name in idn.TERNARY_LAWS}
+        _assert_free_agrees(derived, algebra, structure, laws, data)
+
+
+def _assert_free_agrees(target, source, structure, laws, data):
+    n = source.space.dim
+    evaluator = idn.Evaluator(target)
+    for name, law in laws.items():
+        names = law.variables
+        combos = itertools.product(range(n), repeat=len(names))
+        if len(names) > 3 and n:
+            combos = data.draw(st.lists(
+                st.tuples(*[st.integers(0, n - 1)] * len(names)),
+                min_size=1, max_size=4), label=name)
         expansions = {}
-        for combo in itertools.product(range(space.dim), repeat=len(names)):
+        for combo in combos:
             env = dict(zip(names, combo))
-            parities = tuple(space.parity(i) for i in combo)
+            parities = tuple(source.space.parity(i) for i in combo)
             if parities not in expansions:
                 expansions[parities] = fa.expand_template(
-                    law, dict(zip(names, parities)))
-            assert evaluator.eval(law, env) == \
-                _free_value(expansions[parities], algebra, env), (name, combo)
+                    law, dict(zip(names, parities)), structure)
+            assert evaluator.eval(law, env) == _free_value(
+                expansions[parities], source, env), (structure, name, combo)
 
 
 # --------------------------------------------------------------------------
@@ -393,8 +411,9 @@ def test_law_missing_a_variable_in_some_term_is_rejected(a2b):
 
 def test_shipped_laws_and_templates_are_multilinear():
     laws = dict(hs.REGISTRY)
-    laws.update(ASSOCIATOR=constructions.ASSOCIATOR,
-                LY_TERNARY=constructions.LY_TERNARY,
+    laws.update(COMMUTATOR=idn.COMMUTATOR,
+                ASSOCIATOR=idn.ASSOCIATOR,
+                LY_TERNARY=idn.LY_TERNARY,
                 YAU_TWIST=constructions.YAU_TWIST,
                 TERNARY_EQ_DEF=idn.TERNARY_EQ_DEF,
                 TERNARY_EQ_HALF=idn.TERNARY_EQ_HALF)
