@@ -36,16 +36,13 @@ its expansion (sums and cyclic sums multiplied out) has degree exactly 1 in
 every variable.  `check_identity` refuses any other law with
 NonMultilinearLaw; `Identity.multilinear` holds the verdict.
 
-Before the scan, `residuals` folds the law against the operations of
-the algebra that are zero (`fold_zero_ops`, a partial evaluation): an
-operation on such a slot becomes 0, and 0 propagates outwards and drops out
-of sums.  The folded law has the same residual on every tuple, so the
-report is unchanged, and a law that folds to 0 = 0 needs no tuple at all.
-Each law caches its folds per tuple of zero slots.  On a law with a ternary
-operation, the scan then skips the tuples where the folded law must vanish
-because its operations are sparse: `_Support` bounds where each term can
-be nonzero from the indices of the structure constants, and only the
-tuples inside that bound are evaluated, still in lexicographic order.
+The scan skips the tuples where the law must vanish because its operations
+are zero or sparse: `_Support` bounds where each term can be nonzero from
+the indices of the structure constants, and only the tuples inside that
+bound are evaluated, still in lexicographic order.  A zero operation has no
+constants, so a law whose every term uses one evaluates no tuple at all.
+The bound is computed for the laws with a ternary operation and the laws
+on a zero operation; the other laws keep the full scan.
 
 `Evaluator` is the one interpreter of the language, and `residuals` its one
 scan over basis tuples: the checker reports from it, and the derived
@@ -59,7 +56,7 @@ are answered from `walk`, which visits every node.
 import functools
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
@@ -186,17 +183,6 @@ class Identity:
         return names is not None and names in (frozenset(),
                                                frozenset(self.variables))
 
-    @functools.cached_property
-    def _folds(self):
-        return {}
-
-    def folded(self, zero_slots):
-        """fold_zero_ops of the law, built once per tuple of zero slots."""
-        law = self._folds.get(zero_slots)
-        if law is None:
-            law = self._folds[zero_slots] = fold_zero_ops(self, zero_slots)
-        return law
-
 
 def _children(node):
     if isinstance(node, (Var, Zero)):
@@ -278,39 +264,6 @@ def _monomial_variables(node):
         return None
     union = frozenset().union(*parts)
     return union if len(union) == sum(map(len, parts)) else None
-
-
-def fold_zero_ops(node, zero_slots):
-    """Partial evaluation of a node against operations that vanish: every
-    product or ternary on a slot in zero_slots becomes Zero; Zero then
-    propagates through maps, scalings, signs, operations and cyclic sums,
-    and is dropped from sums (an empty sum is Zero, a one-term sum its
-    term).  Wherever every variable is bound, the folded node has the same
-    value as the node."""
-    if isinstance(node, (Var, Zero)):
-        return node
-    if isinstance(node, Identity):
-        return Identity(fold_zero_ops(node.lhs, zero_slots),
-                        fold_zero_ops(node.rhs, zero_slots))
-    if isinstance(node, Sum):
-        folded = (fold_zero_ops(item, zero_slots) for item in node.items)
-        items = tuple(item for item in folded if not isinstance(item, Zero))
-        if len(items) > 1:
-            return Sum(items)
-        return items[0] if items else Zero()
-    if isinstance(node, (Prod, Ternary)) and node.slot in zero_slots:
-        return Zero()
-    children = [fold_zero_ops(child, zero_slots)
-                for child in _children(node)]
-    if any(isinstance(child, Zero) for child in children):
-        return Zero()
-    if isinstance(node, Prod):
-        return Prod(node.slot, *children)
-    if isinstance(node, Ternary):
-        return Ternary(*children)
-    if isinstance(node, Cyc):
-        return Cyc(node.vars, node.factors, children[0])
-    return replace(node, sub=children[0])  # Alpha, Scale, Sign
 
 
 # --------------------------------------------------------------------------
@@ -831,58 +784,44 @@ def check_identity(identity, algebra, name="identity", sign_free=False,
 def residuals(identity, algebra, sign_free=False):
     """Yield (tuple of basis indices, residual Vector) for every basis
     tuple, in lexicographic order, where a multilinear law does not vanish;
-    any other law raises NonMultilinearLaw.  The scan evaluates the folded
-    law, pruned by the support analysis on ternary laws (see the module
-    docstring)."""
+    any other law raises NonMultilinearLaw, and a law on an operation the
+    algebra lacks MissingOpSlot.  On a law with a ternary or a zero
+    operation, only the tuples inside the support analysis's bound are
+    evaluated (see the module docstring)."""
     if not identity.multilinear:
         raise NonMultilinearLaw(
             "not multilinear, so basis tuples do not decide it: %s"
             % pretty(identity))
     variables = identity.variables
     n = algebra.space.dim
-    zero_slots = _zero_slots(identity, algebra)
-    law = identity.folded(zero_slots) if zero_slots else identity
-    if isinstance(law.lhs, Zero) and isinstance(law.rhs, Zero):
-        return
     evaluator = Evaluator(algebra, sign_free)
-    tuples = _support_tuples(law, evaluator, variables, n)
+    tuples = _support_tuples(identity, evaluator, variables, n)
     if tuples is None:
         tuples = itertools.product(range(n), repeat=len(variables))
     for combo in tuples:
-        residual = evaluator.eval(law, dict(zip(variables, combo)))
+        residual = evaluator.eval(identity, dict(zip(variables, combo)))
         if not residual.is_zero():
             yield combo, residual
-
-
-def _zero_slots(identity, algebra):
-    """The slots of the law whose operation on the algebra is zero, in the
-    law's order; () when a slot is missing, so that the evaluator raises
-    MissingOpSlot for it."""
-    zero = ()
-    for slot in identity.slots:
-        op = algebra.op_for_slot(slot)
-        if op is None:
-            return ()
-        if op.is_zero():
-            zero += (slot,)
-    return zero
 
 
 def _support_tuples(law, evaluator, variables, n):
     """The binding tuples, in lexicographic order, outside of which the
     law's residual is known to vanish (see _Support); None when they are
-    not fewer than all n^k tuples, or when the law has no ternary
-    operation.
+    not fewer than all n^k tuples, or when the law has neither a ternary
+    operation nor a zero one.  Raises MissingOpSlot for a slot of the law
+    that the algebra lacks.
 
-    Only the laws on "{,,}" are pruned: they have the most tuples (n^4 and
-    n^5 for SHLY6-8), and a sparse ternary leaves them few to evaluate.
-    The binary laws keep the full scan for now.  Pruning them as well
-    would make `homsuper verify` about twice as fast, and perfbench, whose
-    memory grows with every completed job, reports that as a peak-RSS
-    regression; sparse evaluation of every law waits for that fix
-    (ROADMAP item 2).
+    The laws on "{,,}" are pruned: they have the most tuples (n^4 and n^5
+    for SHLY6-8), and a sparse ternary leaves them few to evaluate.  So is
+    any law on a zero operation, which the analysis bounds to no tuple at
+    all where every term uses it.  The other binary laws keep the full
+    scan for now.  Pruning them as well would make `homsuper verify` about
+    twice as fast, and perfbench, whose memory grows with every completed
+    job, reports that as a peak-RSS regression; sparse evaluation of every
+    law waits for that fix (ROADMAP item 2).
     """
-    if "{,,}" not in law.slots:
+    ops = [evaluator.op(slot) for slot in law.slots]
+    if "{,,}" not in law.slots and not any(op.is_zero() for op in ops):
         return None
     total = n ** len(variables)
     tuples = set()

@@ -35,9 +35,13 @@ class ParityError(ValueError):
 
 
 def scalar(x):
-    """Coerce ints, rational strings like '-3/2' and Fractions to Fraction."""
+    """Coerce ints, rational strings like '-3/2' or '0.5' and Fractions to
+    Fraction.  A string with a decimal exponent raises ValueError: the cost
+    of '1e300000' grows faster than its exponent."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise ValueError("decimal exponents are not accepted: %r" % x)
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError("not an exact scalar: %r" % (x,))

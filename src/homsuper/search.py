@@ -18,7 +18,8 @@ every other slot, in index order.  The rest are rejected without being
 built.  `examined` counts every index the scan passed, built or not: a full
 scan reports the whole space, and a capped scan stops at the same index as
 a scan that builds every candidate.  The time budget is checked before each
-candidate that is built.
+candidate that is built.  The scan does not check the parity rule, which
+every candidate keeps by construction.
 
 The candidate space can be partitioned across worker processes (the
 HOMSUPER_WORKERS environment variable); chunks are merged back in index
@@ -202,6 +203,9 @@ def _scan(spec, start, end, deadline, cap, filtered):
     hit_deadline).  Indices the slot filter rejects are counted as examined
     without being built."""
     documents = []
+    # Every candidate keeps the parity rule: `candidate` fills only the
+    # slots `_allowed_slots` allows, with an identity or diagonal alpha.
+    checks = [check for check in spec.checks() if check != "grading"]
     constants_count = len(spec.coeffs) ** len(spec.slots)
     for alpha_index in range(start // constants_count,
                              (end - 1) // constants_count + 1):
@@ -213,7 +217,7 @@ def _scan(spec, start, end, deadline, cap, filtered):
             if deadline is not None and time.monotonic() > deadline:
                 return documents, index - start, True
             algebra = spec.candidate(index)
-            if idn.suite_passes(spec.suite, algebra):
+            if idn.suite_passes(checks, algebra):
                 algebra.metadata = {"source": "search", "candidate": index,
                                     "expected": {spec.suite: True}}
                 documents.append(serialize.algebra_to_document(algebra))

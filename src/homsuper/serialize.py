@@ -13,7 +13,9 @@ algebra the bracket slot of the identity language is the binary operation
 itself, not a derived commutator.
 
 Loading validates indices, rationals and the parity rule, so a malformed or
-ungraded document never becomes an algebra.  save(load(doc)) is the
+ungraded document never becomes an algebra.  It bounds what a short
+document can cost: a dimension above MAX_DIM and a rational with a decimal
+exponent ("1e300000") are refused.  save(load(doc)) is the
 canonicalization; it is byte-stable on canonical documents.
 """
 
@@ -29,7 +31,12 @@ from .kernel import (
     ParityError,
     SuperSpace,
     TernaryOp,
+    scalar,
 )
+
+# The largest dimension a document may declare: a missing alpha defaults to
+# the dense identity, whose n^2 entries the loader builds and walks.
+MAX_DIM = 256
 
 
 class DocumentError(ValueError):
@@ -44,7 +51,7 @@ def _parse_rational(where, text):
     if not isinstance(text, str):
         _fail(where, "rational values must be strings, got %r" % (text,))
     try:
-        return Fraction(text)
+        return scalar(text)
     except (ValueError, ZeroDivisionError):
         _fail(where, "invalid rational %r" % text)
 
@@ -121,8 +128,11 @@ def document_to_algebra(doc, where="document"):
             or not isinstance(dims.get("odd"), int)
             or dims["even"] < 0 or dims["odd"] < 0):
         _fail(where + ".dims", 'expected {"even": E, "odd": O}')
+    n = dims["even"] + dims["odd"]
+    if n > MAX_DIM:
+        _fail(where + ".dims", "dimension %d above the bound %d"
+              % (n, MAX_DIM))
     space = SuperSpace(dims["even"], dims["odd"])
-    n = space.dim
     product = BilinearOp(space, entries=_parse_sparse(
         where + ".product", doc.get("product", []), n, 3))
     ternary = None

@@ -225,6 +225,19 @@ def test_search_non_rational_coefficient_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: coefficient 'x'")
 
 
+def test_search_refuses_decimal_exponents(capsys):
+    for args, what in ((["--coeffs", "0,1e300000"], "coefficient"),
+                       (["--coeffs=-1,0,1", "--alpha", "diag:1,2E3"],
+                        "diagonal")):
+        code = cli.main(["search", "--dims", "1,1", *args])
+        captured = capsys.readouterr()
+        assert code == 2, args
+        assert captured.err.startswith("error: %s '" % what), args
+        assert captured.out == ""
+    assert cli.main(["search", "--dims", "1,0", "--coeffs", "0,0.5",
+                     "--alpha", "diag:0.5,1"]) == 0
+
+
 def test_search_suite_needing_ternary_slot_exits_2(capsys):
     code = cli.main(["search", "--dims", "1,1", "--suite", "akivis"])
     captured = capsys.readouterr()

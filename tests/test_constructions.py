@@ -428,13 +428,15 @@ def test_yau_twist_by_a_swap_matches_naive():
 
 
 def _llsi_counter(monkeypatch):
-    """Count the LLSI checks per algebra object from now on."""
+    """Count the LLSI checks per algebra object from now on.  The counts
+    are keyed by the object, not its id(), so that each counted algebra
+    stays alive and no later one can reuse its id."""
     counts = Counter()
     original = identities.check_identity
 
     def counting(identity, algebra, *args, **kwargs):
         if identity is hs.REGISTRY["LLSI"]:
-            counts[id(algebra)] += 1
+            counts[algebra] += 1
         return original(identity, algebra, *args, **kwargs)
 
     monkeypatch.setattr(identities, "check_identity", counting)
@@ -466,7 +468,7 @@ def test_left_leibniz_verdict_is_checked_once_per_algebra(monkeypatch):
         assert algebra.left_leibniz is None
         assert [_derive_outcome(algebra, call) for call in calls] == want
         if algebra.left_leibniz:
-            assert counts[id(algebra)] == 1, path
+            assert counts[algebra] == 1, path
         else:
             # A refusal checks again, to name its counterexample.
             assert algebra.left_leibniz is False

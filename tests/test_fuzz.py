@@ -70,6 +70,9 @@ _SETTINGS = settings(
 @example(b'{"dims": {"even": 1, "odd": 0}, "product": [[1, 1, 1, '
          + b"1" * 5000 + b"]]}")
 @example(b"\xff\xfe{}")
+@example(b'{"dims": {"even": 1000, "odd": 0}}')
+@example(b'{"dims": {"even": 1, "odd": 0}, "product": [[1, 1, 1, '
+         b'"1e300000"]]}')
 def test_loader_on_text_raises_only_document_errors(document_path, data):
     _load(document_path, data)
 
@@ -88,8 +91,8 @@ _entry = st.one_of(
     st.tuples(_index, _index, _index, _rational).map(list),
     st.tuples(_index, _index, _index, _index, _rational).map(list),
     st.lists(st.one_of(_index, _rational), max_size=5))
-# Dimensions stay small: the loader does not bound them (it builds dense
-# views of size n^2), and most draws should get past them.
+# Dimensions stay small, so that most draws get past them: up to the
+# loader's bound it builds dense views of size n^2.
 _documents = st.fixed_dictionaries(
     {"dims": st.one_of(
         st.fixed_dictionaries({"even": st.integers(0, 2),

@@ -473,7 +473,7 @@ def test_multilinear_matches_the_expanded_monomials(ident):
 
 
 # --------------------------------------------------------------------------
-# Folding the law against the operations that vanish
+# Laws on the operations that vanish
 
 @st.composite
 def zeroed_algebras(draw):
@@ -507,7 +507,7 @@ def zeroed_algebras(draw):
 
 def _reference_counterexamples(law, algebra):
     """(tuple index, counterexample) for every failing tuple, by the
-    unfolded per-tuple evaluator."""
+    per-tuple evaluator on every tuple."""
     names = law.variables
     labels = algebra.space.labels
     bad = []
@@ -522,7 +522,7 @@ def _reference_counterexamples(law, algebra):
 
 
 # Every slot in each sum: whichever operation vanishes, part of each sum
-# survives the fold, up to three terms of it.
+# does not vanish with it, up to three terms of it.
 _MIXED_LAW = hs.parse_identity(
     "a(x)*(y*z) - (x*y)*a(z) + [[x, y], a(z)] + {x, y, z}"
     " = s(x,y) {y, x, z} - [a(x), [y, z]]"
@@ -556,29 +556,6 @@ def test_folded_check_matches_the_per_tuple_evaluator(case):
     _assert_checks_match_the_per_tuple_evaluator(algebra)
 
 
-def test_zero_ternary_folds_the_ternary_laws():
-    zero = ("{,,}",)
-    trivial = idn.Identity(idn.Zero(), idn.Zero())
-    for name in ("SHLY2", "SHLY4", "SHLY6", "SHLY7", "SHLY8"):
-        assert hs.REGISTRY[name].folded(zero) == trivial, name
-    assert hs.REGISTRY["SHLY5"].folded(zero) == hs.parse_identity(
-        "cyc[x,y,z; s(x,z)]((x*y)*a(z)) = 0")
-
-
-def test_zero_bracket_folds_the_akivis_jacobian():
-    law = hs.REGISTRY["AKIVIS"]
-    folded = law.folded(("[,]",))
-    assert folded.lhs == idn.Zero()
-    assert folded.rhs == law.rhs
-    assert law.folded(("[,]",)) is folded
-
-
-def test_fold_is_skipped_when_no_used_slot_is_zero(a2b):
-    law = hs.parse_identity(idn.registry_text()["LLSI"])
-    assert hs.check_identity(law, a2b).passed
-    assert "_folds" not in vars(law)
-
-
 def test_law_folded_to_zero_passes_without_evaluating(monkeypatch):
     zero = make_algebra(2, 1, {}, alpha=[2, 3, 5])
 
@@ -595,7 +572,7 @@ def test_law_folded_to_zero_passes_without_evaluating(monkeypatch):
 
 def test_zero_product_still_needs_the_ternary_slot():
     zero = make_algebra(2, 0, {})
-    # Every operation of SHLY7 would fold away, yet {,,} is missing.
+    # Every operation of SHLY7 would be zero, yet {,,} is missing.
     with pytest.raises(hs.MissingOpSlot):
         hs.check_identity(hs.REGISTRY["SHLY7"], zero)
 
@@ -675,6 +652,56 @@ def test_binary_laws_keep_the_full_scan(monkeypatch):
     algebra = make_algebra(2, 1, {(0, 2, 2): 1, (2, 0, 2): -1})
     _, seen = _tuples_evaluated(monkeypatch, hs.REGISTRY["LLSI"], algebra)
     assert seen == list(itertools.product(range(3), repeat=3))
+
+
+def _with_ternary(algebra, entries):
+    return hs.HomSuperalgebra(algebra.space, algebra.product, algebra.alpha,
+                              ternary=hs.TernaryOp(algebra.space, entries))
+
+
+def test_zero_ternary_skips_the_ternary_laws(monkeypatch):
+    # b1*b3 = b3 = -b3*b1, and every term of SHLY2, 4, 6, 7 and 8 uses
+    # the zero ternary.
+    algebra = _with_ternary(
+        make_algebra(2, 1, {(0, 2, 2): 1, (2, 0, 2): -1}), {})
+    n = algebra.space.dim
+    for name in ("SHLY2", "SHLY4", "SHLY6", "SHLY7", "SHLY8"):
+        law = hs.REGISTRY[name]
+        report, seen = _tuples_evaluated(monkeypatch, law, algebra)
+        assert seen == [], name
+        assert report.passed and report.checked == n ** len(law.variables)
+    # SHLY5 keeps its product term: (x*y)*a(z) is nonzero at (b1,b3,b1)
+    # and (b3,b1,b1) only, so the tuples evaluated are their rotations.
+    law = hs.REGISTRY["SHLY5"]
+    report, seen = _tuples_evaluated(monkeypatch, law, algebra)
+    assert seen == [(0, 0, 2), (0, 2, 0), (2, 0, 0)]
+    assert report.checked == n ** 3
+    bad = _reference_counterexamples(law, algebra)
+    assert report.counterexamples == [c for _, c in bad]
+
+
+def test_zero_bracket_skips_the_akivis_jacobian(monkeypatch):
+    # b1*b1 = b2 is commutative, so the bracket Jacobian on the left of
+    # AKIVIS vanishes, and only the support of the ternary {b1,b2,b3} = b1
+    # on the right is evaluated: the permutations of (b1, b2, b3).
+    algebra = _with_ternary(make_algebra(3, 0, {(0, 0, 1): 1}),
+                            {(0, 1, 2, 0): 1})
+    assert algebra.bracket().is_zero()
+    law = hs.REGISTRY["AKIVIS"]
+    report, seen = _tuples_evaluated(monkeypatch, law, algebra)
+    assert seen == sorted(itertools.permutations(range(3)))
+    assert report.checked == 27
+    bad = _reference_counterexamples(law, algebra)
+    assert report.counterexamples == [c for _, c in bad]
+
+
+def test_full_scan_when_no_used_slot_is_zero(monkeypatch, a2b):
+    # The ternary is zero, but LLSI does not use it.
+    algebra = _with_ternary(a2b, {})
+    report, seen = _tuples_evaluated(monkeypatch, hs.REGISTRY["LLSI"],
+                                     algebra)
+    assert report.passed
+    assert seen == list(itertools.product(range(2), repeat=3))
 
 
 def test_support_follows_the_twisting_map_to_its_preimages():

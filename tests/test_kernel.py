@@ -409,3 +409,12 @@ def test_is_identity_only_for_the_identity():
     assert not hs.EvenMap.diagonal(sp, [0, 0, 0]).is_identity()
     assert not hs.EvenMap(sp, [["1", "1", "0"], ["0", "1", "0"],
                                ["0", "0", "1"]]).is_identity()
+
+
+def test_scalar_refuses_decimal_exponents():
+    for text in ("1e300000", "2E3", "1.5e-2"):
+        with pytest.raises(ValueError, match="exponent"):
+            hs.kernel.scalar(text)
+    assert hs.kernel.scalar("0.5") == Fraction(1, 2)
+    assert hs.kernel.scalar("-3/2") == Fraction(-3, 2)
+    assert hs.kernel.scalar(4) == 4

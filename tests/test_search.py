@@ -4,7 +4,7 @@ import random
 import pytest
 
 import homsuper as hs
-from homsuper import identities
+from homsuper import identities, kernel
 from homsuper.search import (SearchSpec, SearchSpaceError, _merge_chunks,
                               run_search)
 from homsuper.serialize import algebra_to_document
@@ -176,6 +176,32 @@ def test_slot_filtered_scan_matches_brute_force(monkeypatch, dims, coeffs,
         outcome = run_search(spec)
         assert outcome.documents == documents, workers
         assert (outcome.examined, outcome.partial) == (examined, partial)
+
+
+@pytest.mark.parametrize("dims,coeffs,alpha", [
+    ((1, 1), ("-1", "0", "1"), "id"),
+    ((2, 0), ("0", "1"), ("0", "-1", "2")),
+    ((0, 2), ("1", "1/2"), ("-1", "2")),
+])
+def test_every_candidate_keeps_the_parity_rule(dims, coeffs, alpha):
+    spec = SearchSpec(dims, coeffs=coeffs, alpha=alpha, suite="leibniz")
+    for index in range(spec.space_size()):
+        assert kernel.check_algebra_grading(spec.candidate(index)).passed, index
+
+
+def test_scan_skips_the_parity_check(monkeypatch):
+    spec = SearchSpec((1, 1), coeffs=("-1", "0", "1"), suite="leibniz")
+    assert "grading" in spec.checks()
+    hits = _brute_force(spec)
+
+    def refuse(algebra):
+        raise AssertionError("checked the parity rule")
+
+    monkeypatch.setattr(kernel, "check_algebra_grading", refuse)
+    monkeypatch.setenv("HOMSUPER_WORKERS", "1")
+    outcome = run_search(spec)
+    assert outcome.documents == [doc for _, doc in hits]
+    assert outcome.examined == spec.space_size()
 
 
 @pytest.mark.parametrize("suite,error", [

@@ -1,10 +1,12 @@
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import homsuper as hs
+from homsuper import serialize
 from homsuper.serialize import (
     DocumentError,
     algebra_to_document,
@@ -45,6 +47,31 @@ def test_malformed_rational_is_a_parse_error(tmp_path):
         hs.load_algebra(path)
     assert "product[0]" in str(err.value)
     assert "1/0" in str(err.value)
+
+
+def test_rational_with_a_decimal_exponent_is_refused():
+    for text in ("1e300000", "2E3", "-1.5e-2"):
+        doc = {"dims": {"even": 1, "odd": 0}, "product": [[1, 1, 1, text]]}
+        with pytest.raises(DocumentError, match="invalid rational") as err:
+            document_to_algebra(doc)
+        assert "product[0]" in str(err.value)
+        assert text in str(err.value)
+    doc = {"dims": {"even": 1, "odd": 0}, "product": [[1, 1, 1, "0.5"]],
+           "alpha": [["-1.25"]]}
+    algebra = document_to_algebra(doc)
+    assert algebra.product.constants == {(0, 0): ((0, Fraction(1, 2)),)}
+    assert algebra.alpha.rows == ((Fraction(-5, 4),),)
+
+
+def test_dimension_above_the_bound_is_refused(monkeypatch):
+    for dims in ({"even": serialize.MAX_DIM + 1, "odd": 0},
+                 {"even": 1000, "odd": 0}, {"even": 200, "odd": 200}):
+        with pytest.raises(DocumentError, match="above the bound 256"):
+            document_to_algebra({"dims": dims})
+    monkeypatch.setattr(serialize, "MAX_DIM", 3)
+    assert document_to_algebra({"dims": {"even": 2, "odd": 1}}).space.dim == 3
+    with pytest.raises(DocumentError, match=r"dims: dimension 4 above"):
+        document_to_algebra({"dims": {"even": 2, "odd": 2}})
 
 
 def test_index_out_of_range():
