@@ -229,10 +229,11 @@ def cmd_search(args):
     spec = search.SearchSpec(
         (even, odd), _parse_rational_list(args.coeffs, "coefficient"),
         alpha, args.suite, args.max_results, args.budget_ms)
-    spec.checks()  # an unknown suite fails before any output
-    _emit({"space_size": spec.space_size(), "slots": len(spec.slots)},
+    size = spec.space_size()  # an oversize space fails before any output
+    spec.checks()  # and so does an unknown suite
+    _emit({"space_size": size, "slots": len(spec.slots)},
           "search space: %d candidates (%d free constants)"
-          % (spec.space_size(), len(spec.slots)), args.report)
+          % (size, len(spec.slots)), args.report)
     outcome = search.run_search(spec)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:

@@ -36,19 +36,21 @@ its expansion (sums and cyclic sums multiplied out) has degree exactly 1 in
 every variable.  `check_identity` refuses any other law with
 NonMultilinearLaw; `Identity.multilinear` holds the verdict.
 
-The scan skips the tuples where the law must vanish because its operations
-are zero or sparse: `_Support` bounds where each term can be nonzero from
-the indices of the structure constants, and only the tuples inside that
-bound are evaluated, still in lexicographic order.  A zero operation has no
-constants, so a law whose every term uses one evaluates no tuple at all.
-The bound is computed for the laws with a ternary operation and the laws
-on a zero operation; the other laws keep the full scan.
+`residuals` evaluates a law on every basis tuple at once: `_TensorEvaluator`
+walks it once over sparse tensors keyed by (binding, output coordinate),
+contracting with the nonzero structure constants only, so a zero or sparse
+operation costs little, and the nonzero keys are the failing tuples, in
+lexicographic order.  The derived operations of `constructions`, templates
+declared once in `DERIVED`, are the residuals of their templates, and so
+are the ternary-equivalence reports.  `check_identity` reports from the
+same tensor on the laws with a "{,,}" slot or a zero operation.  The other
+laws, binary laws on nonzero operations, it evaluates tuple by tuple
+(`_tuple_residuals`): a search decides its candidates with them and stops
+at the first failing tuple, which is cheaper there than the whole tensor.
 
-`Evaluator` is the one interpreter of the language, and `residuals` its one
-scan over basis tuples: the checker reports from it, and the derived
-operations of `constructions`, templates declared once in `DERIVED`, are
-the residuals of their templates.  The prover's free expansion in `freealg`
-is an `Evaluator` over formal expressions that reads the same templates.
+`Evaluator` is the one interpreter of the language: the per-tuple scan
+evaluates over the algebra, the tensor evaluator and the prover's free
+expansion in `freealg` are subclasses of it with other values.
 Structural questions about an AST (its variables, whether it needs "{,,}")
 are answered from `walk`, which visits every node.
 """
@@ -616,10 +618,11 @@ class Evaluator:
     """The interpreter of identity ASTs.
 
     `eval` walks a node once and takes every value from a few hooks: `leaf`
-    (the value of a bound variable), `zero`, `alpha(k)`, `op(slot)` and
-    `parity` (of a bound variable).  This class evaluates over an algebra,
-    with variables bound to basis indices; the free expansion in `freealg`
-    is a subclass over formal expressions.
+    (the value of a bound variable), `zero`, `alpha(k)`, `op(slot)`,
+    `parity` (of a bound variable) and `signed` (a value times a Koszul
+    sign).  This class evaluates over an algebra, with variables bound to
+    basis indices; the free expansion in `freealg` is a subclass over
+    formal expressions, and `_TensorEvaluator` one over sparse tensors.
 
     A product of two bare variables, and the map on a bare variable, are
     read off the structure constants instead of being computed from basis
@@ -636,9 +639,11 @@ class Evaluator:
         self.algebra = algebra
         self.space = algebra.space
         self.sign_free = sign_free
-        self.basis = [self.space.basis_vector(i)
-                      for i in range(self.space.dim)]
         self._alpha_powers = {}
+
+    @functools.cached_property
+    def basis(self):
+        return [self.space.basis_vector(i) for i in range(self.space.dim)]
 
     def leaf(self, bound):
         return self.basis[bound]
@@ -688,25 +693,23 @@ class Evaluator:
         if isinstance(node, Scale):
             return self.eval(node.sub, env).scale(node.coeff)
         if isinstance(node, Sign):
-            value = self.eval(node.sub, env)
-            if self.koszul_sign(node.factors, env) < 0:
-                value = -value
-            return value
+            return self.signed(node.factors, env, self.eval(node.sub, env))
         if isinstance(node, Sum):
             first, *rest = (self.eval(item, env) for item in node.items)
             return sum(rest, first)
         if isinstance(node, Cyc):
             total = self.zero()
             for rotated in _rotations(env, node.vars):
-                value = self.eval(node.body, rotated)
-                if node.factors and \
-                        self.koszul_sign(node.factors, rotated) < 0:
-                    value = -value
-                total = total + value
+                total = total + self.signed(node.factors, rotated,
+                                            self.eval(node.body, rotated))
             return total
         if isinstance(node, Identity):
             return self.eval(node.lhs, env) - self.eval(node.rhs, env)
         raise TypeError("not an identity node: %r" % (node,))
+
+    def signed(self, factors, env, value):
+        """value times the Koszul sign of the factors under env."""
+        return -value if self.koszul_sign(factors, env) < 0 else value
 
     def koszul_sign(self, factors, env):
         """The product of (-1)^{|P| |Q|} over the factors; both sides of
@@ -751,6 +754,242 @@ def eval_identity_on_tuple(identity, algebra, binding, sign_free=False):
     return Evaluator(algebra, sign_free).eval(identity, binding)
 
 
+class _Tensor:
+    """A value of `_TensorEvaluator`: a sparse tensor over the bindings of
+    the law's variables.  entries[l][code] = c (never zero) contributes
+    c b_l at every binding that the key `code` matches.
+
+    A key packs a partial binding into base-(n+3) digits, one per variable
+    of the law, the first variable the most significant: digit 0 leaves the
+    variable unbound, 1..n bind it to b_1..b_n, and n+1 and n+2 leave it
+    unbound but require an even or an odd element (from a sign factor on a
+    variable that its subterm does not bind).  A key that binds every
+    variable is its basis tuple, and such keys order as their tuples do.
+    Bit p of `mask` is set when some key constrains variable p, so the keys
+    of two tensors with disjoint masks join by adding them.  A tensor is
+    never changed once built, so tensors share columns freely.
+    """
+
+    __slots__ = ("entries", "mask")
+
+    def __init__(self, entries, mask):
+        self.entries = entries
+        self.mask = mask
+
+    def __add__(self, other):
+        entries = dict(self.entries)
+        for l, column in other.entries.items():
+            mine = entries.get(l)
+            if mine is None:
+                entries[l] = column
+                continue
+            mine = dict(mine)
+            for code, c in column.items():
+                c += mine.get(code, kernel.ZERO)
+                if c:
+                    mine[code] = c
+                else:
+                    del mine[code]
+            if mine:
+                entries[l] = mine
+            else:
+                del entries[l]
+        return _Tensor(entries, self.mask | other.mask)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def scale(self, c):
+        if not c:
+            return _Tensor({}, self.mask)
+        return _Tensor({l: {code: c * v for code, v in column.items()}
+                        for l, column in self.entries.items()}, self.mask)
+
+
+def _nonzero(entries):
+    """entries without its zero coefficients and empty columns."""
+    kept = {}
+    for l, column in entries.items():
+        column = {code: c for code, c in column.items() if c}
+        if column:
+            kept[l] = column
+    return kept
+
+
+class _TensorEvaluator(Evaluator):
+    """The evaluator over sparse tensors (see `_Tensor`): one walk of a law
+    evaluates it on every basis tuple at once.  `env` binds each variable
+    to its position among the law's variables, and a variable's value is
+    the identity tensor of its position.  The map and every operation
+    contract their arguments with their nonzero structure constants, so a
+    zero or sparse operation leaves few keys; a sign is applied key by
+    key.  This is sparse tensor algebra (Kjolstad et al., "The Tensor
+    Algebra Compiler", OOPSLA 2017), interpreted rather than compiled.
+    """
+
+    basis_shortcuts = False
+
+    def __init__(self, algebra, variables, sign_free=False):
+        super().__init__(algebra, sign_free)
+        n = self.space.dim
+        self.base = n + 3
+        self.weights = [self.base ** p
+                        for p in range(len(variables) - 1, -1, -1)]
+        self.env = {name: p for p, name in enumerate(variables)}
+        # The parity each digit requires; None for an unbound variable.
+        self._parity = [None, *self.space.parities, 0, 1]
+        self._leaves = {}
+        self._linear = {}
+
+    def _meet_digits(self, a, b):
+        """The digit both digits allow, or None when they conflict."""
+        if not a or a == b:
+            return b
+        if not b:
+            return a
+        if a > b:
+            a, b = b, a
+        n = self.space.dim
+        if a <= n < b and self._parity[a] == self._parity[b]:
+            return a
+        return None
+
+    def binding(self, code):
+        """The basis tuple of a key that binds every variable."""
+        return tuple(code // weight % self.base - 1
+                     for weight in self.weights)
+
+    def leaf(self, position):
+        tensor = self._leaves.get(position)
+        if tensor is None:
+            weight = self.weights[position]
+            tensor = self._leaves[position] = _Tensor(
+                {i: {(i + 1) * weight: kernel.ONE}
+                 for i in range(self.space.dim)}, 1 << position)
+        return tensor
+
+    def zero(self):
+        return _Tensor({}, 0)
+
+    def alpha(self, k):
+        hook = self._linear.get(k)
+        if hook is None:
+            power = super().alpha(k)
+            hook = self._linear[k] = ((lambda tensor: tensor)
+                                      if power.is_identity()
+                                      else self._contraction(power))
+        return hook
+
+    def op(self, slot):
+        hook = self._linear.get(slot)
+        if hook is None:
+            hook = self._linear[slot] = self._contraction(super().op(slot))
+        return hook
+
+    def _contraction(self, op):
+        constants = op.constants
+        return lambda *args: self._contract(constants, args)
+
+    def _contract(self, constants, args):
+        """The operation with these structure constants on tensors: a key
+        of the value joins one key of each argument."""
+        mask = 0
+        disjoint = True
+        for arg in args:
+            disjoint = disjoint and not mask & arg.mask
+            mask |= arg.mask
+        first, *rest = [arg.entries for arg in args]
+        join = self._join
+        out = {}
+        for index, terms in constants.items():
+            pairs = first.get(index[0])
+            if not pairs:
+                continue
+            pairs = pairs.items()
+            for i, entries in zip(index[1:], rest):
+                column = entries.get(i)
+                if not column:
+                    pairs = ()
+                    break
+                if disjoint:
+                    pairs = [(a + b, v * w) for a, v in pairs
+                             for b, w in column.items()]
+                else:
+                    pairs = [(code, v * w) for a, v in pairs
+                             for b, w in column.items()
+                             if (code := join(a, b)) is not None]
+            if not pairs:
+                continue
+            for l, c in terms:
+                target = out.setdefault(l, {})
+                for code, v in pairs:
+                    target[code] = target.get(code, kernel.ZERO) + c * v
+        return _Tensor(_nonzero(out), mask)
+
+    def _join(self, a, b):
+        """The key both keys match, or None when they conflict."""
+        code = 0
+        for weight in self.weights:
+            da, a = divmod(a, weight)
+            db, b = divmod(b, weight)
+            digit = self._meet_digits(da, db)
+            if digit is None:
+                return None
+            code += digit * weight
+        return code
+
+    def parity(self, bound):
+        # `signed` evaluates Koszul signs under an env of parities.
+        return bound
+
+    def signed(self, factors, env, value):
+        """The Koszul sign of the factors applied key by key.  A key that
+        leaves a named variable unbound splits into one that requires it
+        even and one that requires it odd, each with its own sign."""
+        if self.sign_free or not factors:
+            return value
+        names = tuple(dict.fromkeys(_factor_names(factors)))
+        positions = [_bound(name, env) for name in names]
+        signs = {parities: self.koszul_sign(factors, dict(zip(names,
+                                                               parities)))
+                 for parities in itertools.product((0, 1), repeat=len(names))}
+        out = {}
+        for l, column in value.entries.items():
+            target = out.setdefault(l, {})
+            for code, c in column.items():
+                for key, parities in self._parity_splits(code, positions):
+                    if signs[parities] < 0:
+                        target[key] = target.get(key, kernel.ZERO) - c
+                    else:
+                        target[key] = target.get(key, kernel.ZERO) + c
+        return _Tensor(_nonzero(out),
+                       value.mask | sum(1 << p for p in positions))
+
+    def _parity_splits(self, code, positions):
+        """(key, parities of the variables at `positions`) for the key
+        `code`: once for each parity of the variables it leaves unbound, the
+        key that requires those parities."""
+        parities = [self._parity[code // self.weights[p] % self.base]
+                    for p in positions]
+        free = [i for i, parity in enumerate(parities) if parity is None]
+        for choice in itertools.product((0, 1), repeat=len(free)):
+            key = code
+            for i, q in zip(free, choice):
+                parities[i] = q
+                key += (self.space.dim + 1 + q) * self.weights[positions[i]]
+            yield key, tuple(parities)
+
+
+def _require_multilinear(identity):
+    if not identity.multilinear:
+        raise NonMultilinearLaw(
+            "not multilinear, so basis tuples do not decide it: %s"
+            % pretty(identity))
+
+
 def check_identity(identity, algebra, name="identity", sign_free=False,
                    first_only=False):
     """Exhaustively check a multilinear law over all homogeneous basis
@@ -759,18 +998,32 @@ def check_identity(identity, algebra, name="identity", sign_free=False,
     For k variables over an n-dimensional space this decides the n^k
     bindings in lexicographic order; because every monomial of the law has
     degree 1 in every variable, this decides the law for all homogeneous
-    elements.  Any other law raises NonMultilinearLaw.  With first_only=True
-    the scan stops at the first counterexample (used by the search, where
-    only the verdict matters).  The counterexamples are the tuples that
-    `residuals` yields; `checked` counts the tuples decided, so it is n^k,
-    or with first_only the position of the first counterexample, as in a
-    full scan.
+    elements.  Any other law raises NonMultilinearLaw, and a law on an
+    operation the algebra lacks MissingOpSlot.  With first_only=True the
+    scan stops at the first counterexample (used by the search, where only
+    the verdict matters).  `checked` counts the tuples decided, so it is
+    n^k, or with first_only the position of the first counterexample, as
+    in a full scan.
+
+    A law with a "{,,}" slot or a zero operation is evaluated once as a
+    tensor (`residuals`), which costs little where its operations are zero
+    or sparse.  Every other law is evaluated tuple by tuple
+    (`_tuple_residuals`), which stops at once on a failing search
+    candidate.  Their full checks would be faster as tensors too; ROADMAP
+    item 2 says why they wait.
     """
+    _require_multilinear(identity)
+    evaluator = Evaluator(algebra, sign_free)
+    ops = [evaluator.op(slot) for slot in identity.slots]
+    if "{,,}" in identity.slots or any(op.is_zero() for op in ops):
+        found = residuals(identity, algebra, sign_free)
+    else:
+        found = _tuple_residuals(identity, evaluator)
     labels = algebra.space.labels
     n = algebra.space.dim
     checked = n ** len(identity.variables)
     bad = []
-    for combo, residual in residuals(identity, algebra, sign_free):
+    for combo, residual in found:
         bad.append({"tuple": [labels[i] for i in combo],
                     "residual": dict(residual.nonzero_items())})
         if first_only:
@@ -785,160 +1038,31 @@ def residuals(identity, algebra, sign_free=False):
     """Yield (tuple of basis indices, residual Vector) for every basis
     tuple, in lexicographic order, where a multilinear law does not vanish;
     any other law raises NonMultilinearLaw, and a law on an operation the
-    algebra lacks MissingOpSlot.  On a law with a ternary or a zero
-    operation, only the tuples inside the support analysis's bound are
-    evaluated (see the module docstring)."""
-    if not identity.multilinear:
-        raise NonMultilinearLaw(
-            "not multilinear, so basis tuples do not decide it: %s"
-            % pretty(identity))
+    algebra lacks MissingOpSlot.  The law is evaluated once, as a tensor
+    over all tuples (`_TensorEvaluator`)."""
+    _require_multilinear(identity)
+    evaluator = _TensorEvaluator(algebra, identity.variables, sign_free)
+    rows = {}
+    for l, column in evaluator.eval(identity, evaluator.env).entries.items():
+        for code, c in column.items():
+            rows.setdefault(code, {})[l] = c
+    space = algebra.space
+    for code in sorted(rows):
+        coords = [kernel.ZERO] * space.dim
+        for l, c in rows[code].items():
+            coords[l] = c
+        yield evaluator.binding(code), kernel.Vector(space, coords)
+
+
+def _tuple_residuals(identity, evaluator):
+    """What `residuals` yields, found by evaluating the law on every basis
+    tuple in turn."""
     variables = identity.variables
-    n = algebra.space.dim
-    evaluator = Evaluator(algebra, sign_free)
-    tuples = _support_tuples(identity, evaluator, variables, n)
-    if tuples is None:
-        tuples = itertools.product(range(n), repeat=len(variables))
-    for combo in tuples:
+    for combo in itertools.product(range(evaluator.space.dim),
+                                   repeat=len(variables)):
         residual = evaluator.eval(identity, dict(zip(variables, combo)))
         if not residual.is_zero():
             yield combo, residual
-
-
-def _support_tuples(law, evaluator, variables, n):
-    """The binding tuples, in lexicographic order, outside of which the
-    law's residual is known to vanish (see _Support); None when they are
-    not fewer than all n^k tuples, or when the law has neither a ternary
-    operation nor a zero one.  Raises MissingOpSlot for a slot of the law
-    that the algebra lacks.
-
-    The laws on "{,,}" are pruned: they have the most tuples (n^4 and n^5
-    for SHLY6-8), and a sparse ternary leaves them few to evaluate.  So is
-    any law on a zero operation, which the analysis bounds to no tuple at
-    all where every term uses it.  The other binary laws keep the full
-    scan for now.  Pruning them as well would make `homsuper verify` about
-    twice as fast, and perfbench, whose memory grows with every completed
-    job, reports that as a peak-RSS regression; sparse evaluation of every
-    law waits for that fix (ROADMAP item 2).
-    """
-    ops = [evaluator.op(slot) for slot in law.slots]
-    if "{,,}" not in law.slots and not any(op.is_zero() for op in ops):
-        return None
-    total = n ** len(variables)
-    tuples = set()
-    for boxes in _Support(evaluator, total).boxes(law).values():
-        for box in boxes:
-            tuples.update(itertools.product(*(
-                sorted(box[name]) if name in box else range(n)
-                for name in variables)))
-            if len(tuples) >= total:
-                return None
-    return sorted(tuples)
-
-
-class _Support:
-    """Where a node can be nonzero, over-approximated coordinate by
-    coordinate: boxes(node) maps a basis index l to a list of boxes that
-    together cover every binding at which coordinate l of the node's value
-    can be nonzero.  A box maps variable names to the sets of basis indices
-    allowed for them; a name it leaves out may take any index.
-
-    A variable bound to b_i is nonzero at coordinate i only, and a^k moves
-    coordinate i to the nonzero entries of row i of a^k.  An operation
-    reaches coordinate l only through a structure constant (i, j, ..., l),
-    where its arguments are nonzero at i, j, ... at once, so its boxes are
-    the intersections of theirs; a zero operation has none, and a sparse
-    one few.  Scalings and signs keep the boxes of their argument, a sum
-    is the union of its terms, and a cyclic sum the union of its body's
-    three rotations.  A node with more than `limit` boxes gets one box
-    allowing everything at every coordinate, so the analysis never costs
-    much more than the scan it prunes.
-    """
-
-    def __init__(self, evaluator, limit):
-        self.evaluator = evaluator
-        self.limit = limit
-        self.n = evaluator.space.dim
-        self._images = {}
-
-    def boxes(self, node):
-        if isinstance(node, Zero):
-            return {}
-        if isinstance(node, Var):
-            return {i: [{node.name: frozenset((i,))}] for i in range(self.n)}
-        if isinstance(node, (Scale, Sign)):
-            return self.boxes(node.sub)
-        if isinstance(node, Alpha):
-            images = self.images(node.power)
-            moved = [{k: boxes for k in images.get(i, ())}
-                     for i, boxes in self.boxes(node.sub).items()]
-            return self._merged(moved)
-        if isinstance(node, (Sum, Identity)):
-            return self._merged(self.boxes(child)
-                                for child in _children(node))
-        if isinstance(node, Cyc):
-            # The body's x, y, z are bound to the law's x, y, z, then to
-            # y, z, x, then to z, x, y (see _rotations).
-            x, y, z = node.vars
-            body = self.boxes(node.body)
-            renames = [dict(zip((x, y, z), order))
-                       for order in ((x, y, z), (y, z, x), (z, x, y))]
-            return self._merged(
-                {l: [{rename.get(name, name): allowed
-                      for name, allowed in box.items()} for box in boxes]
-                 for l, boxes in body.items()}
-                for rename in renames)
-        op = self.evaluator.op(node.slot)
-        args = [self.boxes(arg) for arg in _children(node)]
-        reached = {}
-        for key, terms in op.constants.items():
-            met = [{}]
-            for arg, index in zip(args, key):
-                met = [both for both in (_meet_box(box, other)
-                                         for box in met
-                                         for other in arg.get(index, ()))
-                       if both is not None]
-            for l, _ in terms:
-                reached.setdefault(l, []).extend(met)
-            if sum(map(len, reached.values())) > self.limit:
-                return self._everything()
-        return self._merged([reached])
-
-    def images(self, power):
-        """index i -> the coordinates of the image of b_i under a^power."""
-        images = self._images.get(power)
-        if images is None:
-            alpha = self.evaluator.alpha(power)
-            images = self._images[power] = {
-                row: frozenset(k for k, _ in terms)
-                for (row,), terms in alpha.constants.items()}
-        return images
-
-    def _merged(self, parts):
-        """The union of coordinate -> boxes maps, without repeated boxes."""
-        merged = {}
-        for part in parts:
-            for l, boxes in part.items():
-                unique = merged.setdefault(l, {})
-                for box in boxes:
-                    unique.setdefault(tuple(sorted(box.items())), box)
-        if sum(map(len, merged.values())) > self.limit:
-            return self._everything()
-        return {l: list(unique.values()) for l, unique in merged.items()}
-
-    def _everything(self):
-        return {l: [{}] for l in range(self.n)}
-
-
-def _meet_box(box, other):
-    """The intersection of two boxes, or None when it is empty."""
-    both = dict(box)
-    for name, allowed in other.items():
-        if name in both:
-            allowed = both[name] & allowed
-            if not allowed:
-                return None
-        both[name] = allowed
-    return both
 
 
 # --------------------------------------------------------------------------

@@ -110,22 +110,31 @@ class Vector:
         self.space = space
         self.coords = coords
 
+    @classmethod
+    def _trusted(cls, space, coords):
+        """A vector over coords as given: a tuple of space.dim Fractions,
+        such as the kernel computes from Fractions."""
+        vector = object.__new__(cls)
+        vector.space = space
+        vector.coords = coords
+        return vector
+
     def __add__(self, other):
         self._check_same(other)
-        return Vector(self.space, tuple(a + b for a, b
-                                        in zip(self.coords, other.coords)))
+        return Vector._trusted(self.space, tuple(
+            a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check_same(other)
-        return Vector(self.space, tuple(a - b for a, b
-                                        in zip(self.coords, other.coords)))
+        return Vector._trusted(self.space, tuple(
+            a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return Vector(self.space, tuple(-a for a in self.coords))
+        return Vector._trusted(self.space, tuple(-a for a in self.coords))
 
     def scale(self, c):
         c = scalar(c)
-        return Vector(self.space, tuple(c * a for a in self.coords))
+        return Vector._trusted(self.space, tuple(c * a for a in self.coords))
 
     __rmul__ = scale
 
@@ -191,7 +200,8 @@ class MultilinearOp:
         """The image of a basis tuple, built once."""
         vector = self._basis.get(index)
         if vector is None:
-            vector = self._basis[index] = Vector(self.space, self._row(index))
+            vector = self._basis[index] = Vector._trusted(self.space,
+                                                          self._row(index))
         return vector
 
     def _row(self, index):
@@ -216,7 +226,7 @@ class MultilinearOp:
                 scale = functools.reduce(operator.mul, values)
                 for l, c in terms:
                     out[l] += scale * c
-        return Vector(space, out)
+        return Vector._trusted(space, tuple(out))
 
     @functools.cached_property
     def table(self):

@@ -4,8 +4,9 @@ satisfying a given law suite.
 Candidates are enumerated in lexicographic order: the twisting-map choice is
 the outer digit string (identity only, or diagonal entries over a pool), the
 parity-allowed structure constants the inner one, both in the order the
-coefficient lists were given.  The search space size is computed up front
-and refused when it exceeds the configured bound; an optional time budget
+coefficient lists were given.  The search space size is computed up front,
+by counting rather than by building the slots, and refused when it exceeds
+the configured bound; an optional time budget
 stops the scan early with the partial flag set.  Results are re-buildable
 from their candidate index, so the output is deterministic.
 
@@ -28,6 +29,7 @@ ends at the result cap or after the first chunk that ran out of time, so
 the results are always those of a scanned prefix of the index order.
 """
 
+import functools
 import itertools
 import os
 import time
@@ -72,17 +74,47 @@ class SearchSpec:
                                    % self.max_results)
         self.budget_ms = budget_ms
         self.max_space = int(max_space)
-        self.space = SuperSpace(*self.dims)
-        self.slots = _allowed_slots(self.space)
         self._last_alpha = (None, None)
+
+    @functools.cached_property
+    def space(self):
+        self.space_size()  # refuses an oversize space first
+        return SuperSpace(*self.dims)
+
+    @functools.cached_property
+    def slots(self):
+        return _allowed_slots(self.space)
 
     def alpha_count(self):
         if self.alpha_pool is None:
             return 1
-        return len(self.alpha_pool) ** self.space.dim
+        return len(self.alpha_pool) ** sum(self.dims)
 
     def space_size(self):
-        return self.alpha_count() * len(self.coeffs) ** len(self.slots)
+        """The number of candidates.  Raises SearchSpaceError when it, or
+        the number of free constants, is above max_space; both are counted
+        without building a slot, and the size is computed only up to the
+        bound."""
+        even, odd = self.dims
+        # Products b_i*b_j and b_k of one parity: even*even or odd*odd
+        # onto an even b_k, even*odd or odd*even onto an odd one.
+        slots = (even * even + odd * odd) * even + 2 * even * odd * odd
+        if slots > self.max_space:
+            raise SearchSpaceError(
+                "search space has more than %d free constants"
+                % self.max_space)
+        size = 1
+        for base, exponent in ((len(self.coeffs), slots),
+                               (len(self.alpha_pool or (1,)), even + odd)):
+            if base > 1:
+                # At most log2(max_space) + 1 factors before the bound.
+                for _ in range(exponent):
+                    size *= base
+                    if size > self.max_space:
+                        raise SearchSpaceError(
+                            "search space has more than %d candidates"
+                            % self.max_space)
+        return size
 
     def checks(self):
         """The checks the suite expands to on this space.  Raises
@@ -244,10 +276,6 @@ def run_search(spec):
     candidates passing the suite.  Raises SearchSpaceError when the space
     exceeds spec.max_space."""
     size = spec.space_size()
-    if size > spec.max_space:
-        raise SearchSpaceError(
-            "search space has %d candidates, above the bound %d"
-            % (size, spec.max_space))
     checks = spec.checks()
     filtered = spec.alpha_pool is not None and "multiplicativity" in checks
     deadline = None

@@ -196,6 +196,17 @@ def test_search_rejects_oversized_space(capsys):
     assert "space" in capsys.readouterr().err
 
 
+def test_search_refuses_a_huge_space_before_any_output(capsys):
+    # 3^8000, 3^15625 and 3^1000000 candidates: none of these numbers is
+    # formatted, and no slot is built.
+    for dims in ("20,0", "25,0", "100,0"):
+        assert cli.main(["search", "--dims", dims, "--coeffs=-1,0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: search space has more than "
+                                "10000000 candidates\n"), dims
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     code = cli.main(["verify", corpus_file("zero_1_1.json"),
                      "--suite", "bogus"])

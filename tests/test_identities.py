@@ -558,9 +558,12 @@ def test_folded_check_matches_the_per_tuple_evaluator(case):
 
 def test_law_folded_to_zero_passes_without_evaluating(monkeypatch):
     zero = make_algebra(2, 1, {}, alpha=[2, 3, 5])
+    evaluate = idn.Evaluator.eval
 
-    def refuse(*args):
-        raise AssertionError("evaluated a tuple")
+    def refuse(self, node, env):
+        if not isinstance(self, idn._TensorEvaluator):
+            raise AssertionError("evaluated a tuple")
+        return evaluate(self, node, env)
 
     monkeypatch.setattr(idn.Evaluator, "eval", refuse)
     for first_only in (False, True):
@@ -616,12 +619,13 @@ def test_pruned_check_matches_the_per_tuple_evaluator(algebra):
 
 
 def _tuples_evaluated(monkeypatch, law, algebra):
-    """The report of check_identity and the tuples it evaluated."""
+    """The report of check_identity and the basis tuples it evaluated the
+    law on one by one; the tensor evaluation of a law counts as none."""
     seen = []
     evaluate = idn.Evaluator.eval
 
     def spy(self, node, env):
-        if node is law:
+        if node is law and not isinstance(self, idn._TensorEvaluator):
             seen.append(tuple(env[name] for name in law.variables))
         return evaluate(self, node, env)
 
@@ -631,20 +635,24 @@ def _tuples_evaluated(monkeypatch, law, algebra):
     return report, seen
 
 
+def _assert_reference_report(report, law, algebra):
+    bad = _reference_counterexamples(law, algebra)
+    assert report.checked == algebra.space.dim ** len(law.variables)
+    assert report.counterexamples == [c for _, c in bad]
+
+
 def test_sparse_ternary_law_scans_only_its_support(monkeypatch):
     # The Lie algebra b1*b3 = b3 plus a line: its Lie-Yamaguti ternary
-    # {x,y,z} = -(x*y)*a(z) has two nonzero constants.
+    # {x,y,z} = -(x*y)*a(z) has two nonzero constants.  SHLY8 is evaluated
+    # as a tensor, on no basis tuple.
     lie = make_algebra(2, 1, {(0, 2, 2): 1, (2, 0, 2): -1})
     ly = constructions.build_hom_ly(lie)
     law = hs.REGISTRY["SHLY8"]
     assert not ly.ternary.is_zero()
     report, seen = _tuples_evaluated(monkeypatch, law, ly)
-    n = ly.space.dim
-    assert report.checked == n ** 5
-    assert 0 < len(seen) < n ** 5 // 4
-    assert seen == sorted(set(seen))
-    bad = _reference_counterexamples(law, ly)
-    assert report.counterexamples == [c for _, c in bad]
+    assert seen == []
+    assert report.checked == ly.space.dim ** 5
+    _assert_reference_report(report, law, ly)
 
 
 def test_binary_laws_keep_the_full_scan(monkeypatch):
@@ -661,38 +669,32 @@ def _with_ternary(algebra, entries):
 
 def test_zero_ternary_skips_the_ternary_laws(monkeypatch):
     # b1*b3 = b3 = -b3*b1, and every term of SHLY2, 4, 6, 7 and 8 uses
-    # the zero ternary.
+    # the zero ternary.  SHLY5 keeps its product term, nonzero at
+    # (b1,b3,b1) and (b3,b1,b1) only, whose rotations cancel.
     algebra = _with_ternary(
         make_algebra(2, 1, {(0, 2, 2): 1, (2, 0, 2): -1}), {})
-    n = algebra.space.dim
-    for name in ("SHLY2", "SHLY4", "SHLY6", "SHLY7", "SHLY8"):
+    for name in ("SHLY2", "SHLY4", "SHLY5", "SHLY6", "SHLY7", "SHLY8"):
         law = hs.REGISTRY[name]
         report, seen = _tuples_evaluated(monkeypatch, law, algebra)
         assert seen == [], name
-        assert report.passed and report.checked == n ** len(law.variables)
-    # SHLY5 keeps its product term: (x*y)*a(z) is nonzero at (b1,b3,b1)
-    # and (b3,b1,b1) only, so the tuples evaluated are their rotations.
-    law = hs.REGISTRY["SHLY5"]
-    report, seen = _tuples_evaluated(monkeypatch, law, algebra)
-    assert seen == [(0, 0, 2), (0, 2, 0), (2, 0, 0)]
-    assert report.checked == n ** 3
-    bad = _reference_counterexamples(law, algebra)
-    assert report.counterexamples == [c for _, c in bad]
+        assert report.passed, name
+        _assert_reference_report(report, law, algebra)
 
 
 def test_zero_bracket_skips_the_akivis_jacobian(monkeypatch):
     # b1*b1 = b2 is commutative, so the bracket Jacobian on the left of
-    # AKIVIS vanishes, and only the support of the ternary {b1,b2,b3} = b1
-    # on the right is evaluated: the permutations of (b1, b2, b3).
+    # AKIVIS vanishes, and only the ternary {b1,b2,b3} = b1 on the right
+    # is left: it fails on the permutations of (b1, b2, b3).
     algebra = _with_ternary(make_algebra(3, 0, {(0, 0, 1): 1}),
                             {(0, 1, 2, 0): 1})
     assert algebra.bracket().is_zero()
     law = hs.REGISTRY["AKIVIS"]
     report, seen = _tuples_evaluated(monkeypatch, law, algebra)
-    assert seen == sorted(itertools.permutations(range(3)))
-    assert report.checked == 27
-    bad = _reference_counterexamples(law, algebra)
-    assert report.counterexamples == [c for _, c in bad]
+    assert seen == []
+    assert [tuple(int(label[1:]) - 1 for label in c["tuple"])
+            for c in report.counterexamples] == sorted(
+        itertools.permutations(range(3)))
+    _assert_reference_report(report, law, algebra)
 
 
 def test_full_scan_when_no_used_slot_is_zero(monkeypatch, a2b):
@@ -704,17 +706,37 @@ def test_full_scan_when_no_used_slot_is_zero(monkeypatch, a2b):
     assert seen == list(itertools.product(range(2), repeat=3))
 
 
+# --------------------------------------------------------------------------
+# The tensor evaluation of a law
+
+def _support(law, algebra):
+    """Coordinate -> the sorted keys of the law's tensor there, each key the
+    {variable: basis index} binding it matches."""
+    evaluator = idn._TensorEvaluator(algebra, law.variables)
+    tensor = evaluator.eval(law, evaluator.env)
+    n = algebra.space.dim
+    support = {}
+    for l, column in tensor.entries.items():
+        keys = []
+        for code in column:
+            digits = [code // w % evaluator.base for w in evaluator.weights]
+            keys.append({name: d - 1 for name, d in zip(law.variables, digits)
+                         if 1 <= d <= n})
+        support[l] = sorted(keys, key=lambda key: sorted(key.items()))
+    return support
+
+
 def test_support_follows_the_twisting_map_to_its_preimages():
     # a swaps b1 and b2, so a(x)*y, nonzero only at b1*b1 = b2, needs
     # x = b2 and y = b1, and then lies on b2.
     algebra = make_algebra(2, 0, {(0, 0, 1): 1},
                            alpha=hs.EvenMap(hs.SuperSpace(2, 0),
                                             [[0, 1], [1, 0]]))
-    support = idn._Support(idn.Evaluator(algebra), 100)
-    assert support.boxes(hs.parse_identity("a(x)*y = 0")) == {
-        1: [{"x": {1}, "y": {0}}]}
-    assert support.boxes(hs.parse_identity("a2(x)*y = x*a(y)")) == {
-        1: [{"x": {0}, "y": {0}}, {"x": {0}, "y": {1}}]}
+    assert _support(hs.parse_identity("a(x)*y = 0"), algebra) == {
+        1: [{"x": 1, "y": 0}]}
+    # a2 is the identity: b1*b1 - b1*a(b1) = b2, b1*b2 - b1*a(b2) = -b2.
+    assert _support(hs.parse_identity("a2(x)*y = x*a(y)"), algebra) == {
+        1: [{"x": 0, "y": 0}, {"x": 0, "y": 1}]}
 
 
 def test_support_follows_output_coordinates_through_operations():
@@ -722,19 +744,106 @@ def test_support_follows_output_coordinates_through_operations():
     # b2*b1 = -b2 and b4*b3 = -2 b4: 4 of the 64 tuples.
     algebra = make_algebra(4, 0, {(0, 1, 1): 1, (1, 0, 1): -1,
                                   (2, 3, 3): 2, (3, 2, 3): -2})
-    support = idn._Support(idn.Evaluator(algebra), 100)
-    assert support.boxes(hs.parse_identity("(x*y)*a(z) = 0")) == {
-        1: [{"x": {0}, "y": {1}, "z": {0}}, {"x": {1}, "y": {0}, "z": {0}}],
-        3: [{"x": {2}, "y": {3}, "z": {2}}, {"x": {3}, "y": {2}, "z": {2}}]}
+    assert _support(hs.parse_identity("(x*y)*a(z) = 0"), algebra) == {
+        1: [{"x": 0, "y": 1, "z": 0}, {"x": 1, "y": 0, "z": 0}],
+        3: [{"x": 2, "y": 3, "z": 2}, {"x": 3, "y": 2, "z": 2}]}
 
 
 def test_support_rotates_with_the_cyclic_sum():
+    # Not multilinear: each rotation of the body leaves one variable
+    # unbound, and its keys say so.
     algebra = make_algebra(3, 0, {(0, 1, 2): 1})
-    support = idn._Support(idn.Evaluator(algebra), 100)
     law = hs.parse_identity("cyc[x,y,z; 1](x*y) = 0")
-    assert support.boxes(law) == {2: [{"x": {0}, "y": {1}},
-                                      {"y": {0}, "z": {1}},
-                                      {"z": {0}, "x": {1}}]}
-    # Over its limit, a node gets one box allowing everything.
-    assert idn._Support(idn.Evaluator(algebra), 2).boxes(law) == {
-        0: [{}], 1: [{}], 2: [{}]}
+    assert _support(law, algebra) == {2: [{"x": 0, "y": 1},
+                                          {"x": 1, "z": 0},
+                                          {"y": 0, "z": 1}]}
+
+
+# Sign factors on variables that their subterm does not bind: the sign is
+# decided once the product binds them.
+_DEFERRED_SIGN_LAWS = [hs.parse_identity(text) for text in (
+    "(s(x,z) x*y)*a(z) = 0",
+    "(s(x,z) x*y)*a(z) = s(x,z) (x*y)*a(z)",
+    "a(s((y+z),u) x)*(s(x,y) [y, z]*u) = (x*y)*(z*u)",
+    "{s(z,u) x, s(y,(x+u)) y, z*u} = - s(x,y) {y, x, z*u}",
+    "u*cyc[x,y,z; s(x,(y+u))]((x*y)*a(z)) = 0",
+    "cyc[x,y,z; s(x,z)](s(u,y) a(u)*(x*[y, z])) = 0",
+)]
+
+
+def _signed_algebra():
+    """A (1|2) algebra whose product is nonzero on every parity sector,
+    with a ternary and a twisting map that is not diagonal."""
+    space = hs.SuperSpace(1, 2)
+    product = hs.BilinearOp(space, entries={
+        (0, 0, 0): 1, (1, 2, 0): 1, (2, 1, 0): 2, (1, 1, 0): -1,
+        (0, 1, 2): 1, (2, 0, 1): -1, (0, 2, 1): 3})
+    ternary = hs.TernaryOp(space, entries={
+        (0, 1, 2, 0): 1, (1, 1, 0, 0): 2, (2, 0, 0, 1): -1, (0, 0, 0, 0): 1})
+    alpha = hs.EvenMap(space, [[2, 0, 0], [0, 1, 1], [0, 0, -1]])
+    return hs.HomSuperalgebra(space, product, alpha, ternary=ternary)
+
+
+def _assert_tensor_matches_tuples(law, algebra, sign_free):
+    """residuals against the per-tuple scan; returns the residuals, or
+    None when the algebra lacks a slot of the law."""
+    if any(algebra.op_for_slot(slot) is None for slot in law.slots):
+        with pytest.raises(hs.MissingOpSlot):
+            list(idn.residuals(law, algebra, sign_free))
+        return None
+    found = list(idn.residuals(law, algebra, sign_free))
+    assert found == list(idn._tuple_residuals(
+        law, idn.Evaluator(algebra, sign_free))), idn.pretty(law)
+    return found
+
+
+@pytest.mark.parametrize("law", _DEFERRED_SIGN_LAWS, ids=idn.pretty)
+def test_deferred_signs_match_the_per_tuple_scan(law):
+    algebra = _signed_algebra()
+    assert law.multilinear
+    found = {sign_free: _assert_tensor_matches_tuples(law, algebra,
+                                                      sign_free)
+             for sign_free in (False, True)}
+    for sign_free in (False, True):
+        report = hs.check_identity(law, algebra, sign_free=sign_free)
+        assert [tuple(int(label[1:]) - 1 for label in c["tuple"])
+                for c in report.counterexamples] == [
+            combo for combo, _ in found[sign_free]]
+    if law is _DEFERRED_SIGN_LAWS[1]:
+        # The sign is a scalar, so where it stands makes no difference.
+        assert found[False] == []
+    else:
+        assert found[False] and found[False] != found[True]
+
+
+_DIFFERENTIAL_LAWS = dict(
+    hs.REGISTRY, MIXED=_MIXED_LAW,
+    TERNARY_EQ_DEF=idn.TERNARY_EQ_DEF, TERNARY_EQ_HALF=idn.TERNARY_EQ_HALF,
+    YAU_TWIST=constructions.YAU_TWIST,
+    **{"%s %s" % (structure, slot): template
+       for structure, slots in idn.DERIVED.items()
+       for slot, template in slots.items()},
+    **{"deferred %d" % i: law for i, law in enumerate(_DEFERRED_SIGN_LAWS)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(graded_algebras(),
+                 zeroed_algebras().map(lambda case: case[1]),
+                 sparse_algebras()),
+       st.booleans())
+def test_tensor_residuals_match_the_per_tuple_scan(algebra, sign_free):
+    for name, law in _DIFFERENTIAL_LAWS.items():
+        _assert_tensor_matches_tuples(law, algebra, sign_free)
+
+
+def test_tensor_path_raises_as_the_scan_does(a2b):
+    law = hs.REGISTRY["SHLY7"]
+    for first_only in (False, True):
+        with pytest.raises(hs.MissingOpSlot):
+            hs.check_identity(law, a2b, first_only=first_only)
+    # Even on an empty space, where no tuple is evaluated.
+    empty = make_algebra(0, 0, {})
+    with pytest.raises(hs.MissingOpSlot):
+        list(idn.residuals(law, empty))
+    with pytest.raises(hs.NonMultilinearLaw):
+        list(idn.residuals(hs.parse_identity("x*x = 0"), a2b))

@@ -64,6 +64,33 @@ def test_vector_dimension_mismatch():
         sp.basis_vector(0) + other.basis_vector(0)
 
 
+def test_public_vector_coerces_and_refuses_inexact_entries():
+    sp = hs.SuperSpace(1, 1)
+    v = hs.Vector(sp, ["1/2", 3])
+    assert v.coords == (Fraction(1, 2), Fraction(3))
+    assert all(type(c) is Fraction for c in v.coords)
+    with pytest.raises(TypeError):
+        hs.Vector(sp, [0.5, 1])
+    with pytest.raises(ValueError, match="exponent"):
+        hs.Vector(sp, ["1e3", 1])
+    with pytest.raises(TypeError):
+        sp.basis_vector(0).scale(0.5)
+
+
+def test_kernel_vectors_hold_fractions():
+    # The kernel builds its results without coercing them again, so what
+    # it hands out must already be exact Fractions.
+    sp = hs.SuperSpace(2, 1)
+    op = hs.BilinearOp(sp, entries={(0, 1, 1): 2, (2, 2, 0): "-1/3"})
+    alpha = hs.EvenMap.diagonal(sp, [1, "1/2", 3])
+    x = hs.Vector(sp, [1, 2, 3])
+    for v in (op(x, x), op.on_basis(2, 2), alpha(x), alpha.on_basis(1),
+              x + x, x - x, -x, x.scale(2), 2 * x):
+        assert len(v.coords) == 3
+        assert all(type(c) is Fraction for c in v.coords), v
+    assert op(x, x).coords == (Fraction(-3), Fraction(4), 0)
+
+
 def test_eval_bilinear_examples():
     sp = hs.SuperSpace(2, 0)
     zero_op = hs.BilinearOp(sp)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import homsuper as hs
-from homsuper import identities, kernel
+from homsuper import identities, kernel, search
 from homsuper.search import (SearchSpec, SearchSpaceError, _merge_chunks,
                               run_search)
 from homsuper.serialize import algebra_to_document
@@ -66,6 +66,33 @@ def test_search_space_bound():
     spec = SearchSpec((2, 2), coeffs=("-1", "0", "1"), max_space=1000)
     with pytest.raises(SearchSpaceError):
         run_search(spec)
+
+
+def test_space_size_counts_the_allowed_slots():
+    for dims in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, 2), (2, 3)):
+        slots = search._allowed_slots(hs.SuperSpace(*dims))
+        spec = SearchSpec(dims, coeffs=("0", "1"), alpha=("1", "2", "3"),
+                          max_space=10 ** 30)
+        assert spec.space_size() == 3 ** sum(dims) * 2 ** len(slots), dims
+        assert spec.slots == slots
+
+
+def test_oversize_space_is_refused_before_a_slot_is_built(monkeypatch):
+    def refuse(space):
+        raise AssertionError("built the slots of %r" % (space,))
+
+    monkeypatch.setattr(search, "_allowed_slots", refuse)
+    spec = SearchSpec((100, 0), coeffs=("-1", "0", "1"))
+    with pytest.raises(SearchSpaceError, match="more than 10000000 cand"):
+        spec.space_size()
+    with pytest.raises(SearchSpaceError):
+        spec.slots
+    with pytest.raises(SearchSpaceError):
+        run_search(spec)
+    # One coefficient makes a single candidate, but it has 10^18 constants.
+    spec = SearchSpec((10 ** 6, 0), coeffs=("0",))
+    with pytest.raises(SearchSpaceError, match="free constants"):
+        spec.space_size()
 
 
 def test_diagonal_alpha_family_enumerates_maps():
