@@ -11,8 +11,8 @@ Exit codes: 0 everything passed, 1 some law failed (or a proof stayed
 inconclusive, or a construction precondition failed), 2 usage or I/O error,
 or a proof that exceeded the rewrite step limit.
 Reports stream line by line to stdout, deterministically ordered; --report
-json emits one JSON record per line.  HOMSUPER_WORKERS > 1 verifies files
-(and scans search chunks) in parallel without changing the output order.
+json emits one JSON record per line.  verify checks every file before it
+prints anything, so an unknown suite prints nothing to stdout.
 """
 
 import argparse
@@ -31,7 +31,7 @@ def main(argv=None):
         return args.func(args)
     except (serialize.DocumentError, search.SearchSpaceError,
             identities.UnknownSuite, identities.MissingOpSlot,
-            freealg.RewriteLimit) as exc:
+            freealg.RewriteLimit, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
@@ -105,23 +105,11 @@ def _verify_file(path, suite):
     return records, failed, None
 
 
-def _verify_file_args(args):
-    return _verify_file(*args)
-
-
 def cmd_verify(args):
-    workers = search.worker_count()
-    jobs = [(path, args.suite) for path in args.files]
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_file_args, jobs))
-    else:
-        results = [_verify_file(*job) for job in jobs]
+    results = [(path, _verify_file(path, args.suite)) for path in args.files]
     any_failed = False
     any_error = False
-    for (path, _), (records, failed, error) in zip(jobs, results):
+    for path, (records, failed, error) in results:
         if error is not None:
             print("error: %s" % error, file=sys.stderr)
             any_error = True
@@ -231,13 +219,13 @@ def cmd_search(args):
         alpha, args.suite, args.max_results, args.budget_ms)
     size = spec.space_size()  # an oversize space fails before any output
     spec.checks()  # and so does an unknown suite
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)  # and a bad directory
     _emit({"space_size": size, "slots": len(spec.slots)},
           "search space: %d candidates (%d free constants)"
           % (size, len(spec.slots)), args.report)
     outcome = search.run_search(spec)
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
     for doc in outcome.documents:
         _emit(doc, "found %s" % doc["name"], args.report)
         if out_dir is not None:

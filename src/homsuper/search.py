@@ -20,18 +20,15 @@ built.  `examined` counts every index the scan passed, built or not: a full
 scan reports the whole space, and a capped scan stops at the same index as
 a scan that builds every candidate.  The time budget is checked before each
 candidate that is built.  The scan does not check the parity rule, which
-every candidate keeps by construction.
+every candidate keeps by construction, nor, when the slot filter is on,
+multiplicativity, which every candidate it builds keeps too.
 
-The candidate space can be partitioned across worker processes (the
-HOMSUPER_WORKERS environment variable); chunks are merged back in index
-order, so the result order does not depend on the worker count.  The merge
-ends at the result cap or after the first chunk that ran out of time, so
-the results are always those of a scanned prefix of the index order.
+The scan is one serial pass in one process, so its results are always those
+of a scanned prefix of the index order.
 """
 
 import functools
 import itertools
-import os
 import time
 
 from . import identities as idn
@@ -153,23 +150,6 @@ class SearchSpec:
             self._last_alpha = (alpha_index, alpha)
         return self._last_alpha[1]
 
-    def to_data(self):
-        return {
-            "dims": self.dims,
-            "coeffs": [str(c) for c in self.coeffs],
-            "alpha": "id" if self.alpha_pool is None
-                     else [str(c) for c in self.alpha_pool],
-            "suite": self.suite,
-            "max_results": self.max_results,
-            "budget_ms": self.budget_ms,
-            "max_space": self.max_space,
-        }
-
-    @classmethod
-    def from_data(cls, data):
-        return cls(data["dims"], data["coeffs"], data["alpha"], data["suite"],
-                   data["max_results"], data["budget_ms"], data["max_space"])
-
 
 def _allowed_slots(space):
     slots = []
@@ -214,105 +194,48 @@ def _slot_digits(spec, alpha_index, filtered):
             for i, j, k in spec.slots]
 
 
-def _block_indices(spec, alpha_index, lo, hi, filtered):
-    """The candidate indices of one alpha block whose value index lies in
-    [lo, hi) and whose digits the slot filter allows, in increasing order."""
+def _indices(spec, filtered):
+    """The candidate indices whose digits the slot filter allows, in
+    increasing order."""
     base = len(spec.coeffs)
     weights = [base ** power for power in range(len(spec.slots) - 1, -1, -1)]
-    offset = alpha_index * base ** len(spec.slots)
-    # Each slot's digits ascend, so the product runs in index order.
-    for digits in itertools.product(*_slot_digits(spec, alpha_index,
-                                                  filtered)):
-        value = sum(digit * weight for digit, weight in zip(digits, weights))
-        if value >= hi:
-            return
-        if value >= lo:
-            yield offset + value
-
-
-def _scan(spec, start, end, deadline, cap, filtered):
-    """Scan candidate indices [start, end); returns (documents, examined,
-    hit_deadline).  Indices the slot filter rejects are counted as examined
-    without being built."""
-    documents = []
-    # Every candidate keeps the parity rule: `candidate` fills only the
-    # slots `_allowed_slots` allows, with an identity or diagonal alpha.
-    checks = [check for check in spec.checks() if check != "grading"]
-    constants_count = len(spec.coeffs) ** len(spec.slots)
-    for alpha_index in range(start // constants_count,
-                             (end - 1) // constants_count + 1):
-        block = alpha_index * constants_count
-        for index in _block_indices(spec, alpha_index,
-                                    max(start - block, 0),
-                                    min(end - block, constants_count),
-                                    filtered):
-            if deadline is not None and time.monotonic() > deadline:
-                return documents, index - start, True
-            algebra = spec.candidate(index)
-            if idn.suite_passes(checks, algebra):
-                algebra.metadata = {"source": "search", "candidate": index,
-                                    "expected": {spec.suite: True}}
-                documents.append(serialize.algebra_to_document(algebra))
-                if cap is not None and len(documents) >= cap:
-                    return documents, index + 1 - start, False
-    return documents, end - start, False
-
-
-def _scan_worker(args):
-    data, start, end, deadline, filtered = args
-    spec = SearchSpec.from_data(data)
-    return _scan(spec, start, end, deadline, spec.max_results, filtered)
-
-
-def worker_count():
-    try:
-        return max(1, int(os.environ.get("HOMSUPER_WORKERS", "1")))
-    except ValueError:
-        return 1
+    constants_count = base ** len(spec.slots)
+    for alpha_index in range(spec.alpha_count()):
+        offset = alpha_index * constants_count
+        # Each slot's digits ascend, so the product runs in index order.
+        for digits in itertools.product(*_slot_digits(spec, alpha_index,
+                                                      filtered)):
+            yield offset + sum(digit * weight
+                               for digit, weight in zip(digits, weights))
 
 
 def run_search(spec):
     """Enumerate the whole space (subject to cap and budget) and keep the
     candidates passing the suite.  Raises SearchSpaceError when the space
-    exceeds spec.max_space."""
+    exceeds spec.max_space.  Indices the slot filter rejects are counted as
+    examined without being built."""
     size = spec.space_size()
     checks = spec.checks()
     filtered = spec.alpha_pool is not None and "multiplicativity" in checks
+    # Every candidate keeps the parity rule: `candidate` fills only the
+    # slots `_allowed_slots` allows, with an identity or diagonal alpha.
+    # With the slot filter on, every candidate built is multiplicative too:
+    # its nonzero constants sit on slots with d_k = d_i * d_j.
+    skipped = {"grading", "multiplicativity"} if filtered else {"grading"}
+    checks = [check for check in checks if check not in skipped]
     deadline = None
     if spec.budget_ms is not None:
         deadline = time.monotonic() + spec.budget_ms / 1000.0
-    workers = worker_count()
-    if workers <= 1 or size < 2 * workers:
-        documents, examined, hit = _scan(spec, 0, size, deadline,
-                                         spec.max_results, filtered)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = (size + workers - 1) // workers
-        starts = range(0, size, chunk)
-        jobs = [(spec.to_data(), start, min(start + chunk, size), deadline,
-                 filtered) for start in starts]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_worker, jobs))
-        documents, examined, hit = _merge_chunks(starts, chunks,
-                                                 spec.max_results)
-    return SearchOutcome(spec, documents, examined, hit or examined < size)
-
-
-def _merge_chunks(starts, chunks, cap):
-    """Merge the (documents, examined, hit_deadline) results of chunks
-    starting at `starts`, in index order, into the outcome of one serial
-    scan: (documents, examined, hit_deadline).  The merge ends at the
-    cap-th document, or after the first chunk that hit the deadline, so
-    the documents are those of a scanned prefix of the index order."""
     documents = []
-    examined = 0
-    for start, (docs, count, hit) in zip(starts, chunks):
-        for doc in docs:
-            documents.append(doc)
-            if len(documents) >= cap:
-                return documents, doc["metadata"]["candidate"] + 1, False
-        examined = start + count
-        if hit:
-            return documents, examined, True
-    return documents, examined, False
+    for index in _indices(spec, filtered):
+        if deadline is not None and time.monotonic() > deadline:
+            return SearchOutcome(spec, documents, index, True)
+        algebra = spec.candidate(index)
+        if idn.suite_passes(checks, algebra):
+            algebra.metadata = {"source": "search", "candidate": index,
+                                "expected": {spec.suite: True}}
+            documents.append(serialize.algebra_to_document(algebra))
+            if len(documents) >= spec.max_results:
+                return SearchOutcome(spec, documents, index + 1,
+                                     index + 1 < size)
+    return SearchOutcome(spec, documents, size, False)

@@ -124,9 +124,10 @@ def document_to_algebra(doc, where="document"):
     if not isinstance(doc, dict):
         _fail(where, "expected a JSON object")
     dims = doc.get("dims")
-    if (not isinstance(dims, dict) or not isinstance(dims.get("even"), int)
-            or not isinstance(dims.get("odd"), int)
-            or dims["even"] < 0 or dims["odd"] < 0):
+    # `type(...) is int` refuses booleans, which are ints too.
+    if not isinstance(dims, dict) or not all(
+            type(dims.get(part)) is int and dims[part] >= 0
+            for part in ("even", "odd")):
         _fail(where + ".dims", 'expected {"even": E, "odd": O}')
     n = dims["even"] + dims["odd"]
     if n > MAX_DIM:

@@ -1,8 +1,11 @@
+import concurrent.futures
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import homsuper as hs
 from homsuper import cli
@@ -72,18 +75,22 @@ def test_verify_multiple_files_deterministic_order(capsys):
     assert seen == [files[0]] * 3 + [files[1]] * 3
 
 
-def test_verify_parallel_workers_keep_order(capsys, monkeypatch):
-    files = [corpus_file("leibniz_a2_b.json"), corpus_file("zero_1_1.json"),
-             corpus_file("leibniz_f2_e.json")]
-    code = cli.main(["verify", *files, "--suite", "leibniz",
-                     "--report", "json"])
-    serial = capsys.readouterr().out
+def test_workers_variable_starts_no_process_pool(capsys, monkeypatch):
+    # Search and verify run in one process whatever HOMSUPER_WORKERS says.
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a process pool")
+
     monkeypatch.setenv("HOMSUPER_WORKERS", "2")
-    parallel_code = cli.main(["verify", *files, "--suite", "leibniz",
-                              "--report", "json"])
-    parallel = capsys.readouterr().out
-    assert code == parallel_code == 0
-    assert serial == parallel
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    spec = hs.SearchSpec((1, 1), coeffs=("-1", "0", "1"))
+    assert spec.space_size() >= 4
+    outcome = hs.run_search(spec)
+    assert outcome.examined == spec.space_size() and outcome.documents
+    files = [corpus_file("leibniz_a2_b.json"), corpus_file("zero_1_1.json")]
+    assert cli.main(["verify", *files, "--suite", "leibniz"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()] == \
+        [files[0]] * 3 + [files[1]] * 3
 
 
 def test_construct_ly_writes_verified_document(capsys, tmp_path):
@@ -133,6 +140,35 @@ def test_construct_refuses_bad_precondition(capsys, tmp_path):
     assert code == 1
     assert "LLSI" in err and "b1" in err
     assert not (tmp_path / "no.json").exists()
+
+
+def test_construct_into_a_missing_directory_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "ly.json"
+    code = cli.main(["construct", corpus_file("leibniz_f2_e.json"),
+                     "--target", "ly", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert str(out_path) in captured.err
+
+
+@pytest.mark.parametrize("make_out_dir", [
+    lambda tmp_path: tmp_path / "file",  # an existing file
+    lambda tmp_path: tmp_path / "file" / "hits",  # a path under a file
+], ids=["existing-file", "under-a-file"])
+def test_search_into_a_bad_out_dir_exits_2(capsys, tmp_path, make_out_dir):
+    (tmp_path / "file").write_text("")
+    out_dir = make_out_dir(tmp_path)
+    code = cli.main(["search", "--dims", "1,1", "--coeffs", "0,1",
+                     "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_prove_exit_codes(capsys):

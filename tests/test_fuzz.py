@@ -71,6 +71,7 @@ _SETTINGS = settings(
          + b"1" * 5000 + b"]]}")
 @example(b"\xff\xfe{}")
 @example(b'{"dims": {"even": 1000, "odd": 0}}')
+@example(b'{"dims": {"even": true, "odd": false}}')
 @example(b'{"dims": {"even": 1, "odd": 0}, "product": [[1, 1, 1, '
          b'"1e300000"]]}')
 def test_loader_on_text_raises_only_document_errors(document_path, data):

@@ -5,8 +5,7 @@ import pytest
 
 import homsuper as hs
 from homsuper import identities, kernel, search
-from homsuper.search import (SearchSpec, SearchSpaceError, _merge_chunks,
-                              run_search)
+from homsuper.search import SearchSpec, SearchSpaceError, run_search
 from homsuper.serialize import algebra_to_document
 
 
@@ -148,15 +147,6 @@ def test_search_sound_and_complete_over_small_space():
         assert (index in returned) == passes
 
 
-def test_parallel_scan_matches_serial(monkeypatch):
-    spec = SearchSpec((1, 1), coeffs=("-1", "0", "1"), suite="leibniz")
-    serial = run_search(spec)
-    monkeypatch.setenv("HOMSUPER_WORKERS", "2")
-    parallel = run_search(spec)
-    assert [d["product"] for d in serial.documents] == \
-        [d["product"] for d in parallel.documents]
-
-
 def _brute_force(spec):
     """Every passing candidate, from spec.candidate and check_suite on each
     index, as (index, document) pairs."""
@@ -172,8 +162,7 @@ def _brute_force(spec):
 
 
 def _expected_outcome(spec, hits):
-    """(documents, examined, partial) that run_search must report, with any
-    number of workers."""
+    """(documents, examined, partial) that run_search must report."""
     size = spec.space_size()
     documents = [doc for _, doc in hits[:spec.max_results]]
     if len(hits) < spec.max_results:
@@ -192,17 +181,14 @@ def _expected_outcome(spec, hits):
     ((1, 1), ("-1", "0", "1"), ("0", "-1", "2", "1/2"), 5),
     ((1, 1), ("0", "1", "0"), "id", 3),
 ])
-def test_slot_filtered_scan_matches_brute_force(monkeypatch, dims, coeffs,
-                                                alpha, max_results):
+def test_slot_filtered_scan_matches_brute_force(dims, coeffs, alpha,
+                                                max_results):
     spec = SearchSpec(dims, coeffs=coeffs, alpha=alpha, suite="leibniz",
                       max_results=max_results)
-    hits = _brute_force(spec)
-    for workers in (1, 2):
-        monkeypatch.setenv("HOMSUPER_WORKERS", str(workers))
-        documents, examined, partial = _expected_outcome(spec, hits)
-        outcome = run_search(spec)
-        assert outcome.documents == documents, workers
-        assert (outcome.examined, outcome.partial) == (examined, partial)
+    documents, examined, partial = _expected_outcome(spec, _brute_force(spec))
+    outcome = run_search(spec)
+    assert outcome.documents == documents
+    assert (outcome.examined, outcome.partial) == (examined, partial)
 
 
 @pytest.mark.parametrize("dims,coeffs,alpha", [
@@ -225,7 +211,25 @@ def test_scan_skips_the_parity_check(monkeypatch):
         raise AssertionError("checked the parity rule")
 
     monkeypatch.setattr(kernel, "check_algebra_grading", refuse)
-    monkeypatch.setenv("HOMSUPER_WORKERS", "1")
+    outcome = run_search(spec)
+    assert outcome.documents == [doc for _, doc in hits]
+    assert outcome.examined == spec.space_size()
+
+
+def test_filtered_scan_skips_the_multiplicativity_check(monkeypatch):
+    # Under a diagonal alpha, multiplicativity is c_ijk (d_k - d_i d_j) = 0,
+    # which the slot filter already guarantees for every candidate it builds.
+    spec = SearchSpec((1, 1), coeffs=("-1", "0", "1"),
+                      alpha=("0", "-1", "2", "1/2"), suite="leibniz",
+                      max_results=1000)
+    assert "multiplicativity" in spec.checks()
+    hits = _brute_force(spec)
+    assert 0 < len(hits) < spec.space_size()
+
+    def refuse(algebra):
+        raise AssertionError("checked multiplicativity")
+
+    monkeypatch.setattr(kernel, "check_multiplicativity", refuse)
     outcome = run_search(spec)
     assert outcome.documents == [doc for _, doc in hits]
     assert outcome.examined == spec.space_size()
@@ -261,22 +265,3 @@ def test_suite_passes_stops_at_the_first_failing_check(monkeypatch):
 def test_ternary_law_raises_even_when_no_candidate_reaches_it():
     with pytest.raises(hs.MissingOpSlot):
         run_search(SearchSpec((1, 1), coeffs=("1",), suite="akivis"))
-
-
-def _hits(*indices):
-    return [{"metadata": {"candidate": index}} for index in indices]
-
-
-def test_parallel_merge_stops_after_the_chunk_that_hit_the_deadline():
-    # Three chunks of 100 candidates; the middle one hit the deadline after
-    # 40, so the last chunk's hits lie past the scanned prefix.
-    starts = [0, 100, 200]
-    chunks = [(_hits(5, 80), 100, False), (_hits(130), 40, True),
-              (_hits(210, 290), 100, False)]
-    assert _merge_chunks(starts, chunks, 10) == (_hits(5, 80, 130), 140, True)
-    # A cap reached first ends the merge where a serial scan ends.
-    assert _merge_chunks(starts, chunks, 3) == (_hits(5, 80, 130), 131, False)
-    assert _merge_chunks(starts, chunks, 2) == (_hits(5, 80), 81, False)
-    chunks[1] = (_hits(130), 100, False)
-    assert _merge_chunks(starts, chunks, 10) == \
-        (_hits(5, 80, 130, 210, 290), 300, False)

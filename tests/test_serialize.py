@@ -63,6 +63,15 @@ def test_rational_with_a_decimal_exponent_is_refused():
     assert algebra.alpha.rows == ((Fraction(-5, 4),),)
 
 
+def test_boolean_dimensions_are_refused():
+    # bool is an int in Python; a loader reading true as 1 would build a
+    # (1|0) algebra.
+    for dims in ({"even": True, "odd": False}, {"even": 1, "odd": False},
+                 {"even": False, "odd": 0}):
+        with pytest.raises(DocumentError, match=r"dims: expected"):
+            document_to_algebra({"dims": dims})
+
+
 def test_dimension_above_the_bound_is_refused(monkeypatch):
     for dims in ({"even": serialize.MAX_DIM + 1, "odd": 0},
                  {"even": 1000, "odd": 0}, {"even": 200, "odd": 200}):
