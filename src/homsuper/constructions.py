@@ -8,6 +8,13 @@ Every derived operation is a template in the identity language, declared
 once in `identities.DERIVED` for the constructions and the prover alike;
 its structure constants are the template's residuals (`identities.residuals`).
 The laws the checks need are templates too, so no formula is written twice.
+Every law a construction checks (its preconditions, its verdict and its
+postconditions) is read from the same tensor evaluation, through
+`_check_suite`: a construction checks laws it expects to hold, so a scan
+that stops at the first failing tuple would scan every tuple anyway, and
+the tensor evaluates them all in one walk.  The reports are those of
+`identities.check_suite`, whose binary laws `check_identity` still scans
+tuple by tuple for `verify` and `search` (ROADMAP item 1 says why).
 
 Constructions are pure: they return fresh immutable objects.  Preconditions
 are enforced (a refused input raises PreconditionError); the classical
@@ -34,6 +41,23 @@ class PreconditionError(ValueError):
     pass
 
 
+def _check_suite(names, algebra, first_only=False):
+    """The reports of identities.check_suite(names, algebra, first_only),
+    with grading and multiplicativity from the kernel and every law from
+    its tensor (`identities.residuals`)."""
+    reports = []
+    for check in idn.resolve_suite(names, algebra):
+        if check == "grading":
+            reports.append(check_algebra_grading(algebra))
+        elif check == "multiplicativity":
+            reports.append(check_multiplicativity(algebra))
+        else:
+            law = idn.REGISTRY[check]
+            reports.append(idn.residual_report(
+                check, law, algebra, idn.residuals(law, algebra), first_only))
+    return reports
+
+
 def _require_grading(algebra):
     report = check_algebra_grading(algebra)
     if not report.passed:
@@ -55,8 +79,7 @@ def _require_leibniz(algebra):
     _require_multiplicative(algebra)
     if algebra.left_leibniz:
         return
-    report = idn.check_identity(idn.REGISTRY["LLSI"], algebra, name="LLSI",
-                                first_only=True)
+    report, = _check_suite("LLSI", algebra, first_only=True)
     algebra._left_leibniz = report.passed
     if not report.passed:
         raise PreconditionError("product is not left Leibniz: "
@@ -113,7 +136,7 @@ def _derive(algebra, structure, verify, failure):
         _template_op(idn.DERIVED[structure]["{,,}"], algebra), algebra.alpha,
         name="%s(%s)" % (structure, algebra.name or "?"))
     if verify:
-        _ensure_passed(idn.check_suite(structure, derived), failure)
+        _ensure_passed(_check_suite(structure, derived), failure)
     return derived
 
 
@@ -142,13 +165,12 @@ def check_lie_admissible(algebra):
     When the verdict is a pass, the commutator algebra is re-checked against
     the full "lie" suite."""
     _require_leibniz(algebra)
-    report = idn.check_identity(idn.REGISTRY["LIE_ADMISSIBLE"], algebra,
-                                name="LIE_ADMISSIBLE")
+    report, = _check_suite("LIE_ADMISSIBLE", algebra)
     if report.passed:
         bracket_algebra = HomSuperalgebra(
             algebra.space, supercommutator(algebra), algebra.alpha,
             name="commutator(%s)" % (algebra.name or "?"))
-        _ensure_passed(idn.check_suite("lie", bracket_algebra),
+        _ensure_passed(_check_suite("lie", bracket_algebra),
                        "admissible verdict disagrees with the bracket laws: ")
     return report
 
@@ -200,6 +222,6 @@ def yau_twist(algebra, beta):
     twisted = HomSuperalgebra(algebra.space,
                               _template_op(YAU_TWIST, endo_probe), beta,
                               name="twist(%s)" % (algebra.name or "?"))
-    _ensure_passed(idn.check_suite("leibniz", twisted),
+    _ensure_passed(_check_suite("leibniz", twisted),
                    "twisted product lost the Leibniz law: ")
     return twisted

@@ -40,13 +40,19 @@ NonMultilinearLaw; `Identity.multilinear` holds the verdict.
 walks it once over sparse tensors keyed by (binding, output coordinate),
 contracting with the nonzero structure constants only, so a zero or sparse
 operation costs little, and the nonzero keys are the failing tuples, in
-lexicographic order.  The derived operations of `constructions`, templates
-declared once in `DERIVED`, are the residuals of their templates, and so
-are the ternary-equivalence reports.  `check_identity` reports from the
-same tensor on the laws with a "{,,}" slot or a zero operation.  The other
-laws, binary laws on nonzero operations, it evaluates tuple by tuple
+lexicographic order.  `residual_report` turns them into a `Report`.
+
+Every law `constructions` uses is read from the tensor: the derived
+operations (templates declared once in `DERIVED`), the ternary-equivalence
+reports, and every law a construction checks, through its own suite runner
+and `residual_report`.  `check_identity`, which serves `verify`,
+`construct`'s checks of its output and `search`, reports from the same
+tensor on the laws with a "{,,}" slot or a zero operation.  The other laws,
+binary laws on nonzero operations, it evaluates tuple by tuple
 (`_tuple_residuals`): a search decides its candidates with them and stops
 at the first failing tuple, which is cheaper there than the whole tensor.
+Its full scans of these laws wait for the benchmark to keep one
+fingerprint per input (ROADMAP item 1) before they move to the tensor.
 
 `Evaluator` is the one interpreter of the language: the per-tuple scan
 evaluates over the algebra, the tensor evaluator and the prover's free
@@ -1009,8 +1015,9 @@ def check_identity(identity, algebra, name="identity", sign_free=False,
     tensor (`residuals`), which costs little where its operations are zero
     or sparse.  Every other law is evaluated tuple by tuple
     (`_tuple_residuals`), which stops at once on a failing search
-    candidate.  Their full checks would be faster as tensors too; ROADMAP
-    item 2 says why they wait.
+    candidate.  The constructions read all their laws from the tensor
+    instead; the full checks here would be faster as tensors too, but they
+    wait for ROADMAP item 1, the benchmark's one fingerprint per input.
     """
     _require_multilinear(identity)
     evaluator = Evaluator(algebra, sign_free)
@@ -1019,6 +1026,15 @@ def check_identity(identity, algebra, name="identity", sign_free=False,
         found = residuals(identity, algebra, sign_free)
     else:
         found = _tuple_residuals(identity, evaluator)
+    return residual_report(name, identity, algebra, found, first_only)
+
+
+def residual_report(name, identity, algebra, found, first_only=False):
+    """The Report of a law from its failing (tuple, residual) pairs, `found`
+    in lexicographic order as `residuals` yields them: every pair is a
+    counterexample, or with first_only the first one only, and `checked`
+    is n^k, or with first_only the rank of the first counterexample plus
+    one, as in a scan that stops there."""
     labels = algebra.space.labels
     n = algebra.space.dim
     checked = n ** len(identity.variables)

@@ -5,12 +5,17 @@ A document is UTF-8 JSON with canonical field order
     name, kind, dims, product, [ternary,] alpha, metadata
 
 where the products are sparse entries with 1-based indices and exact
-rational strings ("1", "-3/2"), sorted lexicographically by index, and alpha
-is a dense matrix of rational strings (a sparse [i, k, "q"] triple list is
-also accepted on input).  kind is "hom_superalgebra" (default) or
+rational strings, sorted lexicographically by index, and alpha is a dense
+matrix of rational strings (a sparse [i, k, "q"] triple list is also
+accepted on input).  kind is "hom_superalgebra" (default) or
 "binary_ternary"; the distinction matters because on a binary-ternary
 algebra the bracket slot of the identity language is the binary operation
 itself, not a derived commutator.
+
+A rational string is an optional minus sign and ASCII digits, then
+optionally "/" and a nonzero denominator or "." and more digits: "1",
+"-3/2", "0.5".  Nothing else is read as a number: no "+", space,
+underscore, other digit or decimal exponent.
 
 Loading validates indices, rationals and the parity rule, so a malformed or
 ungraded document never becomes an algebra.  It bounds what a short
@@ -20,6 +25,7 @@ canonicalization; it is byte-stable on canonical documents.
 """
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +44,9 @@ from .kernel import (
 # the dense identity, whose n^2 entries the loader builds and walks.
 MAX_DIM = 256
 
+# A rational string, as the module docstring describes it.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
 
 class DocumentError(ValueError):
     pass
@@ -50,6 +59,8 @@ def _fail(where, message):
 def _parse_rational(where, text):
     if not isinstance(text, str):
         _fail(where, "rational values must be strings, got %r" % (text,))
+    if not _RATIONAL.fullmatch(text):
+        _fail(where, "invalid rational %r" % text)
     try:
         return scalar(text)
     except (ValueError, ZeroDivisionError):

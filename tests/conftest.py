@@ -20,6 +20,19 @@ def make_algebra(dim_even, dim_odd, entries, alpha=None, name=""):
     return hs.HomSuperalgebra(space, product, alpha, name=name)
 
 
+def non_admissible_witnesses():
+    """Two left Leibniz algebras that are not Lie admissible, kept out of
+    the corpus: the (2|2) algebra b1*b4 = b3, b2*b4 = b3, b4*b2 = b3,
+    b4*b4 = b1 + b2 with the identity map, and its Yau twist by
+    diag(4, 4, 8, 2).  Both fail LIE_ADMISSIBLE at (b4,b4,b4)."""
+    source = make_algebra(2, 2, {(0, 3, 2): 1, (1, 3, 2): 1, (3, 1, 2): 1,
+                                 (3, 3, 0): 1, (3, 3, 1): 1},
+                          name="witness_2_2")
+    twisted = hs.yau_twist(source,
+                           hs.EvenMap.diagonal(source.space, [4, 4, 8, 2]))
+    return [source, twisted]
+
+
 @st.composite
 def graded_algebras(draw):
     """A random algebra of dimension up to (2|2): structure constants in

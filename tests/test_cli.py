@@ -154,6 +154,23 @@ def test_construct_into_a_missing_directory_exits_2(capsys, tmp_path):
     assert str(out_path) in captured.err
 
 
+@pytest.mark.parametrize("text", [" 3", "+1", "1_0", "\u0663", ".5", "5."])
+def test_verify_refuses_a_loose_rational_with_one_error_line(capsys,
+                                                              tmp_path, text):
+    # Fraction() reads all of these; the document format reads none.
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps({"dims": {"even": 1, "odd": 0},
+                                "product": [[1, 1, 1, text]]}),
+                    encoding="utf-8")
+    code = cli.main(["verify", str(path), "--suite", "leibniz"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "invalid rational" in captured.err
+
+
 @pytest.mark.parametrize("make_out_dir", [
     lambda tmp_path: tmp_path / "file",  # an existing file
     lambda tmp_path: tmp_path / "file" / "hits",  # a path under a file

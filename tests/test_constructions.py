@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import homsuper as hs
 from homsuper import constructions, identities
 from homsuper.search import SearchSpec, run_search
-from conftest import graded_algebras, make_algebra
+from conftest import graded_algebras, make_algebra, non_admissible_witnesses
 import naive
 
 
@@ -136,6 +136,25 @@ def test_check_lie_admissible_examples(a2b, corpus_leibniz):
         jacobi = hs.check_identity(hs.REGISTRY["HOM_SUPER_JACOBI"],
                                    bracket_algebra).passed
         assert verdict == jacobi
+
+
+def test_non_admissible_witnesses_fail_both_criteria():
+    # Left Leibniz, not Lie admissible, and the commutator algebra fails
+    # HOM_SUPER_JACOBI at the same tuple: the criterion agrees on a FAIL.
+    source, twisted = non_admissible_witnesses()
+    assert twisted.alpha == hs.EvenMap.diagonal(source.space, [4, 4, 8, 2])
+    for algebra, residual in ((source, 6), (twisted, 384)):
+        assert all(r.passed for r in hs.check_suite("leibniz", algebra))
+        report = hs.check_lie_admissible(algebra)
+        assert not report.passed and report.checked == 4 ** 3
+        assert report.counterexamples == [
+            {"tuple": ["b4", "b4", "b4"], "residual": {"b3": str(-residual)}}]
+        bracket_algebra = hs.HomSuperalgebra(
+            algebra.space, hs.supercommutator(algebra), algebra.alpha)
+        jacobi = hs.check_identity(hs.REGISTRY["HOM_SUPER_JACOBI"],
+                                   bracket_algebra)
+        assert jacobi.counterexamples == [
+            {"tuple": ["b4", "b4", "b4"], "residual": {"b3": str(residual)}}]
 
 
 def test_check_lie_admissible_requires_leibniz():
@@ -428,18 +447,19 @@ def test_yau_twist_by_a_swap_matches_naive():
 
 
 def _llsi_counter(monkeypatch):
-    """Count the LLSI checks per algebra object from now on.  The counts
-    are keyed by the object, not its id(), so that each counted algebra
-    stays alive and no later one can reuse its id."""
+    """Count the LLSI evaluations per algebra object from now on: the
+    constructions read every law from its tensor, `identities.residuals`.
+    The counts are keyed by the object, not its id(), so that each counted
+    algebra stays alive and no later one can reuse its id."""
     counts = Counter()
-    original = identities.check_identity
+    original = identities.residuals
 
     def counting(identity, algebra, *args, **kwargs):
         if identity is hs.REGISTRY["LLSI"]:
             counts[algebra] += 1
         return original(identity, algebra, *args, **kwargs)
 
-    monkeypatch.setattr(identities, "check_identity", counting)
+    monkeypatch.setattr(identities, "residuals", counting)
     return counts
 
 
@@ -478,3 +498,103 @@ def test_left_leibniz_verdict_is_checked_once_per_algebra(monkeypatch):
 def test_supercommutator_is_the_cached_bracket(a2b):
     assert hs.supercommutator(a2b) is a2b.bracket()
     assert hs.build_hom_ly(a2b).binary is a2b.bracket()
+
+
+def _construction_outcomes(algebra, forced):
+    """What each construction gives on a copy of the algebra: a report or
+    the derived constants, or the text of its refusal (PreconditionError)
+    or failed postcondition (RuntimeError).  yau_twist twists the product
+    with the identity map by the algebra's map.  With forced, every copy
+    is taken to be multiplicative and left Leibniz, so that the verdicts
+    and postconditions run on algebras that break them."""
+    space = algebra.space
+
+    def copy(alpha=algebra.alpha):
+        fresh = hs.HomSuperalgebra(space, algebra.product, alpha)
+        if forced:
+            fresh._multiplicative = fresh._left_leibniz = True
+        return fresh
+
+    calls = (lambda: hs.build_hom_ly(copy()),
+             lambda: hs.build_hom_akivis(copy(), verify=True),
+             lambda: hs.check_lie_admissible(copy()),
+             lambda: hs.check_ternary_equivalence(copy()),
+             lambda: hs.yau_twist(copy(hs.EvenMap.identity(space)),
+                                  algebra.alpha))
+    outcomes = []
+    for call in calls:
+        try:
+            result = call()
+        except (hs.PreconditionError, RuntimeError) as exc:
+            outcomes.append("%s: %s" % (type(exc).__name__, exc))
+            continue
+        if isinstance(result, hs.Report):
+            outcomes.append(result.to_dict(cap=None))
+        elif isinstance(result, hs.BinaryTernaryAlgebra):
+            outcomes.append((result.binary.constants,
+                             result.ternary.constants))
+        else:
+            outcomes.append(result.product.constants)
+    return outcomes
+
+
+def _reference_check_suite(names, algebra, first_only=False):
+    """check_suite, with first_only where _check_suite takes it."""
+    return hs.check_suite(names, algebra, first_only=first_only)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_algebras(), st.booleans())
+def test_constructions_report_as_check_suite(algebra, forced):
+    # The constructions read their laws from the tensor; their reports,
+    # refusals and failed postconditions are those of check_suite.
+    n = algebra.space.dim
+    for first_only in (False, True):
+        got = constructions._check_suite("all", algebra, first_only)
+        want = hs.check_suite("all", algebra, first_only=first_only)
+        assert [r.to_dict(cap=None) for r in got] == \
+            [r.to_dict(cap=None) for r in want]
+    llsi, = constructions._check_suite("LLSI", algebra, first_only=True)
+    if llsi.passed:
+        assert llsi.checked == n ** 3
+    else:
+        first = [int(label[1:]) - 1
+                 for label in llsi.counterexamples[0]["tuple"]]
+        assert llsi.checked == functools.reduce(
+            lambda rank, i: rank * n + i, first, 0) + 1
+    admissible, = constructions._check_suite("LIE_ADMISSIBLE", algebra)
+    assert admissible.checked == n ** 3
+
+    got = _construction_outcomes(algebra, forced)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructions, "_check_suite", _reference_check_suite)
+        want = _construction_outcomes(algebra, forced)
+    assert got == want
+
+
+def test_constructions_evaluate_no_law_tuple_by_tuple(monkeypatch):
+    seen = []
+    evaluate = identities.Evaluator.eval
+
+    def spy(self, node, env):
+        if (isinstance(node, identities.Identity)
+                and not isinstance(self, identities._TensorEvaluator)):
+            seen.append(node)
+        return evaluate(self, node, env)
+
+    monkeypatch.setattr(identities.Evaluator, "eval", spy)
+    algebras = [hs.load_algebra(path) for path in hs.corpus_paths()]
+    algebras = [algebra for algebra in algebras + non_admissible_witnesses()
+                if algebra.metadata.get("expected", {}).get("leibniz", True)]
+    assert len(algebras) == 9
+    for algebra in algebras:
+        hs.build_hom_ly(algebra)
+        hs.build_hom_akivis(algebra, verify=True)
+        hs.check_lie_admissible(algebra)
+        hs.check_ternary_equivalence(algebra)
+        if algebra.alpha.is_identity():
+            hs.yau_twist(algebra, hs.EvenMap.identity(algebra.space))
+    assert seen == []
+    # The spy sees a per-tuple scan.
+    hs.check_identity(hs.REGISTRY["LLSI"], algebras[0])
+    assert seen

@@ -1,11 +1,13 @@
 """Golden outputs: the prover's reports and expansions, the constructed
 documents and their logs, `verify` over the corpus, the ternary equivalence
-reports and the derived ternary tables must stay byte-identical.
+reports, the derived ternary tables, the admissibility reports and the
+refusals of the constructions must stay byte-identical.
 
 `golden.json` holds the sha256 digests of these outputs as the code
 produced them before the derived operations were declared once, in
-`identities.DERIVED`.  Refactors must not move them.  When an output is
-meant to change, print the new digests with
+`identities.DERIVED` (the admissibility reports and refusals: before the
+constructions read their laws from the tensor).  Refactors must not move
+them.  When an output is meant to change, print the new digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -25,6 +27,7 @@ import pytest
 import homsuper as hs
 from homsuper import cli, constructions
 from homsuper import freealg as fa
+from conftest import non_admissible_witnesses
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -119,6 +122,38 @@ def table_digests():
             for path, algebra in _corpus()}
 
 
+def admissibility_digests():
+    """check_lie_admissible on the corpus Leibniz algebras and on the two
+    non-admissible witnesses, every counterexample kept."""
+    algebras = [(path.name, algebra) for path, algebra in _corpus()
+                if algebra.metadata["expected"].get("leibniz")]
+    algebras += [(algebra.name, algebra)
+                 for algebra in non_admissible_witnesses()]
+    return {name: _digest(json.dumps(
+                constructions.check_lie_admissible(algebra).to_dict(cap=None),
+                sort_keys=True))
+            for name, algebra in algebras}
+
+
+def refusal_digests():
+    """The PreconditionError texts of build_hom_ly, check_lie_admissible
+    and yau_twist (by the identity map) on the non-Leibniz corpus
+    algebras."""
+    calls = {"build_hom_ly": constructions.build_hom_ly,
+             "check_lie_admissible": constructions.check_lie_admissible,
+             "yau_twist": lambda algebra: constructions.yau_twist(
+                 algebra, hs.EvenMap.identity(algebra.space))}
+    digests = {}
+    for path, algebra in _corpus():
+        if algebra.metadata["expected"].get("leibniz"):
+            continue
+        for name, call in calls.items():
+            with pytest.raises(constructions.PreconditionError) as err:
+                call(algebra)
+            digests["%s/%s" % (name, path.name)] = _digest(str(err.value))
+    return digests
+
+
 def _corpus():
     return [(path, hs.load_algebra(path)) for path in hs.corpus_paths()]
 
@@ -129,7 +164,9 @@ def all_digests(workdir):
             "construct": construct_digests(workdir),
             "verify": verify_digest(),
             "ternary_equivalence": ternary_equivalence_digests(),
-            "tables": table_digests()}
+            "tables": table_digests(),
+            "admissibility": admissibility_digests(),
+            "refusals": refusal_digests()}
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +196,14 @@ def test_ternary_equivalence_reports_are_golden(golden):
 
 def test_derived_tables_are_golden(golden):
     assert table_digests() == golden["tables"]
+
+
+def test_admissibility_reports_are_golden(golden):
+    assert admissibility_digests() == golden["admissibility"]
+
+
+def test_construction_refusals_are_golden(golden):
+    assert refusal_digests() == golden["refusals"]
 
 
 if __name__ == "__main__":
