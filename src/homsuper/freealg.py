@@ -31,13 +31,13 @@ is left to the exhaustive numeric checker.
 """
 
 import itertools
-from fractions import Fraction
 
 from . import identities as idn
+from .kernel import exact
 from .report import Report
 
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
+ONE = 1
+MINUS_ONE = -1
 
 _STEP_LIMIT = 200000
 
@@ -137,7 +137,9 @@ def shift_leaves(term, delta):
 
 class FreeExpr:
     """Formal rational combination of free terms, in canonical order:
-    no zero coefficients, terms sorted by size then by rendering."""
+    no zero coefficients, terms sorted by size then by rendering.  Each
+    coefficient follows `kernel.exact`: an int when it is integral,
+    otherwise a Fraction."""
 
     __slots__ = ("_coeffs",)
 
@@ -145,12 +147,13 @@ class FreeExpr:
         clean = {}
         for term, c in (coeffs or {}).items():
             if c != 0:
-                clean[term] = c
+                clean[term] = exact(c)
         self._coeffs = clean
 
     @classmethod
     def _trusted(cls, coeffs):
-        """An expression over coeffs as given: nonzero Fractions only."""
+        """An expression over coeffs as given: nonzero coefficients that
+        already follow `kernel.exact`."""
         expr = object.__new__(cls)
         expr._coeffs = coeffs
         return expr
@@ -161,7 +164,7 @@ class FreeExpr:
 
     @classmethod
     def of(cls, term, coeff=ONE):
-        return cls({term: Fraction(coeff)})
+        return cls({term: coeff})
 
     def items(self):
         return sorted(self._coeffs.items(), key=lambda kv: term_key(kv[0]))
@@ -182,6 +185,7 @@ class FreeExpr:
                 if not c:
                     del coeffs[t]
                     continue
+                c = exact(c)
             coeffs[t] = c
         return FreeExpr._trusted(coeffs)
 
@@ -192,10 +196,10 @@ class FreeExpr:
         return FreeExpr._trusted({t: -c for t, c in self._coeffs.items()})
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         if c == 0:
             return FreeExpr()
-        return FreeExpr._trusted({t: c * v for t, v in self._coeffs.items()})
+        return FreeExpr({t: c * v for t, v in self._coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, FreeExpr) and self._coeffs == other._coeffs
@@ -218,7 +222,7 @@ class FreeExpr:
 
 def free_product(e1, e2):
     # Distinct pairs of terms have distinct products, so nothing merges.
-    return FreeExpr._trusted({product(t1, t2): c1 * c2
+    return FreeExpr._trusted({product(t1, t2): exact(c1 * c2)
                               for t1, c1 in e1._coeffs.items()
                               for t2, c2 in e2._coeffs.items()})
 
@@ -304,7 +308,7 @@ def alpha_distribute(expr):
     coeffs = {}
     for t, c in expr._coeffs.items():
         t = distribute_term(t)
-        coeffs[t] = coeffs.get(t, Fraction(0)) + c
+        coeffs[t] = coeffs.get(t, 0) + c
     return FreeExpr(coeffs)
 
 
@@ -347,7 +351,7 @@ def leibniz_normalize(expr, parities, step_budget=None):
         term, coeff = stack.pop()
         rewritten = _rewrite_once(term, parities)
         if rewritten is None:
-            out[term] = out.get(term, Fraction(0)) + coeff
+            out[term] = out.get(term, 0) + coeff
             continue
         steps += 1
         if steps > limit:

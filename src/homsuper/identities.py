@@ -763,7 +763,10 @@ def eval_identity_on_tuple(identity, algebra, binding, sign_free=False):
 class _Tensor:
     """A value of `_TensorEvaluator`: a sparse tensor over the bindings of
     the law's variables.  entries[l][code] = c (never zero) contributes
-    c b_l at every binding that the key `code` matches.
+    c b_l at every binding that the key `code` matches.  Coefficients follow
+    `kernel.exact`: the leaves and the integral structure constants are
+    ints, so a tensor holds Fractions only where a non-integral constant or
+    coefficient entered it; `residuals` hands out Fractions.
 
     A key packs a partial binding into base-(n+3) digits, one per variable
     of the law, the first variable the most significant: digit 0 leaves the
@@ -791,7 +794,7 @@ class _Tensor:
                 continue
             mine = dict(mine)
             for code, c in column.items():
-                c += mine.get(code, kernel.ZERO)
+                c += mine.get(code, 0)
                 if c:
                     mine[code] = c
                 else:
@@ -811,6 +814,7 @@ class _Tensor:
     def scale(self, c):
         if not c:
             return _Tensor({}, self.mask)
+        c = kernel.exact(c)
         return _Tensor({l: {code: c * v for code, v in column.items()}
                         for l, column in self.entries.items()}, self.mask)
 
@@ -873,7 +877,7 @@ class _TensorEvaluator(Evaluator):
         if tensor is None:
             weight = self.weights[position]
             tensor = self._leaves[position] = _Tensor(
-                {i: {(i + 1) * weight: kernel.ONE}
+                {i: {(i + 1) * weight: 1}
                  for i in range(self.space.dim)}, 1 << position)
         return tensor
 
@@ -896,7 +900,9 @@ class _TensorEvaluator(Evaluator):
         return hook
 
     def _contraction(self, op):
-        constants = op.constants
+        exact = kernel.exact
+        constants = {index: tuple((l, exact(c)) for l, c in terms)
+                     for index, terms in op.constants.items()}
         return lambda *args: self._contract(constants, args)
 
     def _contract(self, constants, args):
@@ -932,7 +938,7 @@ class _TensorEvaluator(Evaluator):
             for l, c in terms:
                 target = out.setdefault(l, {})
                 for code, v in pairs:
-                    target[code] = target.get(code, kernel.ZERO) + c * v
+                    target[code] = target.get(code, 0) + c * v
         return _Tensor(_nonzero(out), mask)
 
     def _join(self, a, b):
@@ -968,9 +974,9 @@ class _TensorEvaluator(Evaluator):
             for code, c in column.items():
                 for key, parities in self._parity_splits(code, positions):
                     if signs[parities] < 0:
-                        target[key] = target.get(key, kernel.ZERO) - c
+                        target[key] = target.get(key, 0) - c
                     else:
-                        target[key] = target.get(key, kernel.ZERO) + c
+                        target[key] = target.get(key, 0) + c
         return _Tensor(_nonzero(out),
                        value.mask | sum(1 << p for p in positions))
 

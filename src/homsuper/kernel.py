@@ -1,10 +1,15 @@
 """Exact kernel: Z2-graded coordinate spaces, parity-respecting multilinear
 operations given by structure constants, and even linear maps.
 
-All scalars are exact rationals (fractions.Fraction), so every check in this
-package is an equality decision; there are no tolerances anywhere.  The basis
-is canonically ordered even-then-odd, which makes parity bookkeeping pure
-index arithmetic.  Kernel objects are immutable after construction (the only
+All scalars are exact rationals, so every check in this package is an
+equality decision; there are no tolerances anywhere.  Every public value,
+and the kernel's own storage (`Vector` coordinates, structure constants),
+is a fractions.Fraction.  The tensor engine (`identities._TensorEvaluator`)
+and the prover (`freealg.FreeExpr`) keep each integral coefficient they
+combine as an int instead (`exact`), since int arithmetic is several times
+cheaper; ints and Fractions only add and multiply, so no float ever
+arises.  The basis is canonically ordered even-then-odd, which makes
+parity bookkeeping pure index arithmetic.  Kernel objects are immutable after construction (the only
 mutation is monotone caching) and can be shared freely.
 
 Index conventions: structure constants are 0-based internally; reports and
@@ -45,6 +50,17 @@ def scalar(x):
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError("not an exact scalar: %r" % (x,))
+
+
+def exact(c):
+    """c as an int when it is integral, otherwise as the Fraction it is.
+    Sums, differences and products of such values are exact and keep the
+    same rule: int op int is an int, anything with a non-integral Fraction
+    a Fraction, and they compare and hash as the rationals they stand for."""
+    if type(c) is int:
+        return c
+    c = scalar(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 ZERO = Fraction(0)

@@ -7,7 +7,9 @@ A document is UTF-8 JSON with canonical field order
 where the products are sparse entries with 1-based indices and exact
 rational strings, sorted lexicographically by index, and alpha is a dense
 matrix of rational strings (a sparse [i, k, "q"] triple list is also
-accepted on input).  kind is "hom_superalgebra" (default) or
+accepted on input).  No other field is read, and a document with one is
+refused, so a misspelt field never loads as its default.  kind is
+"hom_superalgebra" (default) or
 "binary_ternary"; the distinction matters because on a binary-ternary
 algebra the bracket slot of the identity language is the binary operation
 itself, not a derived commutator.
@@ -43,6 +45,9 @@ from .kernel import (
 # The largest dimension a document may declare: a missing alpha defaults to
 # the dense identity, whose n^2 entries the loader builds and walks.
 MAX_DIM = 256
+
+# The fields of a document, in canonical order.
+FIELDS = ("name", "kind", "dims", "product", "ternary", "alpha", "metadata")
 
 # A rational string, as the module docstring describes it.
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
@@ -134,6 +139,10 @@ def _parse_alpha(where, raw, space):
 def document_to_algebra(doc, where="document"):
     if not isinstance(doc, dict):
         _fail(where, "expected a JSON object")
+    unknown = [field for field in doc if field not in FIELDS]
+    if unknown:
+        _fail(where, "unknown field %r (the fields are %s)"
+              % (unknown[0], ", ".join(FIELDS)))
     dims = doc.get("dims")
     # `type(...) is int` refuses booleans, which are ints too.
     if not isinstance(dims, dict) or not all(

@@ -1,5 +1,6 @@
 import itertools
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,22 +34,37 @@ def non_admissible_witnesses():
     return [source, twisted]
 
 
+# Integers and a few non-integral rationals, for the paths that combine
+# integral and non-integral coefficients.
+RATIONALS = st.sampled_from([-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 2),
+                             Fraction(3, 2), Fraction(1, 3)])
+
+
 @st.composite
-def graded_algebras(draw):
-    """A random algebra of dimension up to (2|2): structure constants in
-    -2..2 on every slot the parity rule allows, and an even twisting map
-    with entries in -2..2 anywhere inside the parity blocks, so in general
-    neither diagonal nor multiplicative."""
-    space = hs.SuperSpace(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+def graded_algebras(draw, values=st.integers(-2, 2), ternary=False,
+                    max_dim=4):
+    """A random algebra of dimension up to (2|2), and at most max_dim:
+    structure constants drawn from `values` (-2..2 by default) on every
+    slot the parity rule allows, and an even twisting map with entries from
+    `values` anywhere inside the parity blocks, so in general neither
+    diagonal nor multiplicative.  With ternary=True it also carries a
+    ternary product, its constants drawn the same way."""
+    space = hs.SuperSpace(*draw(st.tuples(st.integers(0, 2), st.integers(0, 2))
+                                .filter(lambda dims: sum(dims) <= max_dim)))
     n = space.dim
-    entries = {}
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if (space.parity(i) + space.parity(j)) % 2 == space.parity(k):
-            entries[(i, j, k)] = draw(st.integers(-2, 2))
-    rows = [[draw(st.integers(-2, 2)) if space.parity(i) == space.parity(k)
+
+    def constants(arity):
+        return {key: draw(values)
+                for key in itertools.product(range(n), repeat=arity + 1)
+                if sum(map(space.parity, key[:-1])) % 2
+                == space.parity(key[-1])}
+
+    product = hs.BilinearOp(space, entries=constants(2))
+    rows = [[draw(values) if space.parity(i) == space.parity(k)
              else 0 for k in range(n)] for i in range(n)]
-    return hs.HomSuperalgebra(space, hs.BilinearOp(space, entries=entries),
-                              hs.EvenMap(space, rows))
+    return hs.HomSuperalgebra(
+        space, product, hs.EvenMap(space, rows),
+        ternary=hs.TernaryOp(space, constants(3)) if ternary else None)
 
 
 @pytest.fixture

@@ -171,6 +171,21 @@ def test_verify_refuses_a_loose_rational_with_one_error_line(capsys,
     assert "invalid rational" in captured.err
 
 
+def test_verify_refuses_a_misspelt_field_with_one_error_line(capsys,
+                                                             tmp_path):
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps({"dims": {"even": 2, "odd": 0},
+                                "prodcut": [[1, 1, 2, "1"]]}),
+                    encoding="utf-8")
+    code = cli.main(["verify", str(path), "--suite", "leibniz"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "unknown field 'prodcut'" in captured.err
+
+
 @pytest.mark.parametrize("make_out_dir", [
     lambda tmp_path: tmp_path / "file",  # an existing file
     lambda tmp_path: tmp_path / "file" / "hits",  # a path under a file

@@ -1,10 +1,15 @@
 import itertools
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homsuper as hs
 from homsuper import freealg as fa
 from homsuper import identities as idn
+from conftest import RATIONALS, graded_algebras
 
 
 def expand(text, parities, **kw):
@@ -150,19 +155,47 @@ def test_prove_unknown_target():
         fa.prove_identity_free("nonsense")
 
 
-def test_inconclusive_lists_survivors():
+def _inconclusive_survivors(monkeypatch, law):
+    """The survivors of a law proved as a target under the Leibniz rule,
+    which must leave it INCONCLUSIVE."""
+    monkeypatch.setitem(fa.TARGETS, "law", [(law, None, True)])
+    report = fa.prove_identity_free("law")
+    assert not report.passed
+    assert report.to_dict()["verdict"] == "INCONCLUSIVE"
+    assert report.checked == 2 ** len(law.variables)
+    return [(tuple(s["parities"].values()), s["surviving"])
+            for s in report.counterexamples]
+
+
+def test_inconclusive_lists_survivors(monkeypatch):
     # Skew-symmetry of the raw free product is simply not a theorem; the
     # prover must stay inconclusive and report the surviving terms.
-    ident = hs.REGISTRY["SKEW_SUPER"]
-    names = idn.free_variables(ident)
-    survivors = []
-    for combo in itertools.product((0, 1), repeat=len(names)):
-        parities = dict(zip(names, combo))
-        expr = fa.normal_form(fa.expand_template(ident, parities),
-                              parities, True)
-        if not expr.is_zero():
-            survivors.append(expr)
-    assert survivors
+    assert _inconclusive_survivors(monkeypatch, hs.REGISTRY["SKEW_SUPER"]) \
+        == [((0, 0), ["1 (x*y)", "1 (y*x)"]),
+            ((0, 1), ["1 (x*y)", "1 (y*x)"]),
+            ((1, 0), ["1 (x*y)", "1 (y*x)"]),
+            ((1, 1), ["1 (x*y)", "-1 (y*x)"])]
+
+
+# The six terms of every LIE_ADMISSIBLE survivor, and their signs for each
+# parity assignment of (x, y, z).
+_CYCLIC_TERMS = ("(a(x)*(y*z))", "(a(x)*(z*y))", "(a(y)*(x*z))",
+                 "(a(y)*(z*x))", "(a(z)*(x*y))", "(a(z)*(y*x))")
+_LIE_ADMISSIBLE_SIGNS = {
+    (0, 0, 0): "+--++-", (0, 0, 1): "+--++-", (0, 1, 0): "+--++-",
+    (0, 1, 1): "++-+-+", (1, 0, 0): "+--++-", (1, 0, 1): "-++++-",
+    (1, 1, 0): "+-+-++", (1, 1, 1): "------",
+}
+
+
+def test_lie_admissibility_is_inconclusive_under_leibniz(monkeypatch):
+    # Not a theorem: the (2|2) witnesses in conftest are left Leibniz and
+    # not Lie admissible.
+    expected = [(parities, ["%s1 %s" % ("" if sign == "+" else "-", term)
+                            for sign, term in zip(signs, _CYCLIC_TERMS)])
+                for parities, signs in _LIE_ADMISSIBLE_SIGNS.items()]
+    assert _inconclusive_survivors(
+        monkeypatch, hs.REGISTRY["LIE_ADMISSIBLE"]) == expected
 
 
 def test_proved_targets_hold_numerically(corpus_leibniz):
@@ -187,3 +220,63 @@ def test_term_text_rendering():
     t = fa.product(fa.generator("x", 2),
                    fa.product(fa.generator("y"), fa.generator("z", 1)))
     assert fa.term_text(t) == "(a2(x)*(y*a(z)))"
+
+
+def test_free_coefficients_compare_as_rationals():
+    t = fa.product(fa.generator("x"), fa.generator("y"))
+    two, two_q = fa.FreeExpr({t: 2}), fa.FreeExpr({t: Fraction(2)})
+    assert two == two_q and hash(two) == hash(two_q)
+    assert two.rendered() == two_q.rendered() == ["2 (x*y)"]
+    assert repr(two) == repr(two_q)
+    assert type(two_q._coeffs[t]) is int
+    half = fa.FreeExpr.of(t, Fraction(1, 2))
+    assert half.rendered() == ["1/2 (x*y)"]
+    assert type((half + half)._coeffs[t]) is int
+    assert type(half.scale(2)._coeffs[t]) is int
+    assert type(fa.free_product(half, fa.FreeExpr.of(t, 2))
+                ._coeffs[fa.product(t, t)]) is int
+    with pytest.raises(TypeError):
+        fa.FreeExpr({t: 0.5})
+
+
+def _assert_free_coefficients(expr):
+    """The coefficient rule of FreeExpr: an int when integral, otherwise a
+    Fraction, never a float."""
+    for c in expr._coeffs.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+class _CheckedFreeEvaluator(fa._FreeEvaluator):
+    def eval(self, node, env):
+        value = super().eval(node, env)
+        _assert_free_coefficients(value)
+        return value
+
+
+class _CheckedTensorEvaluator(idn._TensorEvaluator):
+    def eval(self, node, env):
+        value = super().eval(node, env)
+        for column in value.entries.values():
+            assert all(type(c) in (int, Fraction) for c in column.values())
+        return value
+
+
+_OBLIGATIONS = [obligation for obligations in fa.TARGETS.values()
+                for obligation in obligations]
+
+
+@settings(max_examples=15, deadline=None)
+@given(graded_algebras(RATIONALS, ternary=True, max_dim=3), st.data())
+def test_coefficients_are_never_floats(algebra, data):
+    # Every value of every walk, over a random algebra with rational
+    # constants and in the free algebra, for all nine targets' obligations.
+    for law, structure, assume_leibniz in _OBLIGATIONS:
+        evaluator = _CheckedTensorEvaluator(algebra, law.variables)
+        evaluator.eval(law, evaluator.env)
+        parities = {name: data.draw(st.integers(0, 1))
+                    for name in law.variables}
+        with mock.patch.object(fa, "_FreeEvaluator", _CheckedFreeEvaluator):
+            expr = fa.expand_template(law, parities, structure)
+        _assert_free_coefficients(expr.scale(data.draw(RATIONALS)))
+        _assert_free_coefficients(fa.normal_form(expr, parities,
+                                                 assume_leibniz))

@@ -207,9 +207,12 @@ def document_problem(doc):
     None.  Only "dims" is required; "name" defaults to "", "kind" to
     "hom_superalgebra", "product" to no entries, "alpha" to the identity
     and "metadata" to {}; "ternary" may be absent or null, except on a
-    "binary_ternary" document.  Other fields are ignored."""
+    "binary_ternary" document.  No other field is allowed."""
     if not isinstance(doc, dict):
         return "not an object"
+    if not set(doc) <= {"name", "kind", "dims", "product", "ternary",
+                        "alpha", "metadata"}:
+        return "unknown field"
     dims = doc.get("dims")
     if not (isinstance(dims, dict) and _is_int(dims.get("even"))
             and _is_int(dims.get("odd")) and dims["even"] >= 0

@@ -10,7 +10,7 @@ import homsuper as hs
 from homsuper import constructions
 from homsuper import freealg as fa
 from homsuper import identities as idn
-from conftest import graded_algebras, make_algebra
+from conftest import RATIONALS, graded_algebras, make_algebra
 import naive
 
 
@@ -786,7 +786,8 @@ def _signed_algebra():
 
 def _assert_tensor_matches_tuples(law, algebra, sign_free):
     """residuals against the per-tuple scan; returns the residuals, or
-    None when the algebra lacks a slot of the law."""
+    None when the algebra lacks a slot of the law.  Every coordinate of a
+    residual is a Fraction, whatever the tensor held."""
     if any(algebra.op_for_slot(slot) is None for slot in law.slots):
         with pytest.raises(hs.MissingOpSlot):
             list(idn.residuals(law, algebra, sign_free))
@@ -794,6 +795,8 @@ def _assert_tensor_matches_tuples(law, algebra, sign_free):
     found = list(idn.residuals(law, algebra, sign_free))
     assert found == list(idn._tuple_residuals(
         law, idn.Evaluator(algebra, sign_free))), idn.pretty(law)
+    for _, residual in found:
+        assert all(type(c) is Fraction for c in residual.coords)
     return found
 
 
@@ -834,6 +837,16 @@ _DIFFERENTIAL_LAWS = dict(
 def test_tensor_residuals_match_the_per_tuple_scan(algebra, sign_free):
     for name, law in _DIFFERENTIAL_LAWS.items():
         _assert_tensor_matches_tuples(law, algebra, sign_free)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graded_algebras(RATIONALS, ternary=True, max_dim=3), st.booleans())
+def test_tensor_residuals_match_the_scan_over_rationals(algebra, sign_free):
+    # Non-integral constants and map entries meet the integral ones, in
+    # the structure constants, the map powers and the laws' own 1/2.
+    for law in _DIFFERENTIAL_LAWS.values():
+        assert _assert_tensor_matches_tuples(law, algebra,
+                                             sign_free) is not None
 
 
 def test_tensor_path_raises_as_the_scan_does(a2b):

@@ -72,6 +72,24 @@ def test_boolean_dimensions_are_refused():
             document_to_algebra({"dims": dims})
 
 
+def test_unknown_fields_are_refused():
+    # A misspelt "product" would otherwise load as the zero product.
+    doc = {"dims": {"even": 2, "odd": 0}, "prodcut": [[1, 1, 2, "1"]]}
+    with pytest.raises(DocumentError, match=r"unknown field 'prodcut'"):
+        document_to_algebra(doc)
+    for field in ("seed", "Product", ""):
+        with pytest.raises(DocumentError, match=r"unknown field"):
+            document_to_algebra({"dims": {"even": 1, "odd": 0}, field: 1})
+    # Every canonical field is accepted, and a saved document has no other.
+    doc = {"name": "", "kind": "hom_superalgebra",
+           "dims": {"even": 1, "odd": 0}, "product": [], "ternary": None,
+           "alpha": [["1"]], "metadata": {}}
+    assert tuple(doc) == serialize.FIELDS
+    algebra = document_to_algebra(doc)
+    assert algebra.product.is_zero()
+    assert set(algebra_to_document(algebra)) <= set(serialize.FIELDS)
+
+
 def test_dimension_above_the_bound_is_refused(monkeypatch):
     for dims in ({"even": serialize.MAX_DIM + 1, "odd": 0},
                  {"even": 1000, "odd": 0}, {"even": 200, "odd": 200}):
