@@ -6,7 +6,9 @@ conversion, and a twist generator used to produce test fixtures.
 
 Every derived operation is a template in the identity language, declared
 once in `identities.DERIVED` for the constructions and the prover alike;
-its structure constants are the template's residuals (`identities.residuals`).
+`identities.template_op` reads its structure constants off the template's
+residuals, and the commutator is the "[,]" of a plain algebra
+(`identities.commutator`).
 The laws the checks need are templates too, so no formula is written twice.
 Every law a construction checks (its preconditions, its verdict and its
 postconditions) is read from the same tensor evaluation, through
@@ -24,10 +26,8 @@ sign error here cannot survive unnoticed.
 
 from . import identities as idn
 from .kernel import (
-    BilinearOp,
     BinaryTernaryAlgebra,
     HomSuperalgebra,
-    TernaryOp,
     check_algebra_grading,
     check_multiplicativity,
 )
@@ -94,37 +94,24 @@ def _ensure_passed(reports, prefix):
         raise RuntimeError(prefix + "; ".join(failed))
 
 
-def _template_op(template, algebra):
-    """The multilinear operation a template defines on an algebra: its
-    residual on every basis tuple, one argument per free variable, in
-    order of first occurrence."""
-    entries = {}
-    for combo, value in idn.residuals(template, algebra):
-        for k, c in enumerate(value.coords):
-            if c:
-                entries[combo + (k,)] = c
-    op = {2: BilinearOp, 3: TernaryOp}[len(template.variables)]
-    return op(algebra.space, entries=entries)
-
-
 def supercommutator(algebra):
-    """Structure constants of [x,y] = x*y - (-1)^{|x||y|} y*x, built once
-    per algebra."""
+    """Structure constants of [x,y] = x*y - (-1)^{|x||y|} y*x on every
+    algebra, built once per algebra (`identities.commutator`)."""
     _require_grading(algebra)
-    return algebra.bracket()
+    return idn.commutator(algebra)
 
 
 def hom_associator(algebra):
     """Twisted associator (x*y)*a(z) - a(x)*(y*z) as a ternary tensor."""
     _require_grading(algebra)
-    return _template_op(idn.ASSOCIATOR, algebra)
+    return idn.template_op(idn.ASSOCIATOR, algebra)
 
 
 def hom_super_jacobian(algebra):
     """Signed cyclic sum (x*y)*a(z) + (-1)^{|x|(|y|+|z|)}(y*z)*a(x)
     + (-1)^{|z|(|x|+|y|)}(z*x)*a(y) as a ternary tensor."""
     _require_grading(algebra)
-    return _template_op(idn.REGISTRY["HOM_SUPER_JACOBI"], algebra)
+    return idn.template_op(idn.REGISTRY["HOM_SUPER_JACOBI"], algebra)
 
 
 def _derive(algebra, structure, verify, failure):
@@ -133,8 +120,8 @@ def _derive(algebra, structure, verify, failure):
     verify, the suite of the same name is a postcondition."""
     derived = BinaryTernaryAlgebra(
         algebra.space, supercommutator(algebra),
-        _template_op(idn.DERIVED[structure]["{,,}"], algebra), algebra.alpha,
-        name="%s(%s)" % (structure, algebra.name or "?"))
+        idn.template_op(idn.DERIVED[structure]["{,,}"], algebra),
+        algebra.alpha, name="%s(%s)" % (structure, algebra.name or "?"))
     if verify:
         _ensure_passed(_check_suite(structure, derived), failure)
     return derived
@@ -176,11 +163,16 @@ def check_lie_admissible(algebra):
 
 
 def left_to_right(algebra):
-    """The opposite algebra x.y = y*x (transposed structure constants).
-    Applying it twice gives back an equal algebra."""
-    return HomSuperalgebra(algebra.space, algebra.product.transpose(),
-                           algebra.alpha, ternary=algebra.ternary,
-                           name="opposite(%s)" % (algebra.name or "?"))
+    """The opposite algebra x.y = y*x (transposed structure constants), of
+    the input's kind, with the ternary product unchanged.  Applying it
+    twice gives back an equal algebra."""
+    opposite = algebra.product.transpose()
+    name = "opposite(%s)" % (algebra.name or "?")
+    if isinstance(algebra, BinaryTernaryAlgebra):
+        return BinaryTernaryAlgebra(algebra.space, opposite, algebra.ternary,
+                                    algebra.alpha, name=name)
+    return HomSuperalgebra(algebra.space, opposite, algebra.alpha,
+                           ternary=algebra.ternary, name=name)
 
 
 def check_ternary_equivalence(algebra):
@@ -220,7 +212,7 @@ def yau_twist(algebra, beta):
     if not check_multiplicativity(endo_probe).passed:
         raise PreconditionError("beta is not an algebra endomorphism")
     twisted = HomSuperalgebra(algebra.space,
-                              _template_op(YAU_TWIST, endo_probe), beta,
+                              idn.template_op(YAU_TWIST, endo_probe), beta,
                               name="twist(%s)" % (algebra.name or "?"))
     _ensure_passed(_check_suite("leibniz", twisted),
                    "twisted product lost the Leibniz law: ")

@@ -23,11 +23,13 @@ Identifiers name universally quantified homogeneous variables; their parities
 are never declared, they are induced by the basis elements bound to them.
 "a" applies the twisting map once, "a2" twice, and so on; "aN" and "s" are
 reserved and cannot be variables.  "*", "[x,y]" and "{x,y,z}" are operation
-slots resolved against the algebra under test ("[,]" is the derived graded
-commutator on a plain algebra and the binary operation itself on a
-binary-ternary algebra).  "cyc[x,y,z; SIGN](body)" is the cyclic sum: the
-three variables are rotated through the body *and* through the leading sign,
-which is evaluated with the substituted parities.
+slots, and `Evaluator.op` is the one place that resolves them against the
+algebra under test: "[,]" is the binary operation itself on a binary-ternary
+algebra, and on a plain algebra the graded commutator that `DERIVED[None]`
+declares, built once per algebra from its template (`commutator`).
+"cyc[x,y,z; SIGN](body)" is the cyclic sum: the three variables are rotated
+through the body *and* through the leading sign, which is evaluated with
+the substituted parities.
 
 Checking an identity iterates over all homogeneous basis tuples.  That
 decides the law for all homogeneous elements only when the law is
@@ -664,10 +666,22 @@ class Evaluator:
         return maps[k]
 
     def op(self, slot):
-        op = self.algebra.op_for_slot(slot)
-        if op is None:
-            raise MissingOpSlot("algebra has no %r operation" % slot)
-        return op
+        """The operation a slot names on the algebra: "*" is its product,
+        "{,,}" its ternary product, and "[,]" the binary operation itself on
+        a binary-ternary algebra and the graded commutator of the product
+        (`commutator`) on any other."""
+        algebra = self.algebra
+        if slot == "*":
+            return algebra.product
+        if slot == "[,]":
+            if isinstance(algebra, kernel.BinaryTernaryAlgebra):
+                return algebra.product
+            return commutator(algebra)
+        if slot == "{,,}":
+            if algebra.ternary is None:
+                raise MissingOpSlot("algebra has no %r operation" % slot)
+            return algebra.ternary
+        raise KeyError("unknown operation slot: %r" % slot)
 
     def parity(self, bound):
         return 0 if self.sign_free else self.space.parity(bound)
@@ -1152,8 +1166,8 @@ TERNARY_EQ_HALF = parse_identity("- (x*y)*a(z) + 1/2 [x, y]*a(z)")
 
 # The derived operations, each a template read "template = 0": its residual
 # is the operation's value on its arguments, one per variable in order of
-# first occurrence.  kernel.BilinearOp.graded_commutator is the one other
-# copy of COMMUTATOR; a test pins the two equal.
+# first occurrence (`template_op`).  COMMUTATOR is the only copy of the
+# graded commutator: it is also the "[,]" slot of a plain algebra.
 COMMUTATOR = parse_identity("x*y - s(x,y) y*x")
 ASSOCIATOR = parse_identity("(x*y)*a(z) - a(x)*(y*z)")
 LY_TERNARY = parse_identity("- (x*y)*a(z)")
@@ -1165,6 +1179,29 @@ DERIVED = {
     "akivis": {"*": COMMUTATOR, "[,]": COMMUTATOR, "{,,}": ASSOCIATOR},
     "ly": {"*": COMMUTATOR, "[,]": COMMUTATOR, "{,,}": LY_TERNARY},
 }
+
+
+def template_op(template, algebra):
+    """The multilinear operation a template defines on an algebra: its
+    residual on every basis tuple, one argument per free variable, in
+    order of first occurrence."""
+    entries = {}
+    for combo, value in residuals(template, algebra):
+        for k, c in enumerate(value.coords):
+            if c:
+                entries[combo + (k,)] = c
+    op = {2: kernel.BilinearOp, 3: kernel.TernaryOp}[len(template.variables)]
+    return op(algebra.space, entries=entries)
+
+
+def commutator(algebra):
+    """The graded commutator of the algebra's product, the operation that
+    DERIVED[None] declares for "[,]", built once and kept on the algebra.
+    Its signs are graded whatever reading a check uses."""
+    op = getattr(algebra, "_commutator", None)
+    if op is None:
+        op = algebra._commutator = template_op(DERIVED[None]["[,]"], algebra)
+    return op
 
 
 def registry_text():
@@ -1190,7 +1227,7 @@ def _expand_suite(names, algebra):
             checks.extend(_expand_suite(SUITES[name], algebra))
         elif name == "all":
             checks.extend(["grading", "multiplicativity"])
-            ternary = algebra.op_for_slot("{,,}") is not None
+            ternary = algebra.ternary is not None
             checks.extend(key for key in REGISTRY
                           if ternary or key not in TERNARY_LAWS)
         elif name in ("grading", "multiplicativity") or name in REGISTRY:
@@ -1209,7 +1246,7 @@ def resolve_suite(names, algebra):
     UnknownSuite for a name that is neither a suite nor a check, and
     MissingOpSlot for a law needing an operation the algebra lacks."""
     checks = _expand_suite(names, algebra)
-    if algebra.op_for_slot("{,,}") is None:
+    if algebra.ternary is None:
         for check in checks:
             if check in TERNARY_LAWS:
                 raise MissingOpSlot("algebra has no %r operation" % "{,,}")

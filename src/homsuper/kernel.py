@@ -12,6 +12,10 @@ arises.  The basis is canonically ordered even-then-odd, which makes
 parity bookkeeping pure index arithmetic.  Kernel objects are immutable after construction (the only
 mutation is monotone caching) and can be shared freely.
 
+The kernel knows nothing of the identity language: `identities` decides
+what a law's operation names mean on an algebra, the graded commutator
+included.
+
 Index conventions: structure constants are 0-based internally; reports and
 serialized documents use the 1-based labels b1..bn.
 
@@ -366,17 +370,6 @@ class BilinearOp(MultilinearOp):
             (j, i, l): c for (i, j), terms in self.constants.items()
             for l, c in terms})
 
-    def graded_commutator(self):
-        """Structure constants of [x,y] = x*y - (-1)^{|x||y|} y*x."""
-        parity = self.space.parity
-        entries = {}
-        for (i, j), terms in self.constants.items():
-            sign = -1 if parity(i) and parity(j) else 1
-            for l, c in terms:
-                entries[i, j, l] = entries.get((i, j, l), ZERO) + c
-                entries[j, i, l] = entries.get((j, i, l), ZERO) - sign * c
-        return BilinearOp(self.space, entries=entries)
-
 
 class TernaryOp(MultilinearOp):
     """Trilinear product, constants[(i, j, k)] = ((l, c), ...)."""
@@ -393,11 +386,8 @@ class HomSuperalgebra:
     check_multiplicativity) and the left Leibniz status (set by the
     constructions that require it) are cached tri-state: None (unchecked),
     True or False.  `metadata` is a JSON-ready dict written with the
-    algebra's document; it starts empty.
-
-    Named operation slots (used by the identity language): "*" is the
-    product, "[,]" is the graded commutator of the product (derived lazily),
-    "{,,}" is the attached ternary product, if any.
+    algebra's document; it starts empty.  Other modules cache what they
+    derive from the algebra on it the same way (`identities.commutator`).
     """
 
     kind = "hom_superalgebra"
@@ -415,7 +405,6 @@ class HomSuperalgebra:
         self.metadata = {}
         self._multiplicative = None
         self._left_leibniz = None
-        self._bracket = None
 
     @property
     def multiplicative(self):
@@ -425,29 +414,15 @@ class HomSuperalgebra:
     def left_leibniz(self):
         return self._left_leibniz
 
-    def bracket(self):
-        if self._bracket is None:
-            self._bracket = self.product.graded_commutator()
-        return self._bracket
-
-    def op_for_slot(self, slot):
-        """Resolve a named operation slot, or return None if absent."""
-        if slot == "*":
-            return self.product
-        if slot == "[,]":
-            return self.bracket()
-        if slot == "{,,}":
-            return self.ternary
-        raise KeyError("unknown operation slot: %r" % slot)
-
     def __repr__(self):
         return "HomSuperalgebra(%r%s)" % (
             self.space, ", name=%r" % self.name if self.name else "")
 
 
 class BinaryTernaryAlgebra(HomSuperalgebra):
-    """A binary-ternary graded algebra.  Its binary operation *is* the
-    bracket: both the "*" and "[,]" slots resolve to it.  Constructed
+    """A binary-ternary graded algebra: a binary operation, kept as the
+    product, and a ternary one.  The identity language reads its bracket as
+    the binary operation itself, not as a derived commutator.  Constructed
     algebras (commutator/associator pairs and their kin) live here.
     """
 
@@ -461,13 +436,6 @@ class BinaryTernaryAlgebra(HomSuperalgebra):
     @property
     def binary(self):
         return self.product
-
-    def op_for_slot(self, slot):
-        if slot in ("*", "[,]"):
-            return self.product
-        if slot == "{,,}":
-            return self.ternary
-        raise KeyError("unknown operation slot: %r" % slot)
 
 
 def check_grading(op, name="grading"):

@@ -9,10 +9,10 @@ rational strings, sorted lexicographically by index, and alpha is a dense
 matrix of rational strings (a sparse [i, k, "q"] triple list is also
 accepted on input).  No other field is read, and a document with one is
 refused, so a misspelt field never loads as its default.  kind is
-"hom_superalgebra" (default) or
-"binary_ternary"; the distinction matters because on a binary-ternary
-algebra the bracket slot of the identity language is the binary operation
-itself, not a derived commutator.
+"hom_superalgebra" (default) or "binary_ternary".  The kind decides how a
+law reads the algebra (`identities.Evaluator.op`): on a binary-ternary
+algebra "[x, y]" is the binary operation itself, on any other the graded
+commutator of the product.
 
 A rational string is an optional minus sign and ASCII digits, then
 optionally "/" and a nonzero denominator or "." and more digits: "1",

@@ -76,6 +76,18 @@ def parity_sign(p, q):
     return Fraction(-1) if (p % 2) and (q % 2) else Fraction(1)
 
 
+def commutator(algebra):
+    """Dense table of [x,y] = x*y - (-1)^{|x||y|} y*x: entry [i][j] is the
+    commutator of the basis pair (i, j)."""
+    sp = algebra.space
+    n = sp.dim
+    c = algebra.product.table
+    return [[sub(mul(c, basis(n, i), basis(n, j)),
+                 smul(parity_sign(sp.parity(i), sp.parity(j)),
+                      mul(c, basis(n, j), basis(n, i))))
+             for j in range(n)] for i in range(n)]
+
+
 def llsi_residual(algebra, i, j, k):
     """a(x)*(y*z) - (x*y)*a(z) - (-1)^{|x||y|} a(y)*(x*z) on basis (i,j,k)."""
     sp = algebra.space

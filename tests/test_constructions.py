@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 import homsuper as hs
 from homsuper import constructions, identities
 from homsuper.search import SearchSpec, run_search
-from conftest import graded_algebras, make_algebra, non_admissible_witnesses
+from conftest import (
+    RATIONALS,
+    graded_algebras,
+    make_algebra,
+    non_admissible_witnesses,
+)
 import naive
 
 
@@ -303,13 +308,16 @@ def _basis_tables(algebra, arity, value):
             for combo in itertools.product(range(n), repeat=arity)}
 
 
-@settings(max_examples=40, deadline=None)
-@given(graded_algebras())
-def test_commutator_template_is_the_kernel_bracket(algebra):
-    # kernel.BilinearOp.graded_commutator is the one other copy of the
-    # COMMUTATOR template; the two must agree.
-    assert constructions._template_op(identities.COMMUTATOR, algebra) == \
-        algebra.bracket()
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graded_algebras(), graded_algebras(RATIONALS)))
+def test_bracket_matches_the_naive_commutator(algebra):
+    # The one bracket: the "[,]" slot of a plain algebra, built from the
+    # COMMUTATOR template, against the commutator summed basis pair by
+    # basis pair, on every parity sector and with rational constants.
+    bracket = identities.Evaluator(algebra).op("[,]")
+    assert bracket is hs.supercommutator(algebra)
+    assert [[list(row) for row in block] for block in bracket.table] == \
+        naive.commutator(algebra)
 
 
 @settings(max_examples=40, deadline=None)
@@ -496,8 +504,67 @@ def test_left_leibniz_verdict_is_checked_once_per_algebra(monkeypatch):
 
 
 def test_supercommutator_is_the_cached_bracket(a2b):
-    assert hs.supercommutator(a2b) is a2b.bracket()
-    assert hs.build_hom_ly(a2b).binary is a2b.bracket()
+    bracket = identities.Evaluator(a2b).op("[,]")
+    assert hs.supercommutator(a2b) is bracket
+    assert hs.build_hom_ly(a2b).binary is bracket
+
+
+def _corpus_f2e():
+    path, = [p for p in hs.corpus_paths() if p.name == "leibniz_f2_e.json"]
+    return hs.load_algebra(path)
+
+
+def test_binary_ternary_bracket_is_the_binary_operation(tmp_path):
+    # The saved LY algebra of leibniz_f2_e: its "[,]" is the binary
+    # operation itself, and what the constructions derive from it is the
+    # commutator of its "*", which is twice the (supercommutative)
+    # binary operation.
+    saved = hs.save_algebra(hs.build_hom_ly(_corpus_f2e()),
+                            tmp_path / "ly.json")
+    algebra = hs.load_algebra(saved)
+    assert algebra.kind == "binary_ternary"
+    space = algebra.space
+    twice = hs.BilinearOp(space, entries={
+        (i, j, l): 2 * c for (i, j), terms in algebra.binary.constants.items()
+        for l, c in terms})
+    assert not twice.is_zero() and twice != algebra.binary
+    assert identities.Evaluator(algebra).op("[,]") is algebra.binary
+    assert hs.supercommutator(algebra) == twice
+    assert hs.build_hom_akivis(algebra).binary == twice
+    assert hs.build_hom_ly(algebra).binary is hs.supercommutator(algebra)
+    law = hs.parse_identity("[x, y] = x*y")
+    assert hs.check_identity(law, algebra).passed
+    assert not hs.check_identity(law, _corpus_f2e()).passed
+
+
+def test_bracket_is_graded_whatever_the_reading():
+    # The "[,]" slot is the graded commutator even under sign_free, where
+    # the law's own s(x,y) reads +1: at (b2,b2), [f,f] = 2e while the
+    # ungraded right-hand side is 0.  Checked sign_free first, so that no
+    # graded check has built the bracket before.
+    algebra = _corpus_f2e()
+    law = hs.parse_identity("[x, y] = x*y - s(x,y) y*x")
+    report = hs.check_identity(law, algebra, sign_free=True)
+    assert report.summary() == ("FAIL identity (checked 4) counterexamples:"
+                                " (b2,b2) -> {'b1': '2'}")
+    assert hs.check_identity(law, algebra).passed
+
+
+def test_left_to_right_twice_keeps_the_algebra(corpus, f2e):
+    plain = [algebra for _, algebra in corpus]
+    derived = [hs.build_hom_ly(f2e), hs.build_hom_akivis(f2e)]
+    for algebra in plain + derived:
+        once = hs.left_to_right(algebra)
+        twice = hs.left_to_right(once)
+        for result in (once, twice):
+            assert type(result) is type(algebra)
+            assert result.kind == algebra.kind
+            assert result.ternary == algebra.ternary
+            assert result.alpha == algebra.alpha
+        assert once.product == algebra.product.transpose()
+        assert twice.product == algebra.product
+        assert identities.Evaluator(twice).op("[,]") == \
+            identities.Evaluator(algebra).op("[,]")
 
 
 def _construction_outcomes(algebra, forced):

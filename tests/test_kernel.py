@@ -1,5 +1,7 @@
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -445,3 +447,31 @@ def test_scalar_refuses_decimal_exponents():
     assert hs.kernel.scalar("0.5") == Fraction(1, 2)
     assert hs.kernel.scalar("-3/2") == Fraction(-3, 2)
     assert hs.kernel.scalar(4) == 4
+
+
+def test_kernel_knows_nothing_of_the_identity_language():
+    # The kernel holds spaces, tensors, maps and algebras; the modules
+    # above it, and the names of the identity language's operation slots,
+    # stay out of it.  Docstrings may name them.
+    tree = ast.parse(Path(hs.kernel.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                               ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.add(id(first.value))
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"identities", "constructions", "freealg"}
+    slots = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and id(node) not in docstrings
+             and node.value in ("[,]", "{,,}")]
+    assert slots == []

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import homsuper as hs
+from homsuper import identities as idn
 from homsuper import serialize
 from homsuper.serialize import (
     DocumentError,
@@ -159,7 +160,7 @@ def test_binary_ternary_kind_round_trip(tmp_path, f2e):
     path = hs.save_algebra(derived, tmp_path / "ly.json")
     loaded = hs.load_algebra(path)
     assert isinstance(loaded, hs.BinaryTernaryAlgebra)
-    assert loaded.op_for_slot("[,]") == loaded.binary
+    assert idn.Evaluator(loaded).op("[,]") == loaded.binary
     assert algebra_to_document(loaded) == algebra_to_document(derived)
 
 
