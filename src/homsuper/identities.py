@@ -66,7 +66,6 @@ are answered from `walk`, which visits every node.
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernel
@@ -102,72 +101,100 @@ class UnknownSuite(KeyError):
 # --------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node:
+    """The base of the AST nodes: immutable values whose fields, named in
+    `_fields`, are set once by the constructor, positionally.  Equality,
+    hash and repr read the fields in order, as a frozen dataclass's do: two
+    nodes are equal when they are of one class with equal fields, and a
+    node's repr is `Var(name='x')`.  A node pickles and copies through its
+    constructor."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %d fields, not %d"
+                            % (type(self).__name__, len(self._fields),
+                               len(values)))
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+class Var(_Node):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Alpha:
-    power: int
-    sub: object
+class Zero(_Node):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.power < 1:
+
+class Alpha(_Node):
+    __slots__ = _fields = ("power", "sub")
+
+    def __init__(self, power, sub):
+        if power < 1:
             raise ValueError("alpha power must be >= 1")
+        super().__init__(power, sub)
 
 
-@dataclass(frozen=True)
-class Prod:
-    slot: str  # "*" or "[,]"
-    left: object
-    right: object
+class Prod(_Node):
+    __slots__ = _fields = ("slot", "left", "right")  # slot: "*" or "[,]"
 
 
-@dataclass(frozen=True)
-class Ternary:
-    a: object
-    b: object
-    c: object
+class Ternary(_Node):
+    __slots__ = _fields = ("a", "b", "c")
 
     slot = "{,,}"  # a class constant, not a field
 
 
-@dataclass(frozen=True)
-class Scale:
-    coeff: Fraction
-    sub: object
+class Scale(_Node):
+    __slots__ = _fields = ("coeff", "sub")  # coeff: a Fraction
 
 
-@dataclass(frozen=True)
-class Sign:
+class Sign(_Node):
     # ((P, Q), ...): each factor contributes (-1)^{|P| |Q|} where |P| is the
     # sum of the parities of the named variables.
-    factors: tuple
-    sub: object
+    __slots__ = _fields = ("factors", "sub")
 
 
-@dataclass(frozen=True)
-class Sum:
-    items: tuple
+class Sum(_Node):
+    __slots__ = _fields = ("items",)
 
 
-@dataclass(frozen=True)
-class Cyc:
-    vars: tuple    # three distinct variable names
-    factors: tuple # leading sign factors; empty tuple means "1"
-    body: object
+class Cyc(_Node):
+    # vars: three distinct variable names; factors: the leading sign
+    # factors, the empty tuple meaning "1".
+    __slots__ = _fields = ("vars", "factors", "body")
 
 
-@dataclass(frozen=True)
-class Identity:
-    lhs: object
-    rhs: object
+class Identity(_Node):
+    _fields = ("lhs", "rhs")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds the cached values
 
     # The cached properties below are computed once per law; they are not
     # fields, so they take no part in == or hash.
@@ -647,7 +674,6 @@ class Evaluator:
         self.algebra = algebra
         self.space = algebra.space
         self.sign_free = sign_free
-        self._alpha_powers = {}
 
     @functools.cached_property
     def basis(self):
@@ -660,10 +686,7 @@ class Evaluator:
         return self.space.zero_vector()
 
     def alpha(self, k):
-        maps = self._alpha_powers
-        if k not in maps:
-            maps[k] = self.algebra.alpha.power(k)
-        return maps[k]
+        return self.algebra.alpha.power(k)
 
     def op(self, slot):
         """The operation a slot names on the algebra: "*" is its product,
@@ -732,18 +755,30 @@ class Evaluator:
         return -value if self.koszul_sign(factors, env) < 0 else value
 
     def koszul_sign(self, factors, env):
-        """The product of (-1)^{|P| |Q|} over the factors; both sides of
-        every factor are evaluated, so an unbound name always raises."""
+        """The product of (-1)^{|P| |Q|} over the factors, read from their
+        `_sign_table`; every name of the factors is evaluated, so an unbound
+        name always raises."""
+        names, signs = _sign_table(factors)
+        return signs[tuple(self.parity(_bound(name, env)) for name in names)]
+
+
+@functools.cache
+def _sign_table(factors):
+    """(names, signs) for a tuple of sign factors: the names the factors
+    use, in order of first occurrence, and signs[parities], the product of
+    (-1)^{|P| |Q|} over the factors when the names have those parities (a
+    tuple of 0s and 1s in the order of names), for every parity tuple.
+    Built once per factor tuple."""
+    names = tuple(dict.fromkeys(_factor_names(factors)))
+    signs = {}
+    for parities in itertools.product((0, 1), repeat=len(names)):
+        parity = dict(zip(names, parities))
         sign = 1
         for p, q in factors:
-            pp = self._parity_sum(p, env)
-            qq = self._parity_sum(q, env)
-            if pp and qq:
+            if sum(map(parity.get, p)) % 2 and sum(map(parity.get, q)) % 2:
                 sign = -sign
-        return sign
-
-    def _parity_sum(self, names, env):
-        return sum(self.parity(_bound(name, env)) for name in names) % 2
+        signs[parities] = sign
+    return names, signs
 
 
 def _bound(name, env):
@@ -780,7 +815,9 @@ class _Tensor:
     c b_l at every binding that the key `code` matches.  Coefficients follow
     `kernel.exact`: the leaves and the integral structure constants are
     ints, so a tensor holds Fractions only where a non-integral constant or
-    coefficient entered it; `residuals` hands out Fractions.
+    coefficient entered it; `residuals` hands out Fractions.  An
+    operation's constants are converted once per operation
+    (`MultilinearOp.exact_constants`), not once per law.
 
     A key packs a partial binding into base-(n+3) digits, one per variable
     of the law, the first variable the most significant: digit 0 leaves the
@@ -914,9 +951,7 @@ class _TensorEvaluator(Evaluator):
         return hook
 
     def _contraction(self, op):
-        exact = kernel.exact
-        constants = {index: tuple((l, exact(c)) for l, c in terms)
-                     for index, terms in op.constants.items()}
+        constants = op.exact_constants
         return lambda *args: self._contract(constants, args)
 
     def _contract(self, constants, args):
@@ -967,21 +1002,14 @@ class _TensorEvaluator(Evaluator):
             code += digit * weight
         return code
 
-    def parity(self, bound):
-        # `signed` evaluates Koszul signs under an env of parities.
-        return bound
-
     def signed(self, factors, env, value):
         """The Koszul sign of the factors applied key by key.  A key that
         leaves a named variable unbound splits into one that requires it
         even and one that requires it odd, each with its own sign."""
         if self.sign_free or not factors:
             return value
-        names = tuple(dict.fromkeys(_factor_names(factors)))
+        names, signs = _sign_table(factors)
         positions = [_bound(name, env) for name in names]
-        signs = {parities: self.koszul_sign(factors, dict(zip(names,
-                                                               parities)))
-                 for parities in itertools.product((0, 1), repeat=len(names))}
         out = {}
         for l, column in value.entries.items():
             target = out.setdefault(l, {})
@@ -1076,10 +1104,9 @@ def residuals(identity, algebra, sign_free=False):
     any other law raises NonMultilinearLaw, and a law on an operation the
     algebra lacks MissingOpSlot.  The law is evaluated once, as a tensor
     over all tuples (`_TensorEvaluator`)."""
-    _require_multilinear(identity)
-    evaluator = _TensorEvaluator(algebra, identity.variables, sign_free)
+    evaluator, tensor = _law_tensor(identity, algebra, sign_free)
     rows = {}
-    for l, column in evaluator.eval(identity, evaluator.env).entries.items():
+    for l, column in tensor.entries.items():
         for code, c in column.items():
             rows.setdefault(code, {})[l] = c
     space = algebra.space
@@ -1088,6 +1115,15 @@ def residuals(identity, algebra, sign_free=False):
         for l, c in rows[code].items():
             coords[l] = c
         yield evaluator.binding(code), kernel.Vector(space, coords)
+
+
+def _law_tensor(identity, algebra, sign_free=False):
+    """The law evaluated once over every basis tuple (`_TensorEvaluator`),
+    with the evaluator whose `binding` reads a key's tuple; any law that is
+    not multilinear raises NonMultilinearLaw."""
+    _require_multilinear(identity)
+    evaluator = _TensorEvaluator(algebra, identity.variables, sign_free)
+    return evaluator, evaluator.eval(identity, evaluator.env)
 
 
 def _tuple_residuals(identity, evaluator):
@@ -1184,12 +1220,12 @@ DERIVED = {
 def template_op(template, algebra):
     """The multilinear operation a template defines on an algebra: its
     residual on every basis tuple, one argument per free variable, in
-    order of first occurrence."""
-    entries = {}
-    for combo, value in residuals(template, algebra):
-        for k, c in enumerate(value.coords):
-            if c:
-                entries[combo + (k,)] = c
+    order of first occurrence.  Its structure constants are read straight
+    off the template's tensor (`_law_tensor`), one per nonzero entry."""
+    evaluator, tensor = _law_tensor(template, algebra)
+    entries = {evaluator.binding(code) + (l,): c
+               for l, column in tensor.entries.items()
+               for code, c in column.items()}
     op = {2: kernel.BilinearOp, 3: kernel.TernaryOp}[len(template.variables)]
     return op(algebra.space, entries=entries)
 

@@ -7,10 +7,13 @@ and the kernel's own storage (`Vector` coordinates, structure constants),
 is a fractions.Fraction.  The tensor engine (`identities._TensorEvaluator`)
 and the prover (`freealg.FreeExpr`) keep each integral coefficient they
 combine as an int instead (`exact`), since int arithmetic is several times
-cheaper; ints and Fractions only add and multiply, so no float ever
-arises.  The basis is canonically ordered even-then-odd, which makes
-parity bookkeeping pure index arithmetic.  Kernel objects are immutable after construction (the only
-mutation is monotone caching) and can be shared freely.
+cheaper; the tensor engine reads an operation's constants so converted
+from `MultilinearOp.exact_constants`, built once per operation.  Ints and
+Fractions only add and multiply, so no float ever arises.  The basis is
+canonically ordered even-then-odd, which makes parity bookkeeping pure
+index arithmetic.  Kernel objects are immutable after construction (the
+only mutation is monotone caching: dense views, converted constants, map
+powers) and can be shared freely.
 
 The kernel knows nothing of the identity language: `identities` decides
 what a law's operation names mean on an algebra, the graded commutator
@@ -249,6 +252,14 @@ class MultilinearOp:
         return Vector._trusted(space, tuple(out))
 
     @functools.cached_property
+    def exact_constants(self):
+        """`constants` with each coefficient as `exact` gives it (an int
+        where integral), converted once per operation for the tensor
+        engine."""
+        return {index: tuple((l, exact(c)) for l, c in terms)
+                for index, terms in self.constants.items()}
+
+    @functools.cached_property
     def table(self):
         """Dense view: table[i][j]...[l] is the constant of b_{l+1} in the
         product of b_{i+1}, b_{j+1}, ..."""
@@ -305,6 +316,7 @@ class EvenMap(MultilinearOp):
         if bad:
             raise ParityError("entry (%d,%d) crosses the parity blocks"
                               % bad[0])
+        self._powers = {}
 
     @classmethod
     def identity(cls, space):
@@ -335,9 +347,19 @@ class EvenMap(MultilinearOp):
                                     for i in range(self.space.dim)])
 
     def power(self, k):
-        """The k-fold composite, by repeated squaring (k >= 0)."""
+        """The k-fold composite (k >= 0), built once per map and k: a
+        repeated call returns the same map."""
         if k < 0:
             raise ValueError("negative power of a map")
+        if k == 1:
+            return self  # not kept, or the map would hold itself
+        power = self._powers.get(k)
+        if power is None:
+            power = self._powers[k] = self._composite(k)
+        return power
+
+    def _composite(self, k):
+        """The k-fold composite, by repeated squaring."""
         if k == 0:
             return EvenMap.identity(self.space)
         acc = None

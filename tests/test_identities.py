@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -151,6 +153,45 @@ def test_law_variables_are_cached_outside_eq_and_hash(ident):
     assert ident.variables is ident.variables
     fresh = idn.Identity(ident.lhs, ident.rhs)
     assert ident == fresh and hash(ident) == hash(fresh) == before
+
+
+def test_ast_nodes_are_immutable_values():
+    x = idn.Var("x")
+    assert idn.Alpha(2, x) != idn.Scale(2, x)
+    assert idn.Alpha(2, x) == idn.Alpha(2, idn.Var("x"))
+    assert hash(idn.Alpha(2, x)) == hash(idn.Alpha(2, idn.Var("x")))
+    assert idn.Zero() == idn.Zero() and hash(idn.Zero()) == hash(idn.Zero())
+    assert repr(x) == "Var(name='x')"
+    assert repr(idn.Zero()) == "Zero()"
+    assert repr(hs.REGISTRY["SKEW_SUPER"]) == (
+        "Identity(lhs=Prod(slot='*', left=Var(name='x'), right=Var(name='y')),"
+        " rhs=Scale(coeff=Fraction(-1, 1), sub=Sign(factors=((('x',),"
+        " ('y',)),), sub=Prod(slot='*', left=Var(name='y'),"
+        " right=Var(name='x')))))")
+    law = hs.REGISTRY["LLSI"]
+    variables = law.variables
+    for node, name in ((x, "name"), (law, "lhs"), (law, "variables")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, idn.Zero())
+    with pytest.raises(AttributeError):
+        del x.name
+    assert x.name == "x" and law.variables is variables
+    with pytest.raises(ValueError):
+        idn.Alpha(0, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(idn.Identity, _expr_strategy, _expr_strategy))
+def test_ast_nodes_pickle_and_copy(ident):
+    ident.multilinear  # cached values do not travel with the node
+    for node in idn.walk(ident):
+        for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node),
+                     copy.copy(node)):
+            assert twin == node and hash(twin) == hash(node)
+            assert type(twin) is type(node) and repr(twin) == repr(node)
+    twin = pickle.loads(pickle.dumps(ident))
+    assert twin.variables == ident.variables
+    assert twin.multilinear == ident.multilinear
 
 
 # --------------------------------------------------------------------------
@@ -308,6 +349,58 @@ def test_cyclic_sum_rotates_leading_sign():
     ident = hs.parse_identity("cyc[x,y,z; s(x,z)](x*y) = 0")
     out = hs.eval_identity_on_tuple(ident, algebra, {"x": 1, "y": 1, "z": 0})
     assert list(out.coords) == [Fraction(1), Fraction(-1)]
+
+
+def _koszul_by_definition(factors, parity):
+    """The product of (-1)^{|P| |Q|} over the factors, |P| the sum of the
+    parities of the names in P, straight from the definition."""
+    sign = 1
+    for p, q in factors:
+        sign *= (-1) ** (sum(parity[name] for name in p)
+                         * sum(parity[name] for name in q))
+    return sign
+
+
+def _assert_sign_table(factors):
+    """The factors' sign table against the definition for every parity
+    tuple, and the per-tuple evaluator's sign read from it, with each name
+    bound to the basis element of its parity in a (1|1) algebra."""
+    names, signs = idn._sign_table(factors)
+    assert names == tuple(dict.fromkeys(
+        name for p, q in factors for name in p + q))
+    assert idn._sign_table(factors) is idn._sign_table(factors)
+    assert len(signs) == 2 ** len(names)
+    algebra = make_algebra(1, 1, {})
+    for parities in itertools.product((0, 1), repeat=len(names)):
+        env = dict(zip(names, parities))
+        expected = _koszul_by_definition(factors, env)
+        assert signs[parities] == expected, (factors, parities)
+        assert idn.Evaluator(algebra).koszul_sign(factors, env) == expected
+        assert idn.Evaluator(algebra, sign_free=True).koszul_sign(
+            factors, env) == 1
+
+
+def test_sign_tables_of_the_shipped_laws_match_the_definition():
+    laws = [*hs.REGISTRY.values(), idn.TERNARY_EQ_DEF, idn.TERNARY_EQ_HALF,
+            *(template for slots in idn.DERIVED.values()
+              for template in slots.values())]
+    tuples = {node.factors for law in laws for node in idn.walk(law)
+              if isinstance(node, (idn.Sign, idn.Cyc))}
+    assert len(tuples) >= 7
+    for factors in tuples:
+        _assert_sign_table(factors)
+
+
+_few_names = st.sampled_from(["x", "y", "z"])
+_repeating_groups = st.lists(_few_names, min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_repeating_groups, _repeating_groups),
+                max_size=4).map(tuple))
+def test_sign_table_matches_the_definition(factors):
+    # Names repeat within a group, across groups and across factors.
+    _assert_sign_table(factors)
 
 
 def test_ternary_laws_are_the_registry_laws_with_a_ternary():

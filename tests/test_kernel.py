@@ -4,11 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homsuper as hs
-from conftest import make_algebra
+from conftest import RATIONALS, graded_algebras, make_algebra
 import naive
 
 
@@ -419,13 +419,39 @@ def test_check_multiplicativity_identity_counts_every_tuple():
     assert report.passed and report.checked == 2 ** 2 + 2 ** 3
 
 
-def test_even_map_power_is_repeated_composition():
-    sp = hs.SuperSpace(2, 1)
-    m = hs.EvenMap(sp, [["1", "2", "0"], ["-1", "1/2", "0"], ["0", "0", "3"]])
-    composed = hs.EvenMap.identity(sp)
+def _naive_power_rows(rows, k):
+    """The rows of the k-fold composite: each basis vector mapped k times
+    through the dense rows."""
+    n = len(rows)
+    images = []
+    for i in range(n):
+        v = naive.basis(n, i)
+        for _ in range(k):
+            v = naive.amap(rows, v)
+        images.append(tuple(v))
+    return tuple(images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_algebras(RATIONALS).map(lambda algebra: algebra.alpha))
+@example(hs.EvenMap(hs.SuperSpace(2, 1), [["1", "2", "0"], ["-1", "1/2", "0"],
+                                          ["0", "0", "3"]]))
+def test_even_map_power_is_repeated_composition(m):
+    composed = hs.EvenMap.identity(m.space)
     for k in range(10):
-        assert m.power(k) == composed, k
+        power = m.power(k)
+        assert power == composed, k
+        assert power.rows == _naive_power_rows(m.rows, k), k
+        assert m.power(k) is power, k
+        # Equal as rationals, an int exactly where the constant is integral.
+        assert power.exact_constants == power.constants
+        for index, terms in power.constants.items():
+            for (_, c), (_, e) in zip(terms, power.exact_constants[index]):
+                assert type(e) is (int if c.denominator == 1 else Fraction)
         composed = m.compose(composed)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            m.power(-1)
 
 
 def test_is_identity_only_for_the_identity():
