@@ -42,7 +42,10 @@ NonMultilinearLaw; `Identity.multilinear` holds the verdict.
 walks it once over sparse tensors keyed by (binding, output coordinate),
 contracting with the nonzero structure constants only, so a zero or sparse
 operation costs little, and the nonzero keys are the failing tuples, in
-lexicographic order.  `residual_report` turns them into a `Report`.
+lexicographic order.  `residual_report` turns them into a `Report`.  A key
+binds basis elements only; a law with a deferred sign, one on a variable
+that its subterm leaves unbound, is walked once per parity assignment of
+such variables (`Identity.split_variables`).
 
 Every law `constructions` uses is read from the tensor: the derived
 operations (templates declared once in `DERIVED`), the ternary-equivalence
@@ -220,6 +223,13 @@ class Identity(_Node):
         return names is not None and names in (frozenset(),
                                                frozenset(self.variables))
 
+    @functools.cached_property
+    def split_variables(self):
+        """The variables whose parity a deferred sign needs before they are
+        bound, in the order of `variables` (`_law_tensor`)."""
+        names = _deferred_names(self)
+        return tuple(name for name in self.variables if name in names)
+
 
 def _children(node):
     if isinstance(node, (Var, Zero)):
@@ -301,6 +311,26 @@ def _monomial_variables(node):
         return None
     union = frozenset().union(*parts)
     return union if len(union) == sum(map(len, parts)) else None
+
+
+def _deferred_names(node):
+    """The variables, named as in the node's environment, that a sign
+    inside the node names where its subterm leaves them unbound.  Inside a
+    cyclic sum such a name among the rotated variables stands for all
+    three of them, one per rotation.  A subterm without a variable set
+    (`_monomial_variables`) stands under a zero factor, where a sign is
+    immaterial."""
+    if not isinstance(node, (Sign, Cyc)):
+        return frozenset().union(*map(_deferred_names, _children(node)))
+    sub, = _children(node)
+    names = _deferred_names(sub)
+    bound = _monomial_variables(sub)
+    if bound is not None:
+        names = names.union(name for name in _factor_names(node.factors)
+                            if name not in bound)
+    if isinstance(node, Cyc) and not names.isdisjoint(node.vars):
+        names |= frozenset(node.vars)
+    return names
 
 
 # --------------------------------------------------------------------------
@@ -819,22 +849,19 @@ class _Tensor:
     operation's constants are converted once per operation
     (`MultilinearOp.exact_constants`), not once per law.
 
-    A key packs a partial binding into base-(n+3) digits, one per variable
+    A key packs a partial binding into base-(n+1) digits, one per variable
     of the law, the first variable the most significant: digit 0 leaves the
-    variable unbound, 1..n bind it to b_1..b_n, and n+1 and n+2 leave it
-    unbound but require an even or an odd element (from a sign factor on a
-    variable that its subterm does not bind).  A key that binds every
-    variable is its basis tuple, and such keys order as their tuples do.
-    Bit p of `mask` is set when some key constrains variable p, so the keys
-    of two tensors with disjoint masks join by adding them.  A tensor is
-    never changed once built, so tensors share columns freely.
+    variable unbound and 1..n bind it to b_1..b_n.  The arguments of an
+    operation in a multilinear law bind disjoint variables, so two keys
+    join by adding them.  A key that binds every variable is its basis
+    tuple, and such keys order as their tuples do.  A tensor is never
+    changed once built, so tensors share columns freely.
     """
 
-    __slots__ = ("entries", "mask")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, mask):
+    def __init__(self, entries):
         self.entries = entries
-        self.mask = mask
 
     def __add__(self, other):
         entries = dict(self.entries)
@@ -854,7 +881,7 @@ class _Tensor:
                 entries[l] = mine
             else:
                 del entries[l]
-        return _Tensor(entries, self.mask | other.mask)
+        return _Tensor(entries)
 
     def __neg__(self):
         return self.scale(-1)
@@ -864,20 +891,10 @@ class _Tensor:
 
     def scale(self, c):
         if not c:
-            return _Tensor({}, self.mask)
+            return _Tensor({})
         c = kernel.exact(c)
         return _Tensor({l: {code: c * v for code, v in column.items()}
-                        for l, column in self.entries.items()}, self.mask)
-
-
-def _nonzero(entries):
-    """entries without its zero coefficients and empty columns."""
-    kept = {}
-    for l, column in entries.items():
-        column = {code: c for code, c in column.items() if c}
-        if column:
-            kept[l] = column
-    return kept
+                        for l, column in self.entries.items()})
 
 
 class _TensorEvaluator(Evaluator):
@@ -889,34 +906,24 @@ class _TensorEvaluator(Evaluator):
     zero or sparse operation leaves few keys; a sign is applied key by
     key.  This is sparse tensor algebra (Kjolstad et al., "The Tensor
     Algebra Compiler", OOPSLA 2017), interpreted rather than compiled.
+
+    `parities` fixes the parity of the variables that a deferred sign
+    names (`Identity.split_variables`) for the whole walk: their leaves
+    hold the basis elements of that parity only.
     """
 
     basis_shortcuts = False
 
-    def __init__(self, algebra, variables, sign_free=False):
+    def __init__(self, algebra, variables, sign_free=False, parities=None):
         super().__init__(algebra, sign_free)
-        n = self.space.dim
-        self.base = n + 3
+        self.base = self.space.dim + 1
         self.weights = [self.base ** p
                         for p in range(len(variables) - 1, -1, -1)]
         self.env = {name: p for p, name in enumerate(variables)}
-        # The parity each digit requires; None for an unbound variable.
-        self._parity = [None, *self.space.parities, 0, 1]
+        parities = parities or {}
+        self._assigned = [parities.get(name) for name in variables]
         self._leaves = {}
         self._linear = {}
-
-    def _meet_digits(self, a, b):
-        """The digit both digits allow, or None when they conflict."""
-        if not a or a == b:
-            return b
-        if not b:
-            return a
-        if a > b:
-            a, b = b, a
-        n = self.space.dim
-        if a <= n < b and self._parity[a] == self._parity[b]:
-            return a
-        return None
 
     def binding(self, code):
         """The basis tuple of a key that binds every variable."""
@@ -927,13 +934,14 @@ class _TensorEvaluator(Evaluator):
         tensor = self._leaves.get(position)
         if tensor is None:
             weight = self.weights[position]
+            assigned = self._assigned[position]
             tensor = self._leaves[position] = _Tensor(
-                {i: {(i + 1) * weight: 1}
-                 for i in range(self.space.dim)}, 1 << position)
+                {i: {(i + 1) * weight: 1} for i in range(self.space.dim)
+                 if assigned in (None, self.space.parity(i))})
         return tensor
 
     def zero(self):
-        return _Tensor({}, 0)
+        return _Tensor({})
 
     def alpha(self, k):
         hook = self._linear.get(k)
@@ -941,100 +949,71 @@ class _TensorEvaluator(Evaluator):
             power = super().alpha(k)
             hook = self._linear[k] = ((lambda tensor: tensor)
                                       if power.is_identity()
-                                      else self._contraction(power))
+                                      else _contraction(power))
         return hook
 
     def op(self, slot):
         hook = self._linear.get(slot)
         if hook is None:
-            hook = self._linear[slot] = self._contraction(super().op(slot))
+            hook = self._linear[slot] = _contraction(super().op(slot))
         return hook
 
-    def _contraction(self, op):
-        constants = op.exact_constants
-        return lambda *args: self._contract(constants, args)
-
-    def _contract(self, constants, args):
-        """The operation with these structure constants on tensors: a key
-        of the value joins one key of each argument."""
-        mask = 0
-        disjoint = True
-        for arg in args:
-            disjoint = disjoint and not mask & arg.mask
-            mask |= arg.mask
-        first, *rest = [arg.entries for arg in args]
-        join = self._join
-        out = {}
-        for index, terms in constants.items():
-            pairs = first.get(index[0])
-            if not pairs:
-                continue
-            pairs = pairs.items()
-            for i, entries in zip(index[1:], rest):
-                column = entries.get(i)
-                if not column:
-                    pairs = ()
-                    break
-                if disjoint:
-                    pairs = [(a + b, v * w) for a, v in pairs
-                             for b, w in column.items()]
-                else:
-                    pairs = [(code, v * w) for a, v in pairs
-                             for b, w in column.items()
-                             if (code := join(a, b)) is not None]
-            if not pairs:
-                continue
-            for l, c in terms:
-                target = out.setdefault(l, {})
-                for code, v in pairs:
-                    target[code] = target.get(code, 0) + c * v
-        return _Tensor(_nonzero(out), mask)
-
-    def _join(self, a, b):
-        """The key both keys match, or None when they conflict."""
-        code = 0
-        for weight in self.weights:
-            da, a = divmod(a, weight)
-            db, b = divmod(b, weight)
-            digit = self._meet_digits(da, db)
-            if digit is None:
-                return None
-            code += digit * weight
-        return code
-
     def signed(self, factors, env, value):
-        """The Koszul sign of the factors applied key by key.  A key that
-        leaves a named variable unbound splits into one that requires it
-        even and one that requires it odd, each with its own sign."""
+        """The Koszul sign of the factors applied key by key: each named
+        variable's parity is read from its digit in the key, or from
+        `parities` where the key leaves it unbound.  Without an assigned
+        parity that happens only under a zero factor (`_deferred_names`),
+        where the sign is immaterial and the variable reads as even."""
         if self.sign_free or not factors:
             return value
         names, signs = _sign_table(factors)
-        positions = [_bound(name, env) for name in names]
-        out = {}
-        for l, column in value.entries.items():
-            target = out.setdefault(l, {})
-            for code, c in column.items():
-                for key, parities in self._parity_splits(code, positions):
-                    if signs[parities] < 0:
-                        target[key] = target.get(key, 0) - c
-                    else:
-                        target[key] = target.get(key, 0) + c
-        return _Tensor(_nonzero(out),
-                       value.mask | sum(1 << p for p in positions))
+        parities = self.space.parities
+        reads = [(self.weights[p], (self._assigned[p] or 0, *parities))
+                 for p in (_bound(name, env) for name in names)]
+        base = self.base
+        return _Tensor({
+            l: {code: -c if signs[tuple(parity[code // weight % base]
+                                        for weight, parity in reads)] < 0
+                else c for code, c in column.items()}
+            for l, column in value.entries.items()})
 
-    def _parity_splits(self, code, positions):
-        """(key, parities of the variables at `positions`) for the key
-        `code`: once for each parity of the variables it leaves unbound, the
-        key that requires those parities."""
-        parities = [self._parity[code // self.weights[p] % self.base]
-                    for p in positions]
-        free = [i for i, parity in enumerate(parities) if parity is None]
-        for choice in itertools.product((0, 1), repeat=len(free)):
-            key = code
-            for i, q in zip(free, choice):
-                parities[i] = q
-                key += (self.space.dim + 1 + q) * self.weights[positions[i]]
-            yield key, tuple(parities)
+
+def _contraction(op):
+    """The hook of an operation on tensors; it holds the operation's exact
+    constants and nothing else."""
+    constants = op.exact_constants
+    return lambda *args: _contract(constants, args)
+
+
+def _contract(constants, args):
+    """The operation with these structure constants on tensors: a key of
+    the value is the sum of one key of each argument."""
+    first, *rest = [arg.entries for arg in args]
+    out = {}
+    for index, terms in constants.items():
+        pairs = first.get(index[0])
+        if not pairs:
+            continue
+        pairs = pairs.items()
+        for i, entries in zip(index[1:], rest):
+            column = entries.get(i)
+            if not column:
+                pairs = ()
+                break
+            pairs = [(a + b, v * w) for a, v in pairs
+                     for b, w in column.items()]
+        if not pairs:
+            continue
+        for l, c in terms:
+            target = out.setdefault(l, {})
+            for code, v in pairs:
+                target[code] = target.get(code, 0) + c * v
+    kept = {}
+    for l, column in out.items():
+        column = {code: c for code, c in column.items() if c}
+        if column:
+            kept[l] = column
+    return _Tensor(kept)
 
 
 def _require_multilinear(identity):
@@ -1118,12 +1097,20 @@ def residuals(identity, algebra, sign_free=False):
 
 
 def _law_tensor(identity, algebra, sign_free=False):
-    """The law evaluated once over every basis tuple (`_TensorEvaluator`),
-    with the evaluator whose `binding` reads a key's tuple; any law that is
-    not multilinear raises NonMultilinearLaw."""
+    """The law evaluated over every basis tuple (`_TensorEvaluator`), with
+    an evaluator whose `binding` reads a key's tuple; any law that is not
+    multilinear raises NonMultilinearLaw.  The law is walked once, or,
+    when it has a deferred sign and the reading is graded, once per parity
+    assignment of its `split_variables`, and the walks are added."""
     _require_multilinear(identity)
-    evaluator = _TensorEvaluator(algebra, identity.variables, sign_free)
-    return evaluator, evaluator.eval(identity, evaluator.env)
+    split = () if sign_free else identity.split_variables
+    tensor = None
+    for parities in itertools.product((0, 1), repeat=len(split)):
+        evaluator = _TensorEvaluator(algebra, identity.variables, sign_free,
+                                     dict(zip(split, parities)))
+        value = evaluator.eval(identity, evaluator.env)
+        tensor = value if tensor is None else tensor + value
+    return evaluator, tensor
 
 
 def _tuple_residuals(identity, evaluator):

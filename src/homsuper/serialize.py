@@ -42,8 +42,9 @@ from .kernel import (
     scalar,
 )
 
-# The largest dimension a document may declare: a missing alpha defaults to
-# the dense identity, whose n^2 entries the loader builds and walks.
+# The largest dimension a document may declare: every alpha, given or the
+# default identity, is built from a dense n x n matrix, and saving writes
+# it as one, so a short document must not name a large n.
 MAX_DIM = 256
 
 # The fields of a document, in canonical order.
@@ -160,8 +161,10 @@ def document_to_algebra(doc, where="document"):
     if doc.get("ternary") is not None:
         ternary = TernaryOp(space, entries=_parse_sparse(
             where + ".ternary", doc["ternary"], n, 4))
-    alpha = _parse_alpha(where + ".alpha", doc.get("alpha", _dense_identity(n)),
-                         space)
+    if "alpha" in doc:
+        alpha = _parse_alpha(where + ".alpha", doc["alpha"], space)
+    else:
+        alpha = EvenMap.identity(space)
     kind = doc.get("kind", "hom_superalgebra")
     name = doc.get("name", "")
     if not isinstance(name, str):
@@ -207,10 +210,6 @@ def algebra_to_document(algebra):
 def _sparse_entries(op):
     return [[i + 1 for i in index] + [l + 1, str(c)]
             for index, terms in op.constants.items() for l, c in terms]
-
-
-def _dense_identity(n):
-    return [["1" if i == k else "0" for k in range(n)] for i in range(n)]
 
 
 def canonical_text(doc):

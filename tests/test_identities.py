@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import pickle
 from collections import Counter
@@ -861,6 +862,10 @@ _DEFERRED_SIGN_LAWS = [hs.parse_identity(text) for text in (
     "{s(z,u) x, s(y,(x+u)) y, z*u} = - s(x,y) {y, x, z*u}",
     "u*cyc[x,y,z; s(x,(y+u))]((x*y)*a(z)) = 0",
     "cyc[x,y,z; s(x,z)](s(u,y) a(u)*(x*[y, z])) = 0",
+    # Inside a cyclic body the rotations read the deferred parity of each
+    # of the three rotated variables in turn.
+    "cyc[x,y,z; 1]((s(x,y) y*z)*a(x)) = 0",
+    "u*cyc[x,y,z; s(x,(y+u))]((s(u,z) x*y)*a(z)) = 0",
 )]
 
 
@@ -915,14 +920,83 @@ def test_deferred_signs_match_the_per_tuple_scan(law):
         assert found[False] and found[False] != found[True]
 
 
-_DIFFERENTIAL_LAWS = dict(
-    hs.REGISTRY, MIXED=_MIXED_LAW,
+def test_deferred_signs_inside_a_cyclic_body_split_all_three():
+    assert _DEFERRED_SIGN_LAWS[-2].split_variables == ("x", "y", "z")
+    assert _DEFERRED_SIGN_LAWS[-1].split_variables == ("u", "x", "y", "z")
+    # The sign's own subterm binds every variable it names.
+    assert _DEFERRED_SIGN_LAWS[5].split_variables == ()
+
+
+_COMMON_LAWS = dict(
+    hs.REGISTRY,
     TERNARY_EQ_DEF=idn.TERNARY_EQ_DEF, TERNARY_EQ_HALF=idn.TERNARY_EQ_HALF,
     YAU_TWIST=constructions.YAU_TWIST,
     **{"%s %s" % (structure, slot): template
        for structure, slots in idn.DERIVED.items()
-       for slot, template in slots.items()},
-    **{"deferred %d" % i: law for i, law in enumerate(_DEFERRED_SIGN_LAWS)})
+       for slot, template in slots.items()})
+
+
+def test_one_walk_per_law_unless_a_sign_is_deferred(monkeypatch):
+    algebra = _signed_algebra()
+    idn.commutator(algebra)  # the "[,]" slot's own walk, once per algebra
+    laws = dict(_COMMON_LAWS, **{"deferred %d" % i: law for i, law
+                                 in enumerate(_DEFERRED_SIGN_LAWS)})
+    for law in laws.values():
+        list(idn.residuals(law, algebra))
+    walks = Counter()
+    evaluate = idn._TensorEvaluator.eval
+
+    def spy(self, node, env):
+        if isinstance(node, idn.Identity):
+            walks[node] += 1
+        return evaluate(self, node, env)
+
+    def refuse(node):
+        raise AssertionError("deferred signs looked up again")
+
+    monkeypatch.setattr(idn._TensorEvaluator, "eval", spy)
+    monkeypatch.setattr(idn, "_deferred_names", refuse)
+    for name, law in laws.items():
+        if name in _COMMON_LAWS:
+            assert law.split_variables == (), name
+        for sign_free in (False, True):
+            walks.clear()
+            list(idn.residuals(law, algebra, sign_free))
+            expected = 1 if sign_free else 2 ** len(law.split_variables)
+            assert walks == {law: expected}, (name, sign_free)
+
+
+def test_residuals_leave_no_reference_cycle(corpus):
+    # Each evaluator is freed by reference counting as soon as its call
+    # returns: its operation hooks hold the constants, not the evaluator.
+    algebra = corpus[0][1]
+    law = hs.REGISTRY["LLSI"]
+    list(idn.residuals(law, algebra))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            list(idn.residuals(law, algebra))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# Signs next to zero factors.  x*x repeats a variable, which a multilinear
+# law allows under a zero factor only: the keys of its tensor bind nothing
+# meaningful, and the sign on them is immaterial but must not fail.  In
+# the last law the zero term 0*z names z, but no key of the sum binds it.
+_ZERO_FACTOR_LAWS = [hs.parse_identity(text) for text in (
+    "(s(x,y) x*x)*0 + x*y = 0",
+    "(s(y,x) x*x)*0 + x*y = 0",
+    "(s(x,y) x*x)*0 + 0*y + x*y = 0",
+    "(s(z,x) (x*y + 0*z))*z = (x*y)*z",
+)]
+
+_DIFFERENTIAL_LAWS = dict(
+    _COMMON_LAWS, MIXED=_MIXED_LAW,
+    **{"deferred %d" % i: law for i, law in enumerate(_DEFERRED_SIGN_LAWS)},
+    **{"zero factor %d" % i: law for i, law in enumerate(_ZERO_FACTOR_LAWS)})
 
 
 @settings(max_examples=30, deadline=None)

@@ -145,6 +145,10 @@ def test_missing_alpha_defaults_to_identity():
     doc = {"dims": {"even": 1, "odd": 1}, "product": []}
     algebra = document_to_algebra(doc)
     assert algebra.alpha.is_identity()
+    assert algebra_to_document(algebra)["alpha"] == [["1", "0"], ["0", "1"]]
+    # An explicit null is not a missing alpha.
+    with pytest.raises(DocumentError, match="alpha"):
+        document_to_algebra(dict(doc, alpha=None))
 
 
 def test_fresh_algebras_have_empty_unshared_metadata(a2b, f2e):
