@@ -56,6 +56,9 @@ tensor on the laws with a "{,,}" slot or a zero operation.  The other laws,
 binary laws on nonzero operations, it evaluates tuple by tuple
 (`_tuple_residuals`): a search decides its candidates with them and stops
 at the first failing tuple, which is cheaper there than the whole tensor.
+Before it scans a candidate, `suite_passes` evaluates each law at the
+tuple that refuted it last (its witness), which rejects most candidates
+without a scan: consecutive candidates usually fail at the same tuple.
 Its full scans of these laws wait for the benchmark to keep one
 fingerprint per input (ROADMAP item 1) before they move to the tensor.
 
@@ -1292,8 +1295,32 @@ def check_suite(names, algebra, sign_free=False, first_only=False):
     return reports
 
 
-def suite_passes(names, algebra):
+def suite_passes(names, algebra, witnesses=None):
     """True iff every check of the suite passes; stops at the first check
-    that fails, and each law at its first counterexample."""
-    return all(check_suite([check], algebra, first_only=True)[0].passed
-               for check in _expand_suite(names, algebra))
+    that fails, and each law at its first counterexample.
+
+    `witnesses`, when given, is a dict the caller keeps across calls on
+    algebras over one space (`run_search` keeps one per scan): it maps a
+    law of the suite to the binding of the last counterexample the law
+    gave.  Every remembered binding is evaluated first
+    (`eval_identity_on_tuple`); a nonzero residual there refutes a
+    multilinear law, so the verdict is False without a scan.  Otherwise
+    the checks run in order, and a law that fails remembers its first
+    counterexample.  The verdict is the same with or without witnesses."""
+    checks = _expand_suite(names, algebra)
+    if witnesses and any(
+            not eval_identity_on_tuple(REGISTRY[name], algebra,
+                                       binding).is_zero()
+            for name, binding in witnesses.items() if name in checks):
+        return False
+    for check in checks:
+        report = check_suite([check], algebra, first_only=True)[0]
+        if not report.passed:
+            if witnesses is not None and check in REGISTRY:
+                labels = algebra.space.labels
+                witnesses[check] = dict(zip(
+                    REGISTRY[check].variables,
+                    (labels.index(label)
+                     for label in report.counterexamples[0]["tuple"])))
+            return False
+    return True

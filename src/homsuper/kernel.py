@@ -317,6 +317,10 @@ class EvenMap(MultilinearOp):
             raise ParityError("entry (%d,%d) crosses the parity blocks"
                               % bad[0])
         self._powers = {}
+        # Decided once: the map never changes after it is built.
+        self._identity = (len(self.constants) == space.dim
+                          and all(terms == ((i, ONE),) for (i,), terms
+                                  in self.constants.items()))
 
     @classmethod
     def identity(cls, space):
@@ -373,9 +377,7 @@ class EvenMap(MultilinearOp):
             square = square.compose(square)
 
     def is_identity(self):
-        return (len(self.constants) == self.space.dim
-                and all(terms == ((i, ONE),)
-                        for (i,), terms in self.constants.items()))
+        return self._identity
 
 
 class BilinearOp(MultilinearOp):

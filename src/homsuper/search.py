@@ -20,8 +20,17 @@ built.  `examined` counts every index the scan passed, built or not: a full
 scan reports the whole space, and a capped scan stops at the same index as
 a scan that builds every candidate.  The time budget is checked before each
 candidate that is built.  The scan does not check the parity rule, which
-every candidate keeps by construction, nor, when the slot filter is on,
-multiplicativity, which every candidate it builds keeps too.
+every candidate keeps by construction, nor multiplicativity: the identity
+map is an endomorphism of every product, and with a diagonal pool the slot
+filter builds multiplicative candidates only.
+
+A candidate is decided by `identities.suite_passes`, with one witness per
+law kept for the whole scan: the basis tuple of the last counterexample
+that law gave.  Consecutive candidates usually fail at the same tuple, so
+each candidate is first evaluated at the remembered tuples, and only one
+that none of them refutes is scanned in full.  A nonzero residual at any
+basis tuple refutes a multilinear law, so the hits are the same as
+without witnesses.
 
 The scan is one serial pass in one process, so its results are always those
 of a scanned prefix of the index order.
@@ -69,6 +78,9 @@ class SearchSpec:
         if self.max_results < 1:
             raise SearchSpaceError("the result cap must be at least 1, got %d"
                                    % self.max_results)
+        if budget_ms is not None and budget_ms < 0:
+            raise SearchSpaceError("the time budget must be nonnegative, "
+                                   "got %s ms" % budget_ms)
         self.budget_ms = budget_ms
         self.max_space = int(max_space)
         self._last_alpha = (None, None)
@@ -213,25 +225,28 @@ def run_search(spec):
     """Enumerate the whole space (subject to cap and budget) and keep the
     candidates passing the suite.  Raises SearchSpaceError when the space
     exceeds spec.max_space.  Indices the slot filter rejects are counted as
-    examined without being built."""
+    examined without being built.  The laws' witnesses (`suite_passes`)
+    live for this call only."""
     size = spec.space_size()
     checks = spec.checks()
     filtered = spec.alpha_pool is not None and "multiplicativity" in checks
     # Every candidate keeps the parity rule: `candidate` fills only the
     # slots `_allowed_slots` allows, with an identity or diagonal alpha.
-    # With the slot filter on, every candidate built is multiplicative too:
-    # its nonzero constants sit on slots with d_k = d_i * d_j.
-    skipped = {"grading", "multiplicativity"} if filtered else {"grading"}
-    checks = [check for check in checks if check not in skipped]
+    # Every candidate built is multiplicative too: the identity map is an
+    # endomorphism of every product, and with the slot filter on, the
+    # nonzero constants sit on slots with d_k = d_i * d_j.
+    checks = [check for check in checks
+              if check not in ("grading", "multiplicativity")]
     deadline = None
     if spec.budget_ms is not None:
         deadline = time.monotonic() + spec.budget_ms / 1000.0
     documents = []
+    witnesses = {}
     for index in _indices(spec, filtered):
         if deadline is not None and time.monotonic() > deadline:
             return SearchOutcome(spec, documents, index, True)
         algebra = spec.candidate(index)
-        if idn.suite_passes(checks, algebra):
+        if idn.suite_passes(checks, algebra, witnesses):
             algebra.metadata = {"source": "search", "candidate": index,
                                 "expected": {spec.suite: True}}
             documents.append(serialize.algebra_to_document(algebra))

@@ -258,6 +258,17 @@ def test_search_rejects_bad_dims(capsys):
         assert captured.err.count("\n") == 1
 
 
+def test_search_rejects_a_negative_budget(capsys):
+    assert cli.main(["search", "--dims", "1,1", "--budget-ms", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the time budget must be nonnegative, "
+                            "got -5 ms\n")
+    # A zero budget is valid: the scan stops at once, flagged partial.
+    assert cli.main(["search", "--dims", "1,1", "--budget-ms", "0"]) == 0
+    assert capsys.readouterr().out.endswith("(partial)\n")
+
+
 def test_search_rejects_oversized_space(capsys):
     code = cli.main(["search", "--dims", "3,3", "--coeffs=-1,0,1"])
     assert code == 2

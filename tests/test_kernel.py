@@ -466,6 +466,16 @@ def test_is_identity_only_for_the_identity():
                                ["0", "0", "1"]]).is_identity()
 
 
+def test_is_identity_is_decided_when_the_map_is_built():
+    # The verdict is kept with the map, not read again from its constants.
+    sp = hs.SuperSpace(1, 1)
+    identity = hs.EvenMap.identity(sp)
+    other = hs.EvenMap.diagonal(sp, [1, 2])
+    identity.constants, other.constants = {}, identity.constants
+    assert identity.is_identity()
+    assert not other.is_identity()
+
+
 def test_scalar_refuses_decimal_exponents():
     for text in ("1e300000", "2E3", "1.5e-2"):
         with pytest.raises(ValueError, match="exponent"):

@@ -1,12 +1,16 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import homsuper as hs
 from homsuper import identities, kernel, search
 from homsuper.search import SearchSpec, SearchSpaceError, run_search
 from homsuper.serialize import algebra_to_document
+import naive
 
 
 def test_single_zero_candidate():
@@ -59,6 +63,14 @@ def test_search_budget_flags_partial():
     outcome = run_search(spec)
     assert outcome.partial
     assert outcome.examined < spec.space_size()
+
+
+def test_negative_budget_is_refused():
+    with pytest.raises(SearchSpaceError, match="budget"):
+        SearchSpec((1, 1), budget_ms=-5)
+    with pytest.raises(SearchSpaceError, match="budget"):
+        SearchSpec((1, 1), budget_ms=-0.5)
+    assert SearchSpec((1, 1), budget_ms=0).budget_ms == 0
 
 
 def test_search_space_bound():
@@ -183,12 +195,117 @@ def _expected_outcome(spec, hits):
 ])
 def test_slot_filtered_scan_matches_brute_force(dims, coeffs, alpha,
                                                 max_results):
-    spec = SearchSpec(dims, coeffs=coeffs, alpha=alpha, suite="leibniz",
-                      max_results=max_results)
+    _assert_scan_matches_brute_force(SearchSpec(
+        dims, coeffs=coeffs, alpha=alpha, suite="leibniz",
+        max_results=max_results))
+
+
+@pytest.mark.parametrize("suite,dims,coeffs,alpha,max_results", [
+    ("lie", (1, 1), ("-1", "0", "1"), ("0", "-1", "2", "1/2"), 1000),
+    ("lie", (2, 0), ("-1", "0", "1"), "id", 1000),
+    ("lie", (1, 1), ("-1", "0", "1"), "id", 2),
+    ("all", (1, 1), ("-1", "0", "1"), ("0", "-1", "2"), 1000),
+    ("all", (2, 0), ("0", "1"), "id", 1000),
+    ("all", (0, 2), ("1", "0"), ("-1", "2"), 3),
+    ("leibniz", (2, 0), ("-1", "0", "1"), "id", 7),
+    ("leibniz", (1, 1), ("-1", "0", "1"), "id", 1),
+])
+def test_witness_scan_matches_brute_force(suite, dims, coeffs, alpha,
+                                          max_results):
+    # The witnesses of every law of the suite, and the identity alpha,
+    # with and without a cap that stops the scan mid-space.
+    _assert_scan_matches_brute_force(SearchSpec(
+        dims, coeffs=coeffs, alpha=alpha, suite=suite,
+        max_results=max_results))
+
+
+def _assert_scan_matches_brute_force(spec):
     documents, examined, partial = _expected_outcome(spec, _brute_force(spec))
     outcome = run_search(spec)
     assert outcome.documents == documents
     assert (outcome.examined, outcome.partial) == (examined, partial)
+
+
+def _first_counterexample(law, algebra):
+    """The binding of a law's first failing basis tuple, or None."""
+    report = identities.check_identity(law, algebra, first_only=True)
+    if report.passed:
+        return None
+    labels = algebra.space.labels
+    return dict(zip(law.variables, (labels.index(label) for label in
+                                    report.counterexamples[0]["tuple"])))
+
+
+@pytest.mark.parametrize("suite,alpha", [
+    ("leibniz", "id"), ("lie", "id"), ("all", ("0", "-1", "2")),
+])
+def test_witnesses_keep_every_verdict(suite, alpha):
+    # One witness dict across the whole space, as run_search keeps it: the
+    # verdict of every candidate is the verdict without witnesses, and a
+    # law's witness is always the first counterexample of the candidate
+    # that stored it.
+    spec = SearchSpec((1, 1), coeffs=("-1", "0", "1"), alpha=alpha,
+                      suite=suite)
+    checks = [c for c in spec.checks() if c in identities.REGISTRY]
+    witnesses = {}
+    verdicts = set()
+    for index in range(spec.space_size()):
+        algebra = spec.candidate(index)
+        before = dict(witnesses)
+        verdict = identities.suite_passes(checks, algebra, witnesses)
+        assert verdict == identities.suite_passes(checks, algebra), index
+        verdicts.add(verdict)
+        if verdict:
+            assert witnesses == before, index
+        for name, binding in witnesses.items():
+            if before.get(name) != binding:
+                assert binding == _first_counterexample(
+                    identities.REGISTRY[name], algebra), index
+    assert verdicts == {True, False}
+    assert witnesses
+
+
+def test_a_failing_scan_replaces_the_witness_and_a_hit_keeps_it(
+        monkeypatch):
+    space = hs.SuperSpace(2, 0)
+    identity = hs.EvenMap.identity(space)
+
+    def algebra(entries):
+        return hs.HomSuperalgebra(space, hs.BilinearOp(space, entries=entries),
+                                  identity)
+
+    llsi = identities.REGISTRY["LLSI"]
+    # b1*b1 = b1 + b2 fails LLSI first at (b1, b1, b1).
+    first = algebra({(0, 0, 0): 1, (0, 0, 1): 1})
+    witnesses = {}
+    assert not identities.suite_passes(["LLSI"], first, witnesses)
+    assert witnesses == {"LLSI": {"x": 0, "y": 0, "z": 0}}
+    assert witnesses["LLSI"] == _first_counterexample(llsi, first)
+    # b1*b1 = b2 passes: the witness tuple does not refute it, the scan
+    # runs and finds nothing, and the witness stays.
+    hit = algebra({(0, 0, 1): 1})
+    assert identities.suite_passes(["LLSI"], hit, witnesses)
+    assert witnesses == {"LLSI": {"x": 0, "y": 0, "z": 0}}
+    # b2*b2 = b1 + b2 vanishes at (b1, b1, b1) but fails later: the scan
+    # finds its first counterexample, which replaces the witness.
+    later = algebra({(1, 1, 0): 1, (1, 1, 1): 1})
+    assert identities.eval_identity_on_tuple(
+        llsi, later, {"x": 0, "y": 0, "z": 0}).is_zero()
+    assert not identities.suite_passes(["LLSI"], later, witnesses)
+    assert witnesses["LLSI"] == _first_counterexample(llsi, later)
+    assert witnesses["LLSI"] != {"x": 0, "y": 0, "z": 0}
+    # Now the witness refutes the same candidate without a scan.
+    ran = []
+    original = identities.check_identity
+    monkeypatch.setattr(identities, "check_identity",
+                        lambda *a, **k: ran.append(a) or original(*a, **k))
+    assert not identities.suite_passes(["LLSI"], later, witnesses)
+    assert ran == []
+    # A witness of a law outside the suite is not evaluated: b1*b1 = b2
+    # fails SKEW_SUPER at (b1, b1) and passes LLSI.
+    witnesses = {"SKEW_SUPER": {"x": 0, "y": 0}}
+    assert identities.suite_passes(["LLSI"], hit, witnesses)
+    assert not identities.suite_passes(["SKEW_SUPER"], hit, witnesses)
 
 
 @pytest.mark.parametrize("dims,coeffs,alpha", [
@@ -235,6 +352,24 @@ def test_filtered_scan_skips_the_multiplicativity_check(monkeypatch):
     assert outcome.examined == spec.space_size()
 
 
+def test_identity_alpha_scan_skips_the_multiplicativity_check(monkeypatch):
+    # The identity map is an endomorphism of every product, so every
+    # candidate of an id-alpha scan is multiplicative.
+    spec = SearchSpec((1, 1), coeffs=("-1", "0", "1"), alpha="id",
+                      suite="leibniz", max_results=1000)
+    assert "multiplicativity" in spec.checks()
+    hits = _brute_force(spec)
+    assert 0 < len(hits) < spec.space_size()
+
+    def refuse(algebra):
+        raise AssertionError("checked multiplicativity")
+
+    monkeypatch.setattr(kernel, "check_multiplicativity", refuse)
+    outcome = run_search(spec)
+    assert outcome.documents == [doc for _, doc in hits]
+    assert outcome.examined == spec.space_size()
+
+
 @pytest.mark.parametrize("suite,error", [
     ("bogus", hs.UnknownSuite),
     ("akivis", hs.MissingOpSlot),
@@ -265,3 +400,54 @@ def test_suite_passes_stops_at_the_first_failing_check(monkeypatch):
 def test_ternary_law_raises_even_when_no_candidate_reaches_it():
     with pytest.raises(hs.MissingOpSlot):
         run_search(SearchSpec((1, 1), coeffs=("1",), suite="akivis"))
+
+
+# Small pool values, with zero, so that both hits and misses occur.
+_POOL = st.sampled_from(["-1", "0", "1", "2", "1/2", "-2"])
+
+
+def _naive_multiplicative(table, rows):
+    n = len(rows)
+    return all(naive.amap(rows, naive.mul(table, naive.basis(n, i),
+                                          naive.basis(n, j)))
+               == naive.mul(table, naive.amap(rows, naive.basis(n, i)),
+                            naive.amap(rows, naive.basis(n, j)))
+               for i in range(n) for j in range(n))
+
+
+def _naive_leibniz(algebra):
+    n = algebra.space.dim
+    return all(not any(naive.llsi_residual(algebra, i, j, k))
+               for i, j, k in itertools.product(range(n), repeat=3))
+
+
+@st.composite
+def _small_plans(draw):
+    """(dims, coeffs, alpha) over at most 2,304 candidates: (1|1) with pools
+    of 2 or 3 values, (2|0) with 2 coefficients (3 make 6,561 candidates
+    per alpha, too many for the oracle here)."""
+    dims = draw(st.sampled_from([(1, 1), (2, 0)]))
+    coeffs = draw(st.lists(_POOL, min_size=2,
+                           max_size=3 if dims == (1, 1) else 2))
+    alpha = draw(st.one_of(st.just("id"),
+                           st.lists(_POOL, min_size=2, max_size=3)))
+    return dims, coeffs, alpha
+
+
+@settings(max_examples=15, deadline=None)
+@given(_small_plans())
+@example(((1, 1), ["0", "1", "-1"], ["0", "-1", "2"]))
+@example(((2, 0), ["1", "0"], "id"))
+def test_search_hits_are_the_candidates_the_naive_oracle_accepts(plan):
+    dims, coeffs, alpha = plan
+    spec = SearchSpec(dims, coeffs=coeffs, alpha=alpha, suite="leibniz",
+                      max_results=10 ** 6)
+    want = []
+    for index in range(spec.space_size()):
+        algebra = spec.candidate(index)
+        table, rows = algebra.product.table, algebra.alpha.rows
+        if _naive_multiplicative(table, rows) and _naive_leibniz(algebra):
+            want.append(index)
+    outcome = run_search(spec)
+    assert [doc["metadata"]["candidate"] for doc in outcome.documents] == want
+    assert (outcome.examined, outcome.partial) == (spec.space_size(), False)
