@@ -837,8 +837,17 @@ def _rotations(env, names):
 def eval_identity_on_tuple(identity, algebra, binding, sign_free=False):
     """Residual lhs - rhs of an identity at one basis-element binding.
 
-    binding maps variable names to 0-based basis indices.
+    binding maps variable names to 0-based basis indices; a value that is
+    not an int raises TypeError, and one outside 0..n-1 IndexError.
     """
+    n = algebra.space.dim
+    for name, index in binding.items():
+        if type(index) is not int:
+            raise TypeError("variable %r is bound to %r, not a basis index"
+                            % (name, index))
+        if not 0 <= index < n:
+            raise IndexError("variable %r is bound to %d, outside 0..%d"
+                             % (name, index, n - 1))
     return Evaluator(algebra, sign_free).eval(identity, binding)
 
 
@@ -1244,46 +1253,36 @@ SUITES = {
 }
 
 
-def _expand_suite(names, algebra):
-    if isinstance(names, str):
-        names = [names]
+def resolve_suite(names, algebra):
+    """The checks that `names` (suite names, registry names, "grading",
+    "multiplicativity" or "all") expand to on `algebra`, in order, each
+    once.  Raises UnknownSuite for a name that is neither a suite nor a
+    check, and MissingOpSlot for a law needing an operation the algebra
+    lacks, so a suite runner refuses a suite before any check runs."""
+    ternary = algebra.ternary is not None
     checks = []
-    for name in names:
-        if name in SUITES:
-            checks.extend(_expand_suite(SUITES[name], algebra))
-        elif name == "all":
-            checks.extend(["grading", "multiplicativity"])
-            ternary = algebra.ternary is not None
-            checks.extend(key for key in REGISTRY
-                          if ternary or key not in TERNARY_LAWS)
+    for name in [names] if isinstance(names, str) else names:
+        if name == "all":
+            checks += ["grading", "multiplicativity"]
+            checks += [law for law in REGISTRY
+                       if ternary or law not in TERNARY_LAWS]
+        elif name in SUITES:
+            checks += SUITES[name]
         elif name in ("grading", "multiplicativity") or name in REGISTRY:
             checks.append(name)
         else:
             raise UnknownSuite(name)
-    deduped = []
-    for c in checks:
-        if c not in deduped:
-            deduped.append(c)
-    return deduped
-
-
-def resolve_suite(names, algebra):
-    """The checks that `names` expands to on `algebra`, in order.  Raises
-    UnknownSuite for a name that is neither a suite nor a check, and
-    MissingOpSlot for a law needing an operation the algebra lacks."""
-    checks = _expand_suite(names, algebra)
-    if algebra.ternary is None:
-        for check in checks:
-            if check in TERNARY_LAWS:
-                raise MissingOpSlot("algebra has no %r operation" % "{,,}")
+    checks = list(dict.fromkeys(checks))
+    if not ternary and not TERNARY_LAWS.isdisjoint(checks):
+        raise MissingOpSlot("algebra has no %r operation" % "{,,}")
     return checks
 
 
 def check_suite(names, algebra, sign_free=False, first_only=False):
-    """Run the named checks (suite names, registry names, or "grading" /
-    "multiplicativity") and return their reports in deterministic order."""
+    """Run the named checks (`resolve_suite`) and return their reports in
+    deterministic order."""
     reports = []
-    for check in _expand_suite(names, algebra):
+    for check in resolve_suite(names, algebra):
         if check == "grading":
             reports.append(kernel.check_algebra_grading(algebra))
         elif check == "multiplicativity":
@@ -1302,17 +1301,17 @@ def suite_passes(names, algebra, witnesses=None):
     `witnesses`, when given, is a dict the caller keeps across calls on
     algebras over one space (`run_search` keeps one per scan): it maps a
     law of the suite to the binding of the last counterexample the law
-    gave.  Every remembered binding is evaluated first
-    (`eval_identity_on_tuple`); a nonzero residual there refutes a
-    multilinear law, so the verdict is False without a scan.  Otherwise
-    the checks run in order, and a law that fails remembers its first
-    counterexample.  The verdict is the same with or without witnesses."""
-    checks = _expand_suite(names, algebra)
-    if witnesses and any(
-            not eval_identity_on_tuple(REGISTRY[name], algebra,
-                                       binding).is_zero()
-            for name, binding in witnesses.items() if name in checks):
-        return False
+    gave.  Every remembered binding is evaluated first; a nonzero residual
+    there refutes a multilinear law, so the verdict is False without a
+    scan.  Otherwise the checks run in order, and a law that fails
+    remembers its first counterexample.  The verdict is the same with or
+    without witnesses."""
+    checks = resolve_suite(names, algebra)
+    if witnesses:
+        evaluator = Evaluator(algebra)  # the bindings are valid indices
+        if any(not evaluator.eval(REGISTRY[name], binding).is_zero()
+               for name, binding in witnesses.items() if name in checks):
+            return False
     for check in checks:
         report = check_suite([check], algebra, first_only=True)[0]
         if not report.passed:

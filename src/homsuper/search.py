@@ -2,27 +2,27 @@
 satisfying a given law suite.
 
 Candidates are enumerated in lexicographic order: the twisting-map choice is
-the outer digit string (identity only, or diagonal entries over a pool), the
-parity-allowed structure constants the inner one, both in the order the
-coefficient lists were given.  The search space size is computed up front,
-by counting rather than by building the slots, and refused when it exceeds
-the configured bound; an optional time budget
-stops the scan early with the partial flag set.  Results are re-buildable
-from their candidate index, so the output is deterministic.
+the outer digit string (diagonal entries over a pool), the parity-allowed
+structure constants the inner one, both in the order the coefficient lists
+were given.  The identity is the diagonal family of the one value 1, one
+alpha block like any other.  The search space size is computed up front, by
+counting rather than by building the slots, and refused when it exceeds
+DEFAULT_MAX_SPACE; an optional time budget stops the scan early with the
+partial flag set.  Results are re-buildable from their candidate index, so
+the output is deterministic.
 
 For a diagonal twisting map diag(d), multiplicativity splits into one
 condition per structure constant: c_ijk * (d_k - d_i * d_j) = 0.  So when
-the suite checks multiplicativity and alpha comes from a diagonal pool, the
-scan works out, per alpha digit string, which slots (i,j,k) satisfy
-d_k = d_i * d_j and walks only the candidates holding a zero coefficient on
-every other slot, in index order.  The rest are rejected without being
-built.  `examined` counts every index the scan passed, built or not: a full
-scan reports the whole space, and a capped scan stops at the same index as
-a scan that builds every candidate.  The time budget is checked before each
+the suite checks multiplicativity, the scan works out, per alpha digit
+string, which slots (i,j,k) satisfy d_k = d_i * d_j and walks only the
+candidates holding a zero coefficient on every other slot, in index order;
+under the identity every slot passes.  The rest are rejected unbuilt.
+`examined` counts every index the scan passed, built or not: a full scan
+reports the whole space, and a capped scan stops at the same index as a
+scan that builds every candidate.  The time budget is checked before each
 candidate that is built.  The scan does not check the parity rule, which
-every candidate keeps by construction, nor multiplicativity: the identity
-map is an endomorphism of every product, and with a diagonal pool the slot
-filter builds multiplicative candidates only.
+every candidate keeps by construction, nor multiplicativity, which the slot
+filter guarantees for every candidate it builds.
 
 A candidate is decided by `identities.suite_passes`, with one witness per
 law kept for the whole scan: the basis tuple of the last counterexample
@@ -42,7 +42,8 @@ import time
 
 from . import identities as idn
 from . import serialize
-from .kernel import BilinearOp, EvenMap, HomSuperalgebra, SuperSpace, scalar
+from .kernel import (ONE, BilinearOp, EvenMap, HomSuperalgebra, SuperSpace,
+                     scalar)
 
 
 class SearchSpaceError(ValueError):
@@ -54,35 +55,33 @@ DEFAULT_MAX_SPACE = 10 ** 7
 
 class SearchSpec:
     """What to enumerate: dimensions, coefficient pool, twisting-map family
-    (identity or diagonal over a pool), the suite to satisfy, a result cap
-    and an optional time budget."""
+    (diagonal over a pool; "id" is the pool of the one value 1), the suite
+    to satisfy, a result cap and an optional time budget.  A malformed
+    pool, dimension or cap raises SearchSpaceError."""
 
     def __init__(self, dims, coeffs=("-1", "0", "1"), alpha="id",
-                 suite="leibniz", max_results=100, budget_ms=None,
-                 max_space=DEFAULT_MAX_SPACE):
-        self.dims = (int(dims[0]), int(dims[1]))
+                 suite="leibniz", max_results=100, budget_ms=None):
+        self.dims = tuple(dims)
+        if len(self.dims) != 2 or any(type(d) is not int for d in self.dims):
+            raise SearchSpaceError("dimensions must be two integers, got %r"
+                                   % (dims,))
         if min(self.dims) < 0:
             raise SearchSpaceError("dimensions must be nonnegative, got %d,%d"
                                    % self.dims)
-        self.coeffs = tuple(scalar(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("empty coefficient set")
-        if alpha == "id":
-            self.alpha_pool = None
-        else:
-            self.alpha_pool = tuple(scalar(c) for c in alpha)
-            if not self.alpha_pool:
-                raise ValueError("empty diagonal pool")
+        self.coeffs = _pool(coeffs, "coefficient")
+        self.alpha_pool = (ONE,) if alpha == "id" else _pool(alpha, "diagonal")
         self.suite = suite
-        self.max_results = int(max_results)
-        if self.max_results < 1:
+        if type(max_results) is not int:
+            raise SearchSpaceError("the result cap must be an integer, got %r"
+                                   % (max_results,))
+        if max_results < 1:
             raise SearchSpaceError("the result cap must be at least 1, got %d"
-                                   % self.max_results)
+                                   % max_results)
+        self.max_results = max_results
         if budget_ms is not None and budget_ms < 0:
             raise SearchSpaceError("the time budget must be nonnegative, "
                                    "got %s ms" % budget_ms)
         self.budget_ms = budget_ms
-        self.max_space = int(max_space)
         self._last_alpha = (None, None)
 
     @functools.cached_property
@@ -95,34 +94,32 @@ class SearchSpec:
         return _allowed_slots(self.space)
 
     def alpha_count(self):
-        if self.alpha_pool is None:
-            return 1
         return len(self.alpha_pool) ** sum(self.dims)
 
     def space_size(self):
         """The number of candidates.  Raises SearchSpaceError when it, or
-        the number of free constants, is above max_space; both are counted
-        without building a slot, and the size is computed only up to the
-        bound."""
+        the number of free constants, is above DEFAULT_MAX_SPACE (read at
+        each call); both are counted without building a slot, and the size
+        is computed only up to the bound."""
+        bound = DEFAULT_MAX_SPACE
         even, odd = self.dims
         # Products b_i*b_j and b_k of one parity: even*even or odd*odd
         # onto an even b_k, even*odd or odd*even onto an odd one.
         slots = (even * even + odd * odd) * even + 2 * even * odd * odd
-        if slots > self.max_space:
+        if slots > bound:
             raise SearchSpaceError(
-                "search space has more than %d free constants"
-                % self.max_space)
+                "search space has more than %d free constants" % bound)
         size = 1
         for base, exponent in ((len(self.coeffs), slots),
-                               (len(self.alpha_pool or (1,)), even + odd)):
+                               (len(self.alpha_pool), even + odd)):
             if base > 1:
-                # At most log2(max_space) + 1 factors before the bound.
+                # At most log2(bound) + 1 factors before the bound.
                 for _ in range(exponent):
                     size *= base
-                    if size > self.max_space:
+                    if size > bound:
                         raise SearchSpaceError(
                             "search space has more than %d candidates"
-                            % self.max_space)
+                            % bound)
         return size
 
     def checks(self):
@@ -152,15 +149,26 @@ class SearchSpec:
         candidates one after another, so the map last built (with its
         cached basis images) is kept and shared by them."""
         if self._last_alpha[0] != alpha_index:
-            if self.alpha_pool is None:
-                alpha = EvenMap.identity(self.space)
-            else:
-                digits = _digits(alpha_index, len(self.alpha_pool),
-                                 self.space.dim)
-                alpha = EvenMap.diagonal(self.space,
-                                         [self.alpha_pool[d] for d in digits])
+            digits = _digits(alpha_index, len(self.alpha_pool),
+                             self.space.dim)
+            alpha = EvenMap.diagonal(self.space,
+                                     [self.alpha_pool[d] for d in digits])
             self._last_alpha = (alpha_index, alpha)
         return self._last_alpha[1]
+
+
+def _pool(values, what):
+    """A pool as a tuple of Fractions, or SearchSpaceError."""
+    pool = []
+    for value in values:
+        try:
+            pool.append(scalar(value))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise SearchSpaceError("%s %r is not a rational number"
+                                   % (what, value)) from None
+    if not pool:
+        raise SearchSpaceError("empty %s list" % what)
+    return tuple(pool)
 
 
 def _allowed_slots(space):
@@ -224,16 +232,15 @@ def _indices(spec, filtered):
 def run_search(spec):
     """Enumerate the whole space (subject to cap and budget) and keep the
     candidates passing the suite.  Raises SearchSpaceError when the space
-    exceeds spec.max_space.  Indices the slot filter rejects are counted as
-    examined without being built.  The laws' witnesses (`suite_passes`)
-    live for this call only."""
+    exceeds DEFAULT_MAX_SPACE.  Indices the slot filter rejects are
+    counted as examined without being built.  The laws' witnesses
+    (`suite_passes`) live for this call only."""
     size = spec.space_size()
     checks = spec.checks()
-    filtered = spec.alpha_pool is not None and "multiplicativity" in checks
+    filtered = "multiplicativity" in checks
     # Every candidate keeps the parity rule: `candidate` fills only the
-    # slots `_allowed_slots` allows, with an identity or diagonal alpha.
-    # Every candidate built is multiplicative too: the identity map is an
-    # endomorphism of every product, and with the slot filter on, the
+    # slots `_allowed_slots` allows, with a diagonal alpha.  Every
+    # candidate built is multiplicative too: with the slot filter on, the
     # nonzero constants sit on slots with d_k = d_i * d_j.
     checks = [check for check in checks
               if check not in ("grading", "multiplicativity")]

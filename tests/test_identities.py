@@ -236,6 +236,21 @@ def test_eval_reports_missing_ternary_slot(a2b):
                                   {"x": 0, "y": 0, "z": 0})
 
 
+@pytest.mark.parametrize("value,error", [
+    (-1, IndexError), (2, IndexError), (True, TypeError), (1.0, TypeError),
+    ("1", TypeError),
+])
+def test_eval_refuses_a_binding_that_is_no_basis_index(value, error):
+    # On (1|1), a(x) = x at x = -1 would wrap to b2, and x = True or 1.0
+    # would read as b2.
+    algebra = hs.load_algebra(hs.corpus_dir() / "leibniz_f2_e.json")
+    law = hs.parse_identity("a(x) = x")
+    with pytest.raises(error, match="'x'"):
+        hs.eval_identity_on_tuple(law, algebra, {"x": value})
+    for index in (0, 1):
+        assert hs.eval_identity_on_tuple(law, algebra, {"x": index}).is_zero()
+
+
 def test_eval_agrees_with_naive_llsi_everywhere(corpus):
     for _, algebra in corpus:
         if algebra.kind != "hom_superalgebra":
@@ -330,6 +345,69 @@ def test_check_suite_all_skips_ternary_laws_when_absent(a2b):
     names = [r.name for r in hs.check_suite("all", a2b)]
     assert "LLSI" in names and "SKEW_SUPER" in names
     assert not any(n.startswith("SHLY2") or n == "AKIVIS" for n in names)
+
+
+_BINARY_LAWS = ["LLSI", "RLSI", "ASSOC_FORM", "SKEW_SUPER",
+                "HOM_SUPER_JACOBI", "AKIVIS_LEIBNIZ_FORM", "PROP32_I",
+                "PROP32_II", "LIE_ADMISSIBLE", "SHLY1", "SHLY3"]
+_TERNARY_LAWS = ["AKIVIS", "SHLY2", "SHLY4", "SHLY5", "SHLY6", "SHLY7",
+                 "SHLY8"]
+# The check lists of every suite on a binary-ternary algebra; on a plain
+# algebra "all" drops the ternary laws and the other suites that name one
+# are refused.
+_SUITE_CHECKS = {
+    "leibniz": ["grading", "multiplicativity", "LLSI"],
+    "lie": ["grading", "multiplicativity", "SKEW_SUPER", "HOM_SUPER_JACOBI"],
+    "akivis": ["grading", "multiplicativity", "SKEW_SUPER", "AKIVIS"],
+    "ly": ["grading", "SHLY1", "SHLY2", "SHLY3", "SHLY4", "SHLY5", "SHLY6",
+           "SHLY7", "SHLY8"],
+    "all": ["grading", "multiplicativity", "LLSI", "RLSI", "ASSOC_FORM",
+            "SKEW_SUPER", "HOM_SUPER_JACOBI", "AKIVIS", "AKIVIS_LEIBNIZ_FORM",
+            "PROP32_I", "PROP32_II", "LIE_ADMISSIBLE", "SHLY1", "SHLY2",
+            "SHLY3", "SHLY4", "SHLY5", "SHLY6", "SHLY7", "SHLY8"],
+}
+
+
+def test_resolve_suite_table(a2b):
+    derived = hs.build_hom_akivis(a2b, verify=False)
+    single = ["grading", "multiplicativity", *_BINARY_LAWS, *_TERNARY_LAWS]
+    assert set(single) == {"grading", "multiplicativity", *idn.REGISTRY}
+    for name, checks in _SUITE_CHECKS.items():
+        assert idn.resolve_suite(name, derived) == checks, name
+    for name in single:
+        assert idn.resolve_suite(name, derived) == [name], name
+    plain = {name: checks for name, checks in _SUITE_CHECKS.items()
+             if name in ("leibniz", "lie")}
+    plain["all"] = ["grading", "multiplicativity", *_BINARY_LAWS]
+    plain.update((name, [name])
+                 for name in ["grading", "multiplicativity", *_BINARY_LAWS])
+    for name in [*_SUITE_CHECKS, *single]:
+        if name in plain:
+            assert idn.resolve_suite(name, a2b) == plain[name], name
+        else:
+            with pytest.raises(hs.MissingOpSlot):
+                idn.resolve_suite(name, a2b)
+    # A list resolves in order, each check once.
+    assert idn.resolve_suite(["LLSI", "leibniz", "SKEW_SUPER"], a2b) == [
+        "LLSI", "grading", "multiplicativity", "SKEW_SUPER"]
+
+
+def test_a_refused_suite_runs_no_check(a2b, monkeypatch):
+    ran = []
+    kernel_checks = ("check_algebra_grading", "check_multiplicativity")
+    for module, names in ((hs.kernel, kernel_checks),
+                          (constructions, kernel_checks),
+                          (idn, ("check_identity", "residuals"))):
+        for name in names:
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, **k: ran.append(name))
+    with pytest.raises(hs.MissingOpSlot):
+        hs.check_suite("ly", a2b)
+    with pytest.raises(hs.MissingOpSlot):
+        idn.suite_passes("ly", a2b)
+    with pytest.raises(hs.MissingOpSlot):
+        constructions._check_suite("ly", a2b)
+    assert ran == []
 
 
 def test_sign_free_mode_differs_on_odd_sectors(f2e):

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -511,3 +512,23 @@ def test_kernel_knows_nothing_of_the_identity_language():
              if isinstance(node, ast.Constant) and id(node) not in docstrings
              and node.value in ("[,]", "{,,}")]
     assert slots == []
+
+
+def test_package_and_tools_import_the_standard_library_only():
+    root = Path(hs.__file__).resolve().parents[2]
+    paths = [*Path(hs.__file__).parent.rglob("*.py"),
+             *(root / "tools").rglob("*.py")]
+    assert len(paths) > 9
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "homsuper", \
+                    (path.name, name)

@@ -73,19 +73,64 @@ def test_negative_budget_is_refused():
     assert SearchSpec((1, 1), budget_ms=0).budget_ms == 0
 
 
-def test_search_space_bound():
-    spec = SearchSpec((2, 2), coeffs=("-1", "0", "1"), max_space=1000)
+def test_search_space_bound(monkeypatch):
+    monkeypatch.setattr(search, "DEFAULT_MAX_SPACE", 1000)
+    spec = SearchSpec((2, 2), coeffs=("-1", "0", "1"))
     with pytest.raises(SearchSpaceError):
         run_search(spec)
 
 
-def test_space_size_counts_the_allowed_slots():
+def test_space_size_counts_the_allowed_slots(monkeypatch):
+    monkeypatch.setattr(search, "DEFAULT_MAX_SPACE", 10 ** 30)
     for dims in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, 2), (2, 3)):
         slots = search._allowed_slots(hs.SuperSpace(*dims))
-        spec = SearchSpec(dims, coeffs=("0", "1"), alpha=("1", "2", "3"),
-                          max_space=10 ** 30)
+        spec = SearchSpec(dims, coeffs=("0", "1"), alpha=("1", "2", "3"))
         assert spec.space_size() == 3 ** sum(dims) * 2 ** len(slots), dims
         assert spec.slots == slots
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"coeffs": ("1/0",)}, "coefficient '1/0' is not a rational number"),
+    ({"coeffs": ("x",)}, "coefficient 'x' is not a rational number"),
+    ({"coeffs": (0.5,)}, "coefficient 0.5 is not a rational number"),
+    ({"coeffs": ("1e5",)}, "coefficient '1e5' is not a rational number"),
+    ({"coeffs": ()}, "empty coefficient list"),
+    ({"alpha": ()}, "empty diagonal list"),
+    ({"alpha": ("1/0",)}, "diagonal '1/0' is not a rational number"),
+    ({"alpha": ("2", None)}, "diagonal None is not a rational number"),
+])
+def test_malformed_pools_are_refused(kwargs, message):
+    with pytest.raises(SearchSpaceError) as info:
+        SearchSpec((1, 1), **kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dims,max_results", [
+    ((1.5, 1), 1), ((True, 1), 1), ((1, "1"), 1), ((1, 1, 1), 1), ((1,), 1),
+    ((1, 1), 2.7), ((1, 1), True), ((1, 1), "3"),
+])
+def test_non_integral_dimensions_and_caps_are_refused(dims, max_results):
+    with pytest.raises(SearchSpaceError, match="integer"):
+        SearchSpec(dims, max_results=max_results)
+
+
+@pytest.mark.parametrize("suite,dims,max_results", [
+    (suite, dims, max_results)
+    for suite in ("leibniz", "lie", "all", "LLSI")
+    for dims in ((1, 1), (2, 0))
+    for max_results in (10 ** 6, 2)
+])
+def test_identity_alpha_is_the_diagonal_pool_of_one(suite, dims,
+                                                    max_results):
+    # With and without a cap that stops the scan mid-space.
+    by_name, by_pool = (
+        run_search(SearchSpec(dims, coeffs=("-1", "0", "1"), alpha=alpha,
+                              suite=suite, max_results=max_results))
+        for alpha in ("id", ("1",)))
+    assert by_name.documents == by_pool.documents
+    assert (by_name.examined, by_name.partial) == \
+        (by_pool.examined, by_pool.partial)
+    assert by_name.partial == (max_results == 2)
 
 
 def test_oversize_space_is_refused_before_a_slot_is_built(monkeypatch):
