@@ -23,6 +23,15 @@ produce normal forms:
     with strictly smaller left subtrees, so saturation terminates; a step
     counter guards the loop anyway.
 
+A law is expanded once per sector (parity assignment of its generators),
+and the residuals of all sectors are normalized in one pass: a sector
+changes the Koszul signs, never which terms the rewriting visits.  A term
+carries a column, one coefficient per sector; a generator's parity is a
+bitmask over the sectors, and a term's parity the XOR of its leaves' masks.
+A Leibniz step gives its second term the sign +1 in the sectors of
+mask(A) & mask(B) and -1 in all others.  The step limit counts the rule
+applications of one such call.
+
 The prover is sound but deliberately not complete: a certificate only ever
 says PROVED (all residuals vanished) or INCONCLUSIVE (some normal form
 survived, listed in the report).  A surviving term may still vanish as a
@@ -37,7 +46,6 @@ from .kernel import exact
 from .report import Report
 
 ONE = 1
-MINUS_ONE = -1
 
 _STEP_LIMIT = 200000
 
@@ -68,12 +76,13 @@ def alpha_wrap(term, k):
 
 
 def term_parity(term, parities):
+    """The XOR of the leaves' parities: a term's parity, or its parity mask
+    over sectors when `parities` maps generators to masks."""
     if term[0] == "g":
         return parities[term[1]]
     if term[0] == "a":
         return term_parity(term[2], parities)
-    return (term_parity(term[1], parities)
-            + term_parity(term[2], parities)) % 2
+    return term_parity(term[1], parities) ^ term_parity(term[2], parities)
 
 
 def term_size(term):
@@ -303,69 +312,104 @@ def expand_template(identity, parities, structure=None):
 # --------------------------------------------------------------------------
 # Normalization
 
+def _columns(exprs):
+    """The alpha-distributed terms of exprs, each with its column: its
+    coefficient in every expression.  All-zero columns are dropped."""
+    columns = {}
+    for s, expr in enumerate(exprs):
+        for t, c in expr._coeffs.items():
+            t = distribute_term(t)
+            column = columns.get(t)
+            if column is None:
+                column = columns[t] = [0] * len(exprs)
+            column[s] += c
+    return {t: column for t, column in columns.items() if any(column)}
+
+
+def _split(columns, size):
+    """One expression per sector, read off the columns."""
+    return [FreeExpr({t: column[s] for t, column in columns.items()})
+            for s in range(size)]
+
+
 def alpha_distribute(expr):
     """Push every map application down to generator leaves."""
-    coeffs = {}
-    for t, c in expr._coeffs.items():
-        t = distribute_term(t)
-        coeffs[t] = coeffs.get(t, 0) + c
-    return FreeExpr(coeffs)
+    return _split(_columns([expr]), 1)[0]
 
 
-def _rewrite_once(term, parities):
-    """One leftmost-outermost left-Leibniz step, or None if term is normal."""
+def _rewrite_once(term, masks):
+    """One leftmost-outermost left-Leibniz step, or None if term is normal.
+    The step rewrites term to first - (-1)^{|A||B|} second; it returns
+    (first, second, plus), where plus masks the sectors in which |A||B| is
+    odd, that is, in which second enters with sign +1."""
     if term[0] == "g":
         return None
     left, right = term[1], term[2]
     if left[0] == "p" and min_leaf_power(right) >= 1:
         a, b = left[1], left[2]
         c = shift_leaves(right, -1)
-        sign = (MINUS_ONE if term_parity(a, parities)
-                and term_parity(b, parities) else ONE)
-        return [(ONE, product(shift_leaves(a, 1), product(b, c))),
-                (-sign, product(shift_leaves(b, 1), product(a, c)))]
-    sub = _rewrite_once(left, parities)
+        return (product(shift_leaves(a, 1), product(b, c)),
+                product(shift_leaves(b, 1), product(a, c)),
+                term_parity(a, masks) & term_parity(b, masks))
+    sub = _rewrite_once(left, masks)
     if sub is not None:
-        return [(c, product(t, right)) for c, t in sub]
-    sub = _rewrite_once(right, parities)
+        return product(sub[0], right), product(sub[1], right), sub[2]
+    sub = _rewrite_once(right, masks)
     if sub is not None:
-        return [(c, product(left, t)) for c, t in sub]
+        return product(left, sub[0]), product(left, sub[1]), sub[2]
     return None
 
 
+def _saturate(columns, sectors, step_budget=None):
+    """Saturate the oriented left Leibniz rule on distributed columns, one
+    entry per sector (a parity assignment in `sectors`).  step_budget caps
+    the rule applications of the call (RewriteLimit beyond it)."""
+    masks = {name: sum(1 << s for s, parities in enumerate(sectors)
+                       if parities[name]) for name in set().union(*sectors)}
+    limit = _STEP_LIMIT if step_budget is None else step_budget
+    stack = list(columns.items())
+    out = {}
+    steps = 0
+    while stack:
+        term, column = stack.pop()
+        rewritten = _rewrite_once(term, masks)
+        if rewritten is None:
+            old = out.get(term)
+            out[term] = column if old is None else [
+                a + b for a, b in zip(old, column)]
+            continue
+        steps += 1
+        if steps > limit:
+            raise RewriteLimit("rewrite step limit exceeded")
+        first, second, plus = rewritten
+        stack.append((first, column))
+        stack.append((second, [c if plus >> s & 1 else -c
+                               for s, c in enumerate(column)]))
+    return out
+
+
 def leibniz_normalize(expr, parities, step_budget=None):
-    """Saturate the oriented left Leibniz rule on a distributed expression.
+    """Saturate the oriented left Leibniz rule on a distributed expression:
+    the one-sector case of `normal_form`.
 
     step_budget caps the number of rule applications (RewriteLimit beyond
     it); the default cap is far above the sum of squared term sizes, which
     bounds every saturation seen in practice.
     """
-    stack = [(t, c) for t, c in expr._coeffs.items()]
-    for t, _ in stack:
-        if not is_distributed(t):
-            raise ValueError("expression must be alpha-distributed first")
-    limit = _STEP_LIMIT if step_budget is None else step_budget
-    out = {}
-    steps = 0
-    while stack:
-        term, coeff = stack.pop()
-        rewritten = _rewrite_once(term, parities)
-        if rewritten is None:
-            out[term] = out.get(term, 0) + coeff
-            continue
-        steps += 1
-        if steps > limit:
-            raise RewriteLimit("rewrite step limit exceeded")
-        for c, t in rewritten:
-            stack.append((t, coeff * c))
-    return FreeExpr(out)
+    if not all(map(is_distributed, expr._coeffs)):
+        raise ValueError("expression must be alpha-distributed first")
+    columns = {t: [c] for t, c in expr._coeffs.items()}
+    return _split(_saturate(columns, [parities], step_budget), 1)[0]
 
 
-def normal_form(expr, parities, assume_leibniz):
-    expr = alpha_distribute(expr)
+def normal_form(exprs, sectors, assume_leibniz):
+    """The normal forms of exprs[s] under the parities sectors[s], rewritten
+    in one pass: the map distributed, then, if assume_leibniz, the left
+    Leibniz rule saturated."""
+    columns = _columns(exprs)
     if assume_leibniz:
-        expr = leibniz_normalize(expr, parities)
-    return expr
+        columns = _saturate(columns, sectors)
+    return _split(columns, len(exprs))
 
 
 # --------------------------------------------------------------------------
@@ -407,11 +451,13 @@ def prove_identity_free(target):
         names = identity.variables
         if len(names) > 6:
             raise ValueError("proof scope is limited to 6 generators")
-        for combo in itertools.product((0, 1), repeat=len(names)):
-            parities = dict(zip(names, combo))
-            checked += 1
-            expr = expand_template(identity, parities, structure)
-            expr = normal_form(expr, parities, assume_leibniz)
+        sectors = [dict(zip(names, combo))
+                   for combo in itertools.product((0, 1), repeat=len(names))]
+        exprs = [expand_template(identity, parities, structure)
+                 for parities in sectors]
+        checked += len(sectors)
+        for parities, expr in zip(sectors, normal_form(exprs, sectors,
+                                                       assume_leibniz)):
             if not expr.is_zero():
                 survivors.append({
                     "parities": {n: parities[n] for n in names},

@@ -1281,17 +1281,18 @@ def resolve_suite(names, algebra):
 def check_suite(names, algebra, sign_free=False, first_only=False):
     """Run the named checks (`resolve_suite`) and return their reports in
     deterministic order."""
-    reports = []
-    for check in resolve_suite(names, algebra):
-        if check == "grading":
-            reports.append(kernel.check_algebra_grading(algebra))
-        elif check == "multiplicativity":
-            reports.append(kernel.check_multiplicativity(algebra))
-        else:
-            reports.append(check_identity(REGISTRY[check], algebra,
-                                          name=check, sign_free=sign_free,
-                                          first_only=first_only))
-    return reports
+    return [_run_check(check, algebra, sign_free, first_only)
+            for check in resolve_suite(names, algebra)]
+
+
+def _run_check(check, algebra, sign_free=False, first_only=False):
+    """The report of one resolved check."""
+    if check == "grading":
+        return kernel.check_algebra_grading(algebra)
+    if check == "multiplicativity":
+        return kernel.check_multiplicativity(algebra)
+    return check_identity(REGISTRY[check], algebra, name=check,
+                          sign_free=sign_free, first_only=first_only)
 
 
 def suite_passes(names, algebra, witnesses=None):
@@ -1313,7 +1314,7 @@ def suite_passes(names, algebra, witnesses=None):
                for name, binding in witnesses.items() if name in checks):
             return False
     for check in checks:
-        report = check_suite([check], algebra, first_only=True)[0]
+        report = _run_check(check, algebra, first_only=True)
         if not report.passed:
             if witnesses is not None and check in REGISTRY:
                 labels = algebra.space.labels

@@ -49,12 +49,13 @@ class ParityError(ValueError):
 def scalar(x):
     """Coerce ints, rational strings like '-3/2' or '0.5' and Fractions to
     Fraction.  A string with a decimal exponent raises ValueError: the cost
-    of '1e300000' grows faster than its exponent."""
+    of '1e300000' grows faster than its exponent.  A bool is no rational
+    (TypeError), although Python counts it as an int."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str) and ("e" in x or "E" in x):
         raise ValueError("decimal exponents are not accepted: %r" % x)
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError("not an exact scalar: %r" % (x,))
 

@@ -56,8 +56,8 @@ DEFAULT_MAX_SPACE = 10 ** 7
 class SearchSpec:
     """What to enumerate: dimensions, coefficient pool, twisting-map family
     (diagonal over a pool; "id" is the pool of the one value 1), the suite
-    to satisfy, a result cap and an optional time budget.  A malformed
-    pool, dimension or cap raises SearchSpaceError."""
+    to satisfy, a result cap and an optional time budget in ms.  A
+    malformed pool, dimension, cap or budget raises SearchSpaceError."""
 
     def __init__(self, dims, coeffs=("-1", "0", "1"), alpha="id",
                  suite="leibniz", max_results=100, budget_ms=None):
@@ -78,6 +78,9 @@ class SearchSpec:
             raise SearchSpaceError("the result cap must be at least 1, got %d"
                                    % max_results)
         self.max_results = max_results
+        if budget_ms is not None and type(budget_ms) is not int:
+            raise SearchSpaceError("the time budget must be an integer "
+                                   "number of ms, got %r" % (budget_ms,))
         if budget_ms is not None and budget_ms < 0:
             raise SearchSpaceError("the time budget must be nonnegative, "
                                    "got %s ms" % budget_ms)

@@ -168,3 +168,59 @@ def hly7_residual_ungraded(binary, ternary, alpha_rows, i, j, k, l):
     rhs = add(mul(binary, tmul(ternary, x, y, u), a2(v)),
               mul(binary, a2(u), tmul(ternary, x, y, v)))
     return sub(lhs, rhs)
+
+
+# --------------------------------------------------------------------------
+# The prover's left-Leibniz normal form, one parity sector at a time.
+# Terms are the prover's tuples: ("g", name, power) for a generator under a
+# power of the twisting map, ("p", left, right) for a product.
+
+def _leaves(term):
+    if term[0] == "g":
+        return [term]
+    return _leaves(term[1]) + _leaves(term[2])
+
+
+def _shifted(term, delta):
+    if term[0] == "g":
+        return ("g", term[1], term[2] + delta)
+    return ("p", _shifted(term[1], delta), _shifted(term[2], delta))
+
+
+def _leibniz_step(term, parities):
+    """[(sign, term), ...] after rewriting the leftmost-outermost redex
+    (A*B)*a(C) -> a(A)*(B*C) - (-1)^{|A||B|} a(B)*(A*C), or None."""
+    if term[0] == "g":
+        return None
+    left, right = term[1], term[2]
+    if left[0] == "p" and all(leaf[2] >= 1 for leaf in _leaves(right)):
+        a, b, c = left[1], left[2], _shifted(right, -1)
+        odd_a = sum(parities[leaf[1]] for leaf in _leaves(a)) % 2
+        odd_b = sum(parities[leaf[1]] for leaf in _leaves(b)) % 2
+        return [(1, ("p", _shifted(a, 1), ("p", b, c))),
+                (1 if odd_a and odd_b else -1,
+                 ("p", _shifted(b, 1), ("p", a, c)))]
+    for side in (1, 2):
+        inner = _leibniz_step(term[side], parities)
+        if inner is not None:
+            return [(sign, ("p", t, right) if side == 1 else ("p", left, t))
+                    for sign, t in inner]
+    return None
+
+
+def leibniz_normal_form(coeffs, parities):
+    """The normal form of {term: coefficient} under the left Leibniz rule in
+    the sector `parities` ({generator: 0 or 1}), without zero entries."""
+    out = {}
+
+    def add_normal(term, coeff):
+        rewritten = _leibniz_step(term, parities)
+        if rewritten is None:
+            out[term] = out.get(term, 0) + coeff
+        else:
+            for sign, t in rewritten:
+                add_normal(t, sign * coeff)
+
+    for term, coeff in coeffs.items():
+        add_normal(term, coeff)
+    return {t: c for t, c in out.items() if c != 0}

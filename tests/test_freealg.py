@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from unittest import mock
 
@@ -10,6 +12,7 @@ import homsuper as hs
 from homsuper import freealg as fa
 from homsuper import identities as idn
 from conftest import RATIONALS, graded_algebras
+import naive
 
 
 def expand(text, parities, **kw):
@@ -68,7 +71,7 @@ def test_leibniz_normalize_cancels_symmetrized_products():
         parities = dict(zip("xyz", combo))
         residual = expand("(x*y)*a(z) + s(x,y) (y*x)*a(z) = 0", parities)
         assert not fa.alpha_distribute(residual).is_zero()
-        assert fa.normal_form(residual, parities, True).is_zero()
+        assert fa.normal_form([residual], [parities], True)[0].is_zero()
 
 
 def test_leibniz_normalize_leaves_normal_terms_alone():
@@ -113,10 +116,10 @@ def test_parity_coherence_through_normalization():
 def test_normalization_is_deterministic():
     parities = {"x": 1, "y": 0, "z": 1, "u": 1}
     ident = hs.REGISTRY["SHLY6"]
-    one = fa.normal_form(fa.expand_template(ident, parities, "ly"),
-                         parities, True)
-    two = fa.normal_form(fa.expand_template(ident, parities, "ly"),
-                         parities, True)
+    one, = fa.normal_form([fa.expand_template(ident, parities, "ly")],
+                          [parities], True)
+    two, = fa.normal_form([fa.expand_template(ident, parities, "ly")],
+                          [parities], True)
     assert one == two and one.is_zero()
 
 
@@ -196,6 +199,140 @@ def test_lie_admissibility_is_inconclusive_under_leibniz(monkeypatch):
                 for parities, signs in _LIE_ADMISSIBLE_SIGNS.items()]
     assert _inconclusive_survivors(
         monkeypatch, hs.REGISTRY["LIE_ADMISSIBLE"]) == expected
+
+
+def _sectors(names):
+    return [dict(zip(names, combo))
+            for combo in itertools.product((0, 1), repeat=len(names))]
+
+
+def _per_sector_forms(exprs, sectors):
+    """Each sector's normal form, from `leibniz_normalize` and from the
+    oracle in naive.py, which must agree."""
+    forms = []
+    for expr, parities in zip(exprs, sectors):
+        distributed = fa.alpha_distribute(expr)
+        form = fa.leibniz_normalize(distributed, parities)
+        assert form == fa.FreeExpr(naive.leibniz_normal_form(
+            dict(distributed.items()), parities))
+        forms.append(form)
+    return forms
+
+
+# Every obligation of the targets, and every built-in law without {,,},
+# normalized under the Leibniz rule (including the inconclusive ones).
+_LEIBNIZ_LAWS = [
+    pytest.param(law, structure, id="%s-%d" % (target, i))
+    for target, obligations in fa.TARGETS.items()
+    for i, (law, structure, _) in enumerate(obligations)] + [
+    pytest.param(law, None, id=name) for name, law in hs.REGISTRY.items()
+    if name not in idn.TERNARY_LAWS]
+
+
+@pytest.mark.parametrize("law,structure", _LEIBNIZ_LAWS)
+def test_one_pass_equals_per_sector_normalization(law, structure):
+    sectors = _sectors(law.variables)
+    exprs = [fa.expand_template(law, parities, structure)
+             for parities in sectors]
+    assert fa.normal_form(exprs, sectors, True) == _per_sector_forms(
+        exprs, sectors)
+    assert fa.normal_form(exprs, sectors, False) == [
+        fa.alpha_distribute(expr) for expr in exprs]
+
+
+_GENERATORS = st.builds(fa.generator, st.sampled_from("xyz"),
+                        st.integers(0, 2))
+_DISTRIBUTED_TERMS = st.recursive(
+    _GENERATORS, lambda sub: st.builds(fa.product, sub, sub), max_leaves=5)
+_COEFFICIENTS = st.one_of(st.integers(-3, 3), st.fractions(
+    min_value=-2, max_value=2, max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_DISTRIBUTED_TERMS, min_size=1, max_size=4, unique=True),
+       st.lists(st.tuples(*[st.integers(0, 1)] * 3), min_size=1,
+                max_size=8),
+       st.data())
+def test_one_pass_equals_per_sector_on_random_expressions(terms, combos,
+                                                         data):
+    # Any set of sectors, repeats included, each with its own coefficients
+    # (zero ones included) on a shared set of distributed terms.
+    sectors = [dict(zip("xyz", combo)) for combo in combos]
+    exprs = [fa.FreeExpr({t: data.draw(_COEFFICIENTS) for t in terms})
+             for _ in sectors]
+    assert fa.normal_form(exprs, sectors, True) == _per_sector_forms(
+        exprs, sectors)
+
+
+# sha256 of each law's prove_identity_free report under the Leibniz rule,
+# recorded from the prover that normalized one sector at a time.
+_INCONCLUSIVE_DIGESTS = {
+    "SKEW_SUPER":
+        "28e80e45a7f61549ffe5dacbab5f9163d8415334a194da2c35be76ded744c6d5",
+    "LIE_ADMISSIBLE":
+        "c0000f9bc6a9d247fc28be325b65d0e0de47e1a077e81364061fcf10e81e7809",
+    "RLSI":
+        "bec4f90de1bdb7b2bf9cb6fabff784f0c80b197b518c1a1ae52f72b89dd01fc9",
+    "HOM_SUPER_JACOBI":
+        "0dda0d1ef81dfa12076eb2b178cef80d4e0f429660cec9cd2aa27dad6b8329f5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INCONCLUSIVE_DIGESTS))
+def test_inconclusive_reports_are_unchanged(name, monkeypatch):
+    monkeypatch.setitem(fa.TARGETS, "law", [(hs.REGISTRY[name], None, True)])
+    report = fa.prove_identity_free("law")
+    assert report.extra["verdict"] == "INCONCLUSIVE"
+    text = json.dumps([report.name, report.passed, report.checked,
+                       report.counterexamples, report.extra], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == _INCONCLUSIVE_DIGESTS[name]
+
+
+def _steps(normalize):
+    """The rule applications of a normalization: the least budget under
+    which normalize(budget) raises no RewriteLimit."""
+    def fits(budget):
+        try:
+            normalize(budget)
+        except fa.RewriteLimit:
+            return False
+        return True
+
+    high = 1
+    while not fits(high):
+        high *= 2
+    low = 0
+    while low < high:
+        middle = (low + high) // 2
+        if fits(middle):
+            high = middle
+        else:
+            low = middle + 1
+    return low
+
+
+@pytest.mark.parametrize("target", fa.PROOF_TARGETS)
+def test_one_pass_steps_lie_between_the_per_sector_max_and_sum(target):
+    # The step limit counts the rule applications of one call: of all
+    # sectors of an obligation at once.
+    for law, structure, assume_leibniz in fa.TARGETS[target]:
+        if not assume_leibniz:
+            continue
+        sectors = _sectors(law.variables)
+        exprs = [fa.expand_template(law, parities, structure)
+                 for parities in sectors]
+
+        def one_pass(budget):
+            with mock.patch.object(fa, "_STEP_LIMIT", budget):
+                fa.normal_form(exprs, sectors, True)
+
+        per_sector = [_steps(lambda budget, expr=expr, parities=parities:
+                             fa.leibniz_normalize(fa.alpha_distribute(expr),
+                                                  parities, budget))
+                      for expr, parities in zip(exprs, sectors)]
+        steps = _steps(one_pass)
+        assert 0 < max(per_sector) <= steps <= sum(per_sector)
 
 
 def test_proved_targets_hold_numerically(corpus_leibniz):
@@ -286,5 +423,5 @@ def test_coefficients_are_never_floats(algebra, data):
         with mock.patch.object(fa, "_FreeEvaluator", _CheckedFreeEvaluator):
             expr = fa.expand_template(law, parities, structure)
         _assert_free_coefficients(expr.scale(data.draw(RATIONALS)))
-        _assert_free_coefficients(fa.normal_form(expr, parities,
-                                                 assume_leibniz))
+        _assert_free_coefficients(fa.normal_form([expr], [parities],
+                                                 assume_leibniz)[0])

@@ -410,6 +410,25 @@ def test_a_refused_suite_runs_no_check(a2b, monkeypatch):
     assert ran == []
 
 
+def test_suite_passes_resolves_the_suite_once(a2b, f2e, monkeypatch):
+    calls = []
+    resolve = idn.resolve_suite
+    monkeypatch.setattr(idn, "resolve_suite",
+                        lambda *args: calls.append(args) or resolve(*args))
+    verdicts = set()
+    for algebra in (a2b, f2e):
+        for suite in ("leibniz", "lie", "all", "LLSI", ["grading", "lie"]):
+            witnesses = {}
+            for _ in range(2):  # the second call starts from the witnesses
+                calls.clear()
+                verdict = idn.suite_passes(suite, algebra, witnesses)
+                assert len(calls) == 1
+                assert verdict == all(
+                    report.passed for report in hs.check_suite(suite, algebra))
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_sign_free_mode_differs_on_odd_sectors(f2e):
     # Graded reading passes skew-symmetry thanks to the odd-odd sign;
     # the sign-free reading of the same law must fail on f*f = e.

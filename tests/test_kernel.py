@@ -486,6 +486,23 @@ def test_scalar_refuses_decimal_exponents():
     assert hs.kernel.scalar(4) == 4
 
 
+def test_bools_are_no_rationals():
+    # Python counts a bool as an int; the kernel does not take it as 0 or 1.
+    sp = hs.SuperSpace(1, 1)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            hs.kernel.scalar(flag)
+        with pytest.raises(TypeError):
+            hs.kernel.exact(flag)
+        with pytest.raises(TypeError):
+            hs.BilinearOp(sp, entries={(0, 0, 0): flag})
+        with pytest.raises(TypeError):
+            hs.Vector(sp, [flag, 0])
+        with pytest.raises(TypeError):
+            sp.basis_vector(0).scale(flag)
+    assert hs.kernel.exact(1) == 1 and hs.kernel.exact(Fraction(2, 1)) == 2
+
+
 def test_kernel_knows_nothing_of_the_identity_language():
     # The kernel holds spaces, tensors, maps and algebras; the modules
     # above it, and the names of the identity language's operation slots,

@@ -73,6 +73,17 @@ def test_negative_budget_is_refused():
     assert SearchSpec((1, 1), budget_ms=0).budget_ms == 0
 
 
+@pytest.mark.parametrize("budget_ms", ["5", True, False, 2.5, 1.0, [5]])
+def test_non_integral_budgets_are_refused(budget_ms):
+    with pytest.raises(SearchSpaceError, match="budget"):
+        SearchSpec((1, 1), budget_ms=budget_ms)
+
+
+def test_integral_budgets_are_kept():
+    for budget_ms in (None, 0, 5, 10 ** 9):
+        assert SearchSpec((1, 1), budget_ms=budget_ms).budget_ms == budget_ms
+
+
 def test_search_space_bound(monkeypatch):
     monkeypatch.setattr(search, "DEFAULT_MAX_SPACE", 1000)
     spec = SearchSpec((2, 2), coeffs=("-1", "0", "1"))
@@ -98,6 +109,8 @@ def test_space_size_counts_the_allowed_slots(monkeypatch):
     ({"alpha": ()}, "empty diagonal list"),
     ({"alpha": ("1/0",)}, "diagonal '1/0' is not a rational number"),
     ({"alpha": ("2", None)}, "diagonal None is not a rational number"),
+    ({"coeffs": (True, 0)}, "coefficient True is not a rational number"),
+    ({"alpha": ("1", False)}, "diagonal False is not a rational number"),
 ])
 def test_malformed_pools_are_refused(kwargs, message):
     with pytest.raises(SearchSpaceError) as info:
