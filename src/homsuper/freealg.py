@@ -360,13 +360,13 @@ def _rewrite_once(term, masks):
     return None
 
 
-def _saturate(columns, sectors, step_budget=None):
+def _saturate(columns, sectors):
     """Saturate the oriented left Leibniz rule on distributed columns, one
-    entry per sector (a parity assignment in `sectors`).  step_budget caps
-    the rule applications of the call (RewriteLimit beyond it)."""
+    entry per sector (a parity assignment in `sectors`).  The module
+    constant _STEP_LIMIT caps the rule applications of the call
+    (RewriteLimit beyond it)."""
     masks = {name: sum(1 << s for s, parities in enumerate(sectors)
                        if parities[name]) for name in set().union(*sectors)}
-    limit = _STEP_LIMIT if step_budget is None else step_budget
     stack = list(columns.items())
     out = {}
     steps = 0
@@ -379,7 +379,7 @@ def _saturate(columns, sectors, step_budget=None):
                 a + b for a, b in zip(old, column)]
             continue
         steps += 1
-        if steps > limit:
+        if steps > _STEP_LIMIT:
             raise RewriteLimit("rewrite step limit exceeded")
         first, second, plus = rewritten
         stack.append((first, column))
@@ -388,18 +388,18 @@ def _saturate(columns, sectors, step_budget=None):
     return out
 
 
-def leibniz_normalize(expr, parities, step_budget=None):
+def leibniz_normalize(expr, parities):
     """Saturate the oriented left Leibniz rule on a distributed expression:
     the one-sector case of `normal_form`.
 
-    step_budget caps the number of rule applications (RewriteLimit beyond
-    it); the default cap is far above the sum of squared term sizes, which
-    bounds every saturation seen in practice.
+    _STEP_LIMIT caps the number of rule applications (RewriteLimit beyond
+    it); it is far above the sum of squared term sizes, which bounds every
+    saturation seen in practice.
     """
     if not all(map(is_distributed, expr._coeffs)):
         raise ValueError("expression must be alpha-distributed first")
     columns = {t: [c] for t, c in expr._coeffs.items()}
-    return _split(_saturate(columns, [parities], step_budget), 1)[0]
+    return _split(_saturate(columns, [parities]), 1)[0]
 
 
 def normal_form(exprs, sectors, assume_leibniz):

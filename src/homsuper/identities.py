@@ -834,7 +834,7 @@ def _rotations(env, names):
     yield second
 
 
-def eval_identity_on_tuple(identity, algebra, binding, sign_free=False):
+def eval_identity_on_tuple(identity, algebra, binding):
     """Residual lhs - rhs of an identity at one basis-element binding.
 
     binding maps variable names to 0-based basis indices; a value that is
@@ -848,7 +848,7 @@ def eval_identity_on_tuple(identity, algebra, binding, sign_free=False):
         if not 0 <= index < n:
             raise IndexError("variable %r is bound to %d, outside 0..%d"
                              % (name, index, n - 1))
-    return Evaluator(algebra, sign_free).eval(identity, binding)
+    return Evaluator(algebra).eval(identity, binding)
 
 
 class _Tensor:
@@ -1045,10 +1045,10 @@ def check_identity(identity, algebra, name="identity", sign_free=False,
     degree 1 in every variable, this decides the law for all homogeneous
     elements.  Any other law raises NonMultilinearLaw, and a law on an
     operation the algebra lacks MissingOpSlot.  With first_only=True the
-    scan stops at the first counterexample (used by the search, where only
-    the verdict matters).  `checked` counts the tuples decided, so it is
-    n^k, or with first_only the position of the first counterexample, as
-    in a full scan.
+    scan stops at the first counterexample; the search, where only the
+    verdict matters, reaches it through `suite_passes`.  `checked` counts
+    the tuples decided, so it is n^k, or with first_only the position of
+    the first counterexample, as in a full scan.
 
     A law with a "{,,}" slot or a zero operation is evaluated once as a
     tensor (`residuals`), which costs little where its operations are zero
@@ -1220,12 +1220,17 @@ def template_op(template, algebra):
     """The multilinear operation a template defines on an algebra: its
     residual on every basis tuple, one argument per free variable, in
     order of first occurrence.  Its structure constants are read straight
-    off the template's tensor (`_law_tensor`), one per nonzero entry."""
+    off the template's tensor (`_law_tensor`), one per nonzero entry.  A
+    template of other than 2 or 3 variables raises ValueError."""
+    arity = len(template.variables)
+    if arity not in (2, 3):
+        raise ValueError("a template defines an operation of 2 or 3 "
+                         "variables, not %d" % arity)
     evaluator, tensor = _law_tensor(template, algebra)
     entries = {evaluator.binding(code) + (l,): c
                for l, column in tensor.entries.items()
                for code, c in column.items()}
-    op = {2: kernel.BilinearOp, 3: kernel.TernaryOp}[len(template.variables)]
+    op = kernel.BilinearOp if arity == 2 else kernel.TernaryOp
     return op(algebra.space, entries=entries)
 
 
@@ -1278,21 +1283,21 @@ def resolve_suite(names, algebra):
     return checks
 
 
-def check_suite(names, algebra, sign_free=False, first_only=False):
+def check_suite(names, algebra, first_only=False):
     """Run the named checks (`resolve_suite`) and return their reports in
     deterministic order."""
-    return [_run_check(check, algebra, sign_free, first_only)
+    return [_run_check(check, algebra, first_only)
             for check in resolve_suite(names, algebra)]
 
 
-def _run_check(check, algebra, sign_free=False, first_only=False):
+def _run_check(check, algebra, first_only=False):
     """The report of one resolved check."""
     if check == "grading":
         return kernel.check_algebra_grading(algebra)
     if check == "multiplicativity":
         return kernel.check_multiplicativity(algebra)
     return check_identity(REGISTRY[check], algebra, name=check,
-                          sign_free=sign_free, first_only=first_only)
+                          first_only=first_only)
 
 
 def suite_passes(names, algebra, witnesses=None):

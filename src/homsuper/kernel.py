@@ -83,10 +83,13 @@ class SuperSpace:
     """
 
     def __init__(self, dim_even, dim_odd):
+        for dim in (dim_even, dim_odd):
+            if type(dim) is not int:
+                raise TypeError("dimension %r is not an integer" % (dim,))
         if dim_even < 0 or dim_odd < 0:
             raise ValueError("dimensions must be nonnegative")
-        self.dim_even = int(dim_even)
-        self.dim_odd = int(dim_odd)
+        self.dim_even = dim_even
+        self.dim_odd = dim_odd
         self.dim = self.dim_even + self.dim_odd
         self.labels = tuple("b%d" % (i + 1) for i in range(self.dim))
 
@@ -440,8 +443,8 @@ class HomSuperalgebra:
         return self._left_leibniz
 
     def __repr__(self):
-        return "HomSuperalgebra(%r%s)" % (
-            self.space, ", name=%r" % self.name if self.name else "")
+        return "%s(%r%s)" % (type(self).__name__, self.space,
+                             ", name=%r" % self.name if self.name else "")
 
 
 class BinaryTernaryAlgebra(HomSuperalgebra):

@@ -147,15 +147,17 @@ class SearchSpec:
         name = "search_%d_%d_%d" % (self.dims[0], self.dims[1], index)
         return HomSuperalgebra(self.space, product, alpha, name=name)
 
+    def _diagonal(self, alpha_index):
+        """The diagonal entries of the twisting map of an alpha block."""
+        return [self.alpha_pool[digit] for digit in _digits(
+            alpha_index, len(self.alpha_pool), self.space.dim)]
+
     def _alpha(self, alpha_index):
         """The twisting map of an alpha block.  The scan visits a block's
         candidates one after another, so the map last built (with its
         cached basis images) is kept and shared by them."""
         if self._last_alpha[0] != alpha_index:
-            digits = _digits(alpha_index, len(self.alpha_pool),
-                             self.space.dim)
-            alpha = EvenMap.diagonal(self.space,
-                                     [self.alpha_pool[d] for d in digits])
+            alpha = EvenMap.diagonal(self.space, self._diagonal(alpha_index))
             self._last_alpha = (alpha_index, alpha)
         return self._last_alpha[1]
 
@@ -202,32 +204,26 @@ class SearchOutcome:
         self.space_size = spec.space_size()
 
 
-def _slot_digits(spec, alpha_index, filtered):
-    """Per slot, the coefficient digits a candidate of this alpha block may
-    hold.  With the slot filter on, a slot (i,j,k) where d_k != d_i * d_j
-    only keeps the digits of zero coefficients: a nonzero constant there
-    breaks multiplicativity, c_ijk * (d_k - d_i * d_j) = 0."""
-    every = range(len(spec.coeffs))
-    if not filtered:
-        return [every] * len(spec.slots)
-    zeros = [digit for digit, value in enumerate(spec.coeffs) if value == 0]
-    d = [spec.alpha_pool[digit] for digit in
-         _digits(alpha_index, len(spec.alpha_pool), spec.space.dim)]
-    return [every if d[k] == d[i] * d[j] else zeros
-            for i, j, k in spec.slots]
-
-
 def _indices(spec, filtered):
     """The candidate indices whose digits the slot filter allows, in
-    increasing order."""
+    increasing order.  With the filter on, a slot (i,j,k) of an alpha
+    block diag(d) where d_k != d_i * d_j only keeps the digits of zero
+    coefficients: a nonzero constant there breaks multiplicativity,
+    c_ijk * (d_k - d_i * d_j) = 0."""
     base = len(spec.coeffs)
     weights = [base ** power for power in range(len(spec.slots) - 1, -1, -1)]
     constants_count = base ** len(spec.slots)
+    every = range(base)
+    zeros = [digit for digit, value in enumerate(spec.coeffs) if value == 0]
     for alpha_index in range(spec.alpha_count()):
         offset = alpha_index * constants_count
+        allowed = [every] * len(spec.slots)
+        if filtered:
+            d = spec._diagonal(alpha_index)
+            allowed = [every if d[k] == d[i] * d[j] else zeros
+                       for i, j, k in spec.slots]
         # Each slot's digits ascend, so the product runs in index order.
-        for digits in itertools.product(*_slot_digits(spec, alpha_index,
-                                                      filtered)):
+        for digits in itertools.product(*allowed):
             yield offset + sum(digit * weight
                                for digit, weight in zip(digits, weights))
 

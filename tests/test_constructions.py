@@ -202,6 +202,14 @@ def test_build_hom_ly_examples(a2b):
     assert all(r.passed for r in hs.check_suite("ly", derived))
 
 
+def test_repr_names_the_objects_own_class():
+    zero = make_algebra(0, 0, {})
+    assert repr(zero) == "HomSuperalgebra(SuperSpace(0, 0))"
+    derived = hs.build_hom_ly(zero)
+    assert repr(derived) == (
+        "BinaryTernaryAlgebra(SuperSpace(0, 0), name='ly(?)')")
+
+
 def test_build_hom_ly_on_twisted_input(a2b):
     twisted = hs.yau_twist(a2b, hs.EvenMap.diagonal(a2b.space, [2, 4]))
     derived = hs.build_hom_ly(twisted)

@@ -143,7 +143,8 @@ def test_normalization_stays_within_step_bound(target):
             expr = fa.alpha_distribute(fa.expand_template(
                 identity, parities, structure))
             budget = sum(fa.term_size(t) ** 2 for t in expr.terms())
-            fa.leibniz_normalize(expr, parities, step_budget=budget)
+            with mock.patch.object(fa, "_STEP_LIMIT", budget):
+                fa.leibniz_normalize(expr, parities)
 
 
 def test_prove_rejects_too_many_generators(monkeypatch):
@@ -327,9 +328,12 @@ def test_one_pass_steps_lie_between_the_per_sector_max_and_sum(target):
             with mock.patch.object(fa, "_STEP_LIMIT", budget):
                 fa.normal_form(exprs, sectors, True)
 
+        def one_sector(budget, expr, parities):
+            with mock.patch.object(fa, "_STEP_LIMIT", budget):
+                fa.leibniz_normalize(fa.alpha_distribute(expr), parities)
+
         per_sector = [_steps(lambda budget, expr=expr, parities=parities:
-                             fa.leibniz_normalize(fa.alpha_distribute(expr),
-                                                  parities, budget))
+                             one_sector(budget, expr, parities))
                       for expr, parities in zip(exprs, sectors)]
         steps = _steps(one_pass)
         assert 0 < max(per_sector) <= steps <= sum(per_sector)

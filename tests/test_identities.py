@@ -221,13 +221,15 @@ def test_eval_reports_unbound_variable(a2b):
         hs.eval_identity_on_tuple(hs.REGISTRY["LLSI"], a2b, {"x": 0})
 
 
-@pytest.mark.parametrize("sign_free", [False, True])
+# eval_identity_on_tuple reads a law graded only; the ungraded reading is
+# check_identity's (sign_free=True), which binds every variable.
+@pytest.mark.parametrize("sign_free", [False])
 def test_eval_reports_variable_bound_only_in_a_sign(a2b, sign_free):
     # x is even, so s(x,u) is +1 whatever u is; u must still be bound.
     ident = hs.parse_identity("s(x,u) x*x = 0")
     assert idn.free_variables(ident) == ["x", "u"]
     with pytest.raises(hs.UnboundVariable):
-        hs.eval_identity_on_tuple(ident, a2b, {"x": 0}, sign_free=sign_free)
+        hs.eval_identity_on_tuple(ident, a2b, {"x": 0})
 
 
 def test_eval_reports_missing_ternary_slot(a2b):
@@ -598,6 +600,14 @@ def test_law_missing_a_variable_in_some_term_is_rejected(a2b):
     for first_only in (False, True):
         with pytest.raises(hs.NonMultilinearLaw):
             hs.check_identity(law, a2b, first_only=first_only)
+
+
+@pytest.mark.parametrize("text,count", [
+    ("a(x)", 1), ("0", 0), ("(x*y)*(z*u)", 4), ("(x*y)*{z, u, v}", 5)])
+def test_template_op_refuses_other_than_2_or_3_variables(a2b, text, count):
+    template = hs.parse_identity(text)
+    with pytest.raises(ValueError, match="not %d$" % count):
+        idn.template_op(template, a2b)
 
 
 def test_shipped_laws_and_templates_are_multilinear():

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,8 +42,18 @@ def test_make_superspace_cases():
 
 
 def test_superspace_rejects_negative_dims():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimensions must be nonnegative"):
         hs.SuperSpace(-1, 0)
+
+
+@pytest.mark.parametrize("dims", [(1.5, 0), (True, 1), (1, False), ("2", 1),
+                                  (2, None), (-1.0, 0)])
+def test_superspace_refuses_dimensions_that_are_not_ints(dims):
+    # No dimension is truncated or read as a bool; the error names it.
+    bad = next(d for d in dims if type(d) is not int)
+    with pytest.raises(TypeError, match="dimension %s is not an integer"
+                       % re.escape(repr(bad))):
+        hs.SuperSpace(*dims)
 
 
 def test_vector_arithmetic_and_homogeneity():
