@@ -31,11 +31,14 @@ declares, built once per algebra from its template (`commutator`).
 through the body *and* through the leading sign, which is evaluated with
 the substituted parities.
 
-Checking an identity iterates over all homogeneous basis tuples.  That
-decides the law for all homogeneous elements only when the law is
-multilinear once the parities of its arguments are fixed: every monomial of
-its expansion (sums and cyclic sums multiplied out) has degree exactly 1 in
-every variable.  `check_identity` refuses any other law with
+Every law is lowered once to signed multilinear monomials
+(`Identity.monomials`, at most `MAX_MONOMIALS`): lhs - rhs is a sum of
+coefficient times Koszul sign times shape, a tree of variables, map
+powers and operation slots.  Checking an identity iterates over all
+homogeneous basis tuples.  That decides the law for all homogeneous
+elements only when the law is multilinear once the parities of its
+arguments are fixed: every monomial holds every variable of the law
+exactly once.  `check_identity` refuses any other law with
 NonMultilinearLaw; `Identity.multilinear` holds the verdict.
 
 `residuals` evaluates a law on every basis tuple at once: `_TensorEvaluator`
@@ -43,9 +46,8 @@ walks it once over sparse tensors keyed by (binding, output coordinate),
 contracting with the nonzero structure constants only, so a zero or sparse
 operation costs little, and the nonzero keys are the failing tuples, in
 lexicographic order.  `residual_report` turns them into a `Report`.  A key
-binds basis elements only; a law with a deferred sign, one on a variable
-that its subterm leaves unbound, is walked once per parity assignment of
-such variables (`Identity.split_variables`).
+binds basis elements only; a monomial binds every variable, so its sign is
+applied once per full key.
 
 Every law `constructions` uses is read from the tensor: the derived
 operations (templates declared once in `DERIVED`), the ternary-equivalence
@@ -62,15 +64,17 @@ without a scan: consecutive candidates usually fail at the same tuple.
 Its full scans of these laws wait for the benchmark to keep one
 fingerprint per input (ROADMAP item 1) before they move to the tensor.
 
-`Evaluator` is the one interpreter of the language: the per-tuple scan
-evaluates over the algebra, the tensor evaluator and the prover's free
-expansion in `freealg` are subclasses of it with other values.
-Structural questions about an AST (its variables, whether it needs "{,,}")
-are answered from `walk`, which visits every node.
+`Evaluator` is the one interpreter of the language; it reads the monomials
+and walks shapes only.  The per-tuple scan evaluates over the algebra; the
+tensor evaluator and the prover's free expansion in `freealg` are
+subclasses of it with other values.  Structural questions about an AST
+(its variables, whether it needs "{,,}") are answered from `walk`, which
+visits every node.
 """
 
 import functools
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -97,6 +101,10 @@ class UnboundVariable(LookupError):
 class NonMultilinearLaw(ValueError):
     """A law that basis tuples do not decide: some monomial of its expansion
     lacks a variable of the law or repeats one."""
+
+
+class LawTooLarge(ValueError):
+    """A law whose expansion has more than MAX_MONOMIALS monomials."""
 
 
 class UnknownSuite(KeyError):
@@ -217,21 +225,27 @@ class Identity(_Node):
                                    if isinstance(n, (Prod, Ternary))))
 
     @functools.cached_property
-    def multilinear(self):
-        """Whether every monomial of the expanded law (sums and cyclic sums
-        multiplied out, monomials with a zero factor dropped) has degree
-        exactly 1 in every variable of the law: the laws that basis tuples
-        decide."""
-        names = _monomial_variables(self)
-        return names is not None and names in (frozenset(),
-                                               frozenset(self.variables))
+    def monomials(self):
+        """lhs - rhs lowered to signed multilinear monomials: (coeff,
+        factors, shape) triples that sum to it as coeff * sign * shape,
+        with coeff a `kernel.exact` rational, factors in the `Sign.factors`
+        format and shape a tree of Var, Alpha, Prod and Ternary nodes.
+        Equal monomials are kept apart.  A law of more than MAX_MONOMIALS
+        monomials, counted before any is built, raises LawTooLarge."""
+        count = _monomial_count(self)
+        if count > MAX_MONOMIALS:
+            raise LawTooLarge("the law expands to %d monomials, more than "
+                              "%d: %s" % (count, MAX_MONOMIALS, pretty(self)))
+        return tuple(_lower(self))
 
     @functools.cached_property
-    def split_variables(self):
-        """The variables whose parity a deferred sign needs before they are
-        bound, in the order of `variables` (`_law_tensor`)."""
-        names = _deferred_names(self)
-        return tuple(name for name in self.variables if name in names)
+    def multilinear(self):
+        """Whether every monomial holds every variable of the law exactly
+        once: the laws that basis tuples decide."""
+        once = sorted(self.variables)
+        return all(sorted(n.name for n in walk(shape)
+                          if isinstance(n, Var)) == once
+                   for _, _, shape in self.monomials)
 
 
 def _children(node):
@@ -282,58 +296,58 @@ def _factor_names(factors):
     return tuple(name for p, q in factors for name in p + q)
 
 
-def _monomial_variables(node):
-    """The variable set shared by every monomial of the node's expansion:
-    frozenset() when the expansion is empty (every term has a zero factor),
-    None when two monomials differ in their variables or one repeats a
-    variable.  In a multilinear law every subterm that is not multiplied
-    by a vanishing one has such a set, so one None there decides."""
+def _monomial_count(node):
+    """The number of monomials `_lower` gives the node, in one pass over
+    it: products multiply, sums add, a cyclic sum triples."""
+    if isinstance(node, (Var, Zero)):
+        return int(isinstance(node, Var))
+    counts = [_monomial_count(child) for child in _children(node)]
+    if isinstance(node, (Prod, Ternary)):
+        return math.prod(counts)
+    return sum(counts) * (3 if isinstance(node, Cyc) else 1)
+
+
+def _lower(node):
+    """The (coeff, factors, shape) monomials of a node, in the order of its
+    terms (`Identity.monomials`)."""
     if isinstance(node, Var):
-        return frozenset((node.name,))
+        return [(1, (), node)]
     if isinstance(node, Zero):
-        return frozenset()
-    if isinstance(node, (Alpha, Scale, Sign)):
-        return _monomial_variables(node.sub)
+        return []
+    if isinstance(node, Scale):
+        return [(kernel.exact(node.coeff * c), factors, shape)
+                for c, factors, shape in _lower(node.sub)]
+    if isinstance(node, Sign):
+        return [(c, node.factors + factors, shape)
+                for c, factors, shape in _lower(node.sub)]
+    if isinstance(node, Sum):
+        return [monomial for item in node.items for monomial in _lower(item)]
+    if isinstance(node, Identity):
+        return _lower(node.lhs) + _lower(Scale(-1, node.rhs))
     if isinstance(node, Cyc):
-        # The rotations of a set agree iff it holds all or none of the
-        # rotated variables.
-        names = _monomial_variables(node.body)
-        if names and not (names.isdisjoint(node.vars)
-                          or names.issuperset(node.vars)):
-            return None
-        return names
-    parts = [_monomial_variables(child) for child in _children(node)]
-    if isinstance(node, (Sum, Identity)):
-        sets = {names for names in parts if names != frozenset()}
-        if len(sets) > 1 or None in sets:
-            return None
-        return sets.pop() if sets else frozenset()
-    if frozenset() in parts:
-        return frozenset()
-    if None in parts:
-        return None
-    union = frozenset().union(*parts)
-    return union if len(union) == sum(map(len, parts)) else None
+        x, y, z = node.vars
+        body = _lower(node.body)
+        return [(c, _renamed(node.factors + factors, rename),
+                 _renamed(shape, rename))
+                for rename in ({}, {x: y, y: z, z: x}, {x: z, y: x, z: y})
+                for c, factors, shape in body]
+    # Alpha, Prod or Ternary: a shape per choice of an argument monomial.
+    head = node._values()[:-len(_children(node))]
+    return [(kernel.exact(math.prod(c for c, _, _ in parts)),
+             sum((factors for _, factors, _ in parts), ()),
+             type(node)(*head, *(shape for _, _, shape in parts)))
+            for parts in itertools.product(*map(_lower, _children(node)))]
 
 
-def _deferred_names(node):
-    """The variables, named as in the node's environment, that a sign
-    inside the node names where its subterm leaves them unbound.  Inside a
-    cyclic sum such a name among the rotated variables stands for all
-    three of them, one per rotation.  A subterm without a variable set
-    (`_monomial_variables`) stands under a zero factor, where a sign is
-    immaterial."""
-    if not isinstance(node, (Sign, Cyc)):
-        return frozenset().union(*map(_deferred_names, _children(node)))
-    sub, = _children(node)
-    names = _deferred_names(sub)
-    bound = _monomial_variables(sub)
-    if bound is not None:
-        names = names.union(name for name in _factor_names(node.factors)
-                            if name not in bound)
-    if isinstance(node, Cyc) and not names.isdisjoint(node.vars):
-        names |= frozenset(node.vars)
-    return names
+def _renamed(value, rename):
+    """A shape or a factor tuple with its variable names renamed."""
+    if isinstance(value, Var):
+        return Var(rename.get(value.name, value.name))
+    if isinstance(value, _Node):
+        return type(value)(*(_renamed(v, rename) for v in value._values()))
+    if isinstance(value, tuple):
+        return tuple(_renamed(v, rename) for v in value)
+    return rename.get(value, value) if isinstance(value, str) else value
 
 
 # --------------------------------------------------------------------------
@@ -348,6 +362,10 @@ RESERVED = ("s", "cyc")
 # The largest power "aN(...)" the parser accepts; evaluating a power costs
 # a number of digits that grows with it.
 MAX_ALPHA_POWER = 64
+
+# The most monomials a law may expand to (`Identity.monomials`); the
+# largest shipped law, AKIVIS, has 9.
+MAX_MONOMIALS = 10000
 
 
 def _tokenize(text):
@@ -685,12 +703,14 @@ def _star_arg(node):
 class Evaluator:
     """The interpreter of identity ASTs.
 
-    `eval` walks a node once and takes every value from a few hooks: `leaf`
-    (the value of a bound variable), `zero`, `alpha(k)`, `op(slot)`,
-    `parity` (of a bound variable) and `signed` (a value times a Koszul
-    sign).  This class evaluates over an algebra, with variables bound to
-    basis indices; the free expansion in `freealg` is a subclass over
-    formal expressions, and `_TensorEvaluator` one over sparse tensors.
+    `eval` of a law sums its monomials (`Identity.monomials`): it walks each
+    shape, adds its value times the coefficient and the Koszul sign
+    (`add`), and takes every value from a few hooks: `leaf` (the value of
+    a bound variable), `zero`, `alpha(k)`, `op(slot)` and `parity` (of a
+    bound variable).  This class evaluates over an algebra, with variables
+    bound to basis indices; the free expansion in `freealg` is a subclass
+    over formal expressions, and `_TensorEvaluator` one over sparse
+    tensors.
 
     A product of two bare variables, and the map on a bare variable, are
     read off the structure constants instead of being computed from basis
@@ -743,12 +763,10 @@ class Evaluator:
         return 0 if self.sign_free else self.space.parity(bound)
 
     def eval(self, node, env):
-        """The value of a node under env, which maps variable names to
-        bound values; for an Identity, the residual lhs - rhs."""
+        """The value of a law (its residual lhs - rhs) or of a shape under
+        env, which maps variable names to bound values."""
         if isinstance(node, Var):
             return self.leaf(_bound(node.name, env))
-        if isinstance(node, Zero):
-            return self.zero()
         if isinstance(node, Alpha):
             alpha = self.alpha(node.power)
             if self.basis_shortcuts and isinstance(node.sub, Var):
@@ -766,26 +784,25 @@ class Evaluator:
             op = self.op(node.slot)
             return op(self.eval(node.a, env), self.eval(node.b, env),
                       self.eval(node.c, env))
-        if isinstance(node, Scale):
-            return self.eval(node.sub, env).scale(node.coeff)
-        if isinstance(node, Sign):
-            return self.signed(node.factors, env, self.eval(node.sub, env))
-        if isinstance(node, Sum):
-            first, *rest = (self.eval(item, env) for item in node.items)
-            return sum(rest, first)
-        if isinstance(node, Cyc):
-            total = self.zero()
-            for rotated in _rotations(env, node.vars):
-                total = total + self.signed(node.factors, rotated,
-                                            self.eval(node.body, rotated))
-            return total
         if isinstance(node, Identity):
-            return self.eval(node.lhs, env) - self.eval(node.rhs, env)
-        raise TypeError("not an identity node: %r" % (node,))
+            total = None
+            for coeff, factors, shape in node.monomials:
+                total = self.add(total, coeff, factors, env,
+                                 self.eval(shape, env))
+            return self.zero() if total is None else total
+        raise TypeError("neither a law nor a shape: %r" % (node,))
 
-    def signed(self, factors, env, value):
-        """value times the Koszul sign of the factors under env."""
-        return -value if self.koszul_sign(factors, env) < 0 else value
+    def add(self, total, coeff, factors, env, value):
+        """total + coeff * value times the Koszul sign of the factors under
+        env, where a total of None stands for zero: the value is added or
+        subtracted when that product is 1 or -1, and scaled otherwise."""
+        if factors:
+            coeff *= self.koszul_sign(factors, env)
+        if total is not None and coeff == -1:
+            return total - value
+        if coeff != 1:
+            value = -value if coeff == -1 else value.scale(coeff)
+        return value if total is None else total + value
 
     def koszul_sign(self, factors, env):
         """The product of (-1)^{|P| |Q|} over the factors, read from their
@@ -821,24 +838,13 @@ def _bound(name, env):
         raise UnboundVariable(name) from None
 
 
-def _rotations(env, names):
-    """The three environments of a cyclic sum: the body is evaluated as
-    written, then with (x,y,z) replaced by (y,z,x), then by (z,x,y)."""
-    x, y, z = names
-    yield env
-    first = dict(env)
-    first[x], first[y], first[z] = env[y], env[z], env[x]
-    yield first
-    second = dict(env)
-    second[x], second[y], second[z] = env[z], env[x], env[y]
-    yield second
-
-
 def eval_identity_on_tuple(identity, algebra, binding):
     """Residual lhs - rhs of an identity at one basis-element binding.
 
     binding maps variable names to 0-based basis indices; a value that is
-    not an int raises TypeError, and one outside 0..n-1 IndexError.
+    not an int raises TypeError, and one outside 0..n-1 IndexError.  A
+    variable of the law left unbound raises UnboundVariable, even where
+    only a zero factor uses it.
     """
     n = algebra.space.dim
     for name, index in binding.items():
@@ -848,6 +854,8 @@ def eval_identity_on_tuple(identity, algebra, binding):
         if not 0 <= index < n:
             raise IndexError("variable %r is bound to %d, outside 0..%d"
                              % (name, index, n - 1))
+    for name in identity.variables:
+        _bound(name, binding)
     return Evaluator(algebra).eval(identity, binding)
 
 
@@ -915,25 +923,21 @@ class _TensorEvaluator(Evaluator):
     to its position among the law's variables, and a variable's value is
     the identity tensor of its position.  The map and every operation
     contract their arguments with their nonzero structure constants, so a
-    zero or sparse operation leaves few keys; a sign is applied key by
-    key.  This is sparse tensor algebra (Kjolstad et al., "The Tensor
-    Algebra Compiler", OOPSLA 2017), interpreted rather than compiled.
-
-    `parities` fixes the parity of the variables that a deferred sign
-    names (`Identity.split_variables`) for the whole walk: their leaves
-    hold the basis elements of that parity only.
+    zero or sparse operation leaves few keys.  A monomial of a multilinear
+    law binds every variable, so its sign is read key by key from the
+    key's digits.  This is sparse tensor algebra (Kjolstad et al., "The
+    Tensor Algebra Compiler", OOPSLA 2017), interpreted rather than
+    compiled.
     """
 
     basis_shortcuts = False
 
-    def __init__(self, algebra, variables, sign_free=False, parities=None):
+    def __init__(self, algebra, variables, sign_free=False):
         super().__init__(algebra, sign_free)
         self.base = self.space.dim + 1
         self.weights = [self.base ** p
                         for p in range(len(variables) - 1, -1, -1)]
         self.env = {name: p for p, name in enumerate(variables)}
-        parities = parities or {}
-        self._assigned = [parities.get(name) for name in variables]
         self._leaves = {}
         self._linear = {}
 
@@ -946,10 +950,8 @@ class _TensorEvaluator(Evaluator):
         tensor = self._leaves.get(position)
         if tensor is None:
             weight = self.weights[position]
-            assigned = self._assigned[position]
             tensor = self._leaves[position] = _Tensor(
-                {i: {(i + 1) * weight: 1} for i in range(self.space.dim)
-                 if assigned in (None, self.space.parity(i))})
+                {i: {(i + 1) * weight: 1} for i in range(self.space.dim)})
         return tensor
 
     def zero(self):
@@ -970,24 +972,22 @@ class _TensorEvaluator(Evaluator):
             hook = self._linear[slot] = _contraction(super().op(slot))
         return hook
 
-    def signed(self, factors, env, value):
+    def add(self, total, coeff, factors, env, value):
         """The Koszul sign of the factors applied key by key: each named
-        variable's parity is read from its digit in the key, or from
-        `parities` where the key leaves it unbound.  Without an assigned
-        parity that happens only under a zero factor (`_deferred_names`),
-        where the sign is immaterial and the variable reads as even."""
-        if self.sign_free or not factors:
-            return value
-        names, signs = _sign_table(factors)
-        parities = self.space.parities
-        reads = [(self.weights[p], (self._assigned[p] or 0, *parities))
-                 for p in (_bound(name, env) for name in names)]
-        base = self.base
-        return _Tensor({
-            l: {code: -c if signs[tuple(parity[code // weight % base]
-                                        for weight, parity in reads)] < 0
-                else c for code, c in column.items()}
-            for l, column in value.entries.items()})
+        variable's parity is read from its digit in the key.  A key leaves
+        a variable unbound only in a law that is not multilinear, and
+        there the variable reads as even."""
+        if factors and not self.sign_free:
+            names, signs = _sign_table(factors)
+            parities = (0, *self.space.parities)
+            reads = [self.weights[_bound(name, env)] for name in names]
+            base = self.base
+            value = _Tensor({
+                l: {code: -c if signs[tuple(parities[code // weight % base]
+                                            for weight in reads)] < 0
+                    else c for code, c in column.items()}
+                for l, column in value.entries.items()})
+        return super().add(total, coeff, (), env, value)
 
 
 def _contraction(op):
@@ -1109,20 +1109,13 @@ def residuals(identity, algebra, sign_free=False):
 
 
 def _law_tensor(identity, algebra, sign_free=False):
-    """The law evaluated over every basis tuple (`_TensorEvaluator`), with
-    an evaluator whose `binding` reads a key's tuple; any law that is not
-    multilinear raises NonMultilinearLaw.  The law is walked once, or,
-    when it has a deferred sign and the reading is graded, once per parity
-    assignment of its `split_variables`, and the walks are added."""
+    """The law evaluated over every basis tuple in one walk
+    (`_TensorEvaluator`), with the evaluator, whose `binding` reads a
+    key's tuple; any law that is not multilinear raises
+    NonMultilinearLaw."""
     _require_multilinear(identity)
-    split = () if sign_free else identity.split_variables
-    tensor = None
-    for parities in itertools.product((0, 1), repeat=len(split)):
-        evaluator = _TensorEvaluator(algebra, identity.variables, sign_free,
-                                     dict(zip(split, parities)))
-        value = evaluator.eval(identity, evaluator.env)
-        tensor = value if tensor is None else tensor + value
-    return evaluator, tensor
+    evaluator = _TensorEvaluator(algebra, identity.variables, sign_free)
+    return evaluator, evaluator.eval(identity, evaluator.env)
 
 
 def _tuple_residuals(identity, evaluator):

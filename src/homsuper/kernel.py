@@ -94,8 +94,7 @@ class SuperSpace:
         self.labels = tuple("b%d" % (i + 1) for i in range(self.dim))
 
     def parity(self, i):
-        if not 0 <= i < self.dim:
-            raise IndexError("basis index out of range: %d" % i)
+        self._check_index(i)
         return 0 if i < self.dim_even else 1
 
     @property
@@ -103,13 +102,18 @@ class SuperSpace:
         return tuple(self.parity(i) for i in range(self.dim))
 
     def basis_vector(self, i):
-        if not 0 <= i < self.dim:
-            raise IndexError("basis index out of range: %d" % i)
+        self._check_index(i)
         return Vector(self, tuple(ONE if j == i else ZERO
                                   for j in range(self.dim)))
 
     def zero_vector(self):
         return Vector(self, (ZERO,) * self.dim)
+
+    def _check_index(self, i):
+        if type(i) is not int:
+            raise TypeError("basis index %r is not an integer" % (i,))
+        if not 0 <= i < self.dim:
+            raise IndexError("basis index out of range: %d" % i)
 
     def __eq__(self, other):
         return (isinstance(other, SuperSpace)

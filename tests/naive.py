@@ -1,10 +1,12 @@
 """Independent brute-force oracles.
 
 Residuals here are computed straight from structure-constant tables with
-nested loops, deliberately bypassing the package's identity evaluator, so
-the two routes can be compared.  Vectors are plain lists of Fractions.
+nested loops, deliberately bypassing the package's identity evaluator and
+its lowering of laws to monomials, so the two routes can be compared.
+Vectors are plain lists of Fractions.
 """
 
+import itertools
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -168,6 +170,131 @@ def hly7_residual_ungraded(binary, ternary, alpha_rows, i, j, k, l):
     rhs = add(mul(binary, tmul(ternary, x, y, u), a2(v)),
               mul(binary, a2(u), tmul(ternary, x, y, v)))
     return sub(lhs, rhs)
+
+
+# --------------------------------------------------------------------------
+# Identity ASTs, interpreted node by node on the dense tables, and the
+# variable sets of their expansions.  Nodes are told apart by class name.
+
+def ast_evaluator(algebra):
+    """value(node, env): the value of an identity AST (lhs - rhs for an
+    Identity) with its variables bound to basis indices by env.  A sign
+    factor reads the parities of the bound basis elements; a cyclic sum
+    evaluates its body and its leading sign under the three rotations of
+    the binding.  "[,]" is the binary operation of a binary-ternary
+    algebra and the graded commutator of any other."""
+    sp = algebra.space
+    n = sp.dim
+    tables = {"*": algebra.product.table,
+              "[,]": (algebra.product.table
+                      if algebra.kind == "binary_ternary"
+                      else commutator(algebra))}
+
+    def sign(factors, env):
+        out = 1
+        for p, q in factors:
+            out *= parity_sign(sum(sp.parity(env[name]) for name in p),
+                               sum(sp.parity(env[name]) for name in q))
+        return out
+
+    def value(node, env):
+        kind = type(node).__name__
+        if kind == "Var":
+            return basis(n, env[node.name])
+        if kind == "Zero":
+            return zero(n)
+        if kind == "Alpha":
+            out = value(node.sub, env)
+            for _ in range(node.power):
+                out = amap(algebra.alpha.rows, out)
+            return out
+        if kind == "Prod":
+            return mul(tables[node.slot], value(node.left, env),
+                       value(node.right, env))
+        if kind == "Ternary":
+            return tmul(algebra.ternary.table, value(node.a, env),
+                        value(node.b, env), value(node.c, env))
+        if kind == "Scale":
+            return smul(node.coeff, value(node.sub, env))
+        if kind == "Sign":
+            return smul(sign(node.factors, env), value(node.sub, env))
+        if kind == "Sum":
+            out = zero(n)
+            for item in node.items:
+                out = add(out, value(item, env))
+            return out
+        if kind == "Cyc":
+            x, y, z = node.vars
+            out = zero(n)
+            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                rotated = dict(env)
+                rotated[x], rotated[y], rotated[z] = env[a], env[b], env[c]
+                out = add(out, smul(sign(node.factors, rotated),
+                                    value(node.body, rotated)))
+            return out
+        return sub(value(node.lhs, env), value(node.rhs, env))
+
+    return value
+
+
+def law_residuals(law, algebra):
+    """(tuple, residual) for every basis tuple of the law's variables, in
+    lexicographic order, where `ast_evaluator` does not give zero."""
+    value = ast_evaluator(algebra)
+    out = []
+    for combo in itertools.product(range(algebra.space.dim),
+                                   repeat=len(law.variables)):
+        residual = value(law, dict(zip(law.variables, combo)))
+        if any(residual):
+            out.append((combo, residual))
+    return out
+
+
+def monomial_variables(node):
+    """The variable set shared by every monomial of the node's expansion:
+    frozenset() when the expansion is empty (every term has a zero factor),
+    None when two monomials differ in their variables or one repeats a
+    variable.  In a multilinear law every subterm that is not multiplied
+    by a vanishing one has such a set, so one None there decides."""
+    kind = type(node).__name__
+    if kind == "Var":
+        return frozenset((node.name,))
+    if kind == "Zero":
+        return frozenset()
+    if kind in ("Alpha", "Scale", "Sign"):
+        return monomial_variables(node.sub)
+    if kind == "Cyc":
+        # The rotations of a set agree iff it holds all or none of the
+        # rotated variables.
+        names = monomial_variables(node.body)
+        if names and not (names.isdisjoint(node.vars)
+                          or names.issuperset(node.vars)):
+            return None
+        return names
+    children = (node.items if kind == "Sum"
+                else (node.lhs, node.rhs) if kind == "Identity"
+                else (node.left, node.right) if kind == "Prod"
+                else (node.a, node.b, node.c))
+    parts = [monomial_variables(child) for child in children]
+    if kind in ("Sum", "Identity"):
+        sets = {names for names in parts if names != frozenset()}
+        if len(sets) > 1 or None in sets:
+            return None
+        return sets.pop() if sets else frozenset()
+    if frozenset() in parts:
+        return frozenset()
+    if None in parts:
+        return None
+    union = frozenset().union(*parts)
+    return union if len(union) == sum(map(len, parts)) else None
+
+
+def multilinear(law):
+    """Whether every monomial of the law's expansion holds each of its
+    variables exactly once."""
+    names = monomial_variables(law)
+    return names is not None and names in (frozenset(),
+                                           frozenset(law.variables))
 
 
 # --------------------------------------------------------------------------

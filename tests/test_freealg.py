@@ -405,8 +405,8 @@ class _CheckedTensorEvaluator(idn._TensorEvaluator):
 _OBLIGATIONS = [obligation for obligations in fa.TARGETS.values()
                 for obligation in obligations]
 
-# The obligations' laws, and two laws with a deferred sign, which the
-# tensor walks once per parity assignment.
+# The obligations' laws, and two laws with a deferred sign: a sign on a
+# variable that its subterm leaves unbound.
 _TENSOR_LAWS = [law for law, _, _ in _OBLIGATIONS] + [
     hs.parse_identity("(s(x,z) x*y)*a(z) = 0"),
     hs.parse_identity("cyc[x,y,z; 1]((s(x,y) y*z)*a(x)) = 0")]

@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import pickle
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -230,6 +231,17 @@ def test_eval_reports_variable_bound_only_in_a_sign(a2b, sign_free):
     assert idn.free_variables(ident) == ["x", "u"]
     with pytest.raises(hs.UnboundVariable):
         hs.eval_identity_on_tuple(ident, a2b, {"x": 0})
+
+
+@pytest.mark.parametrize("text,binding", [
+    ("x*0 = 0", {}), ("s(x,u) 0 = 0", {"x": 0}),
+    ("cyc[x,y,z; 1](x*y)*0 = x*0", {"x": 0, "y": 0})])
+def test_eval_reports_a_variable_bound_only_under_a_zero_factor(
+        a2b, text, binding):
+    # The lowering drops these terms, but the binding must still bind
+    # every variable of the law.
+    with pytest.raises(hs.UnboundVariable):
+        hs.eval_identity_on_tuple(hs.parse_identity(text), a2b, binding)
 
 
 def test_eval_reports_missing_ternary_slot(a2b):
@@ -600,6 +612,49 @@ def test_law_missing_a_variable_in_some_term_is_rejected(a2b):
     for first_only in (False, True):
         with pytest.raises(hs.NonMultilinearLaw):
             hs.check_identity(law, a2b, first_only=first_only)
+
+
+def test_a_law_above_the_monomial_bound_is_refused_up_front():
+    # 3^30 monomials: counted, not built.
+    law = hs.parse_identity("cyc[x,y,z;1](" * 30 + "(x*y)*z" + ")" * 30)
+    started = time.perf_counter()
+    with pytest.raises(idn.LawTooLarge, match="205891132094649 monomials"):
+        law.multilinear
+    assert time.perf_counter() - started < 1
+    with pytest.raises(ValueError):
+        hs.check_identity(law, make_algebra(1, 0, {}))
+    laws = [*hs.REGISTRY.values(), idn.TERNARY_EQ_DEF, idn.TERNARY_EQ_HALF,
+            constructions.YAU_TWIST,
+            *(template for slots in idn.DERIVED.values()
+              for template in slots.values())]
+    assert max(len(law.monomials) for law in laws) == 9  # AKIVIS
+    assert idn.MAX_MONOMIALS > 100 * 9
+
+
+def test_the_monomial_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(idn, "MAX_MONOMIALS", 9)
+    akivis = idn.registry_text()["AKIVIS"]
+    assert len(hs.parse_identity(akivis).monomials) == 9
+    with pytest.raises(idn.LawTooLarge):
+        hs.parse_identity("x*y + " + akivis).monomials
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(idn.Identity, _expr_strategy, _expr_strategy))
+def test_monomials_are_counted_before_they_are_built(ident):
+    assert idn._monomial_count(ident) == len(ident.monomials)
+    for coeff, factors, shape in ident.monomials:
+        assert coeff and type(coeff) in (int, Fraction)
+        assert type(coeff) is int or coeff.denominator != 1
+        assert all(isinstance(node, (idn.Var, idn.Alpha, idn.Prod,
+                                     idn.Ternary)) for node in idn.walk(shape))
+        assert set(idn._factor_names(factors)) <= set(ident.variables)
+
+
+def test_equal_monomials_are_kept_apart():
+    law = hs.parse_identity("x*y = x*y")
+    assert [c for c, _, _ in law.monomials] == [1, -1]
+    assert not hs.parse_identity("x = x + y - y").multilinear
 
 
 @pytest.mark.parametrize("text,count", [
@@ -1027,11 +1082,22 @@ def test_deferred_signs_match_the_per_tuple_scan(law):
         assert found[False] and found[False] != found[True]
 
 
-def test_deferred_signs_inside_a_cyclic_body_split_all_three():
-    assert _DEFERRED_SIGN_LAWS[-2].split_variables == ("x", "y", "z")
-    assert _DEFERRED_SIGN_LAWS[-1].split_variables == ("u", "x", "y", "z")
-    # The sign's own subterm binds every variable it names.
-    assert _DEFERRED_SIGN_LAWS[5].split_variables == ()
+def test_deferred_signs_inside_a_cyclic_body_rotate_all_three():
+    # Each rotation renames the deferred sign with its body, so every
+    # monomial carries the sign of the variables it binds.
+    law = _DEFERRED_SIGN_LAWS[6]
+    assert [factors for _, factors, _ in law.monomials] == [
+        ((("x",), ("y",)),), ((("y",), ("z",)),), ((("z",), ("x",)),)]
+    assert [idn.pretty(idn.Identity(shape, idn.Zero()))
+            for _, _, shape in law.monomials] == [
+        "(y*z)*a(x) = 0", "(z*x)*a(y) = 0", "(x*y)*a(z) = 0"]
+    # The leading sign comes first, then the body's, both renamed.
+    law = _DEFERRED_SIGN_LAWS[-1]
+    assert [factors for _, factors, _ in law.monomials] == [
+        ((("x",), ("y", "u")), (("u",), ("z",))),
+        ((("y",), ("z", "u")), (("u",), ("x",))),
+        ((("z",), ("x", "u")), (("u",), ("y",)))]
+    assert {c for c, _, _ in law.monomials} == {1}
 
 
 _COMMON_LAWS = dict(
@@ -1043,7 +1109,9 @@ _COMMON_LAWS = dict(
        for slot, template in slots.items()})
 
 
-def test_one_walk_per_law_unless_a_sign_is_deferred(monkeypatch):
+def test_one_walk_per_law(monkeypatch):
+    # Every law, deferred signs included, graded or sign-free, is lowered
+    # once and walked once as a tensor.
     algebra = _signed_algebra()
     idn.commutator(algebra)  # the "[,]" slot's own walk, once per algebra
     laws = dict(_COMMON_LAWS, **{"deferred %d" % i: law for i, law
@@ -1059,18 +1127,15 @@ def test_one_walk_per_law_unless_a_sign_is_deferred(monkeypatch):
         return evaluate(self, node, env)
 
     def refuse(node):
-        raise AssertionError("deferred signs looked up again")
+        raise AssertionError("a law lowered again")
 
     monkeypatch.setattr(idn._TensorEvaluator, "eval", spy)
-    monkeypatch.setattr(idn, "_deferred_names", refuse)
+    monkeypatch.setattr(idn, "_lower", refuse)
     for name, law in laws.items():
-        if name in _COMMON_LAWS:
-            assert law.split_variables == (), name
         for sign_free in (False, True):
             walks.clear()
             list(idn.residuals(law, algebra, sign_free))
-            expected = 1 if sign_free else 2 ** len(law.split_variables)
-            assert walks == {law: expected}, (name, sign_free)
+            assert walks == {law: 1}, (name, sign_free)
 
 
 def test_residuals_leave_no_reference_cycle(corpus):
@@ -1124,6 +1189,39 @@ def test_tensor_residuals_match_the_scan_over_rationals(algebra, sign_free):
     for law in _DIFFERENTIAL_LAWS.values():
         assert _assert_tensor_matches_tuples(law, algebra,
                                              sign_free) is not None
+
+
+def _assert_matches_the_naive_interpreter(law, algebra):
+    """Evaluator.eval against tests/naive.py on every basis tuple, the
+    multilinearity verdict against the naive expansion, and for a
+    multilinear law residuals against the naive scan."""
+    value = naive.ast_evaluator(algebra)
+    evaluator = idn.Evaluator(algebra)
+    names = law.variables
+    for combo in itertools.product(range(algebra.space.dim),
+                                   repeat=len(names)):
+        env = dict(zip(names, combo))
+        assert list(evaluator.eval(law, env).coords) == value(law, env), (
+            idn.pretty(law), combo)
+    assert law.multilinear == naive.multilinear(law), idn.pretty(law)
+    if law.multilinear:
+        assert [(combo, list(residual.coords)) for combo, residual
+                in idn.residuals(law, algebra)] == naive.law_residuals(
+            law, algebra), idn.pretty(law)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_algebras(ternary=True, max_dim=2),
+       st.builds(idn.Identity, _expr_strategy, _expr_strategy))
+def test_drawn_laws_match_the_naive_interpreter(algebra, law):
+    _assert_matches_the_naive_interpreter(law, algebra)
+
+
+@settings(max_examples=5, deadline=None)
+@given(graded_algebras(ternary=True, max_dim=3))
+def test_shipped_laws_match_the_naive_interpreter(algebra):
+    for law in _DIFFERENTIAL_LAWS.values():
+        _assert_matches_the_naive_interpreter(law, algebra)
 
 
 def test_tensor_path_raises_as_the_scan_does(a2b):

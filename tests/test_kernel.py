@@ -56,6 +56,26 @@ def test_superspace_refuses_dimensions_that_are_not_ints(dims):
         hs.SuperSpace(*dims)
 
 
+@pytest.mark.parametrize("index", [1.0, True, False, "1", None, 0.5])
+def test_superspace_refuses_indices_that_are_not_ints(index):
+    # A float or bool is not read as a position.
+    sp = hs.SuperSpace(1, 1)
+    for method in (sp.parity, sp.basis_vector):
+        with pytest.raises(TypeError, match="basis index %s is not an integer"
+                           % re.escape(repr(index))):
+            method(index)
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_superspace_refuses_indices_out_of_range(index):
+    sp = hs.SuperSpace(1, 1)
+    for method in (sp.parity, sp.basis_vector):
+        with pytest.raises(IndexError,
+                           match="basis index out of range: %d" % index):
+            method(index)
+    assert [sp.parity(i) for i in (0, 1)] == [0, 1]
+
+
 def test_vector_arithmetic_and_homogeneity():
     sp = hs.SuperSpace(1, 1)
     e, f = sp.basis_vector(0), sp.basis_vector(1)
