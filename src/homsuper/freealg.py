@@ -306,7 +306,16 @@ def expand_template(identity, parities, structure=None):
         if name not in parities:
             raise ValueError("no parity assigned to generator %r" % name)
         env[name] = FreeExpr.of(generator(name))
+    _require_parities(parities)
     return _FreeEvaluator(parities, structure).eval(identity, env)
+
+
+def _require_parities(parities):
+    """Refuse, with ValueError, a parity other than 0 or 1."""
+    for name, parity in parities.items():
+        if parity not in (0, 1):
+            raise ValueError("generator %r has parity %r, not 0 or 1"
+                             % (name, parity))
 
 
 # --------------------------------------------------------------------------
@@ -398,6 +407,7 @@ def leibniz_normalize(expr, parities):
     """
     if not all(map(is_distributed, expr._coeffs)):
         raise ValueError("expression must be alpha-distributed first")
+    _require_parities(parities)
     columns = {t: [c] for t, c in expr._coeffs.items()}
     return _split(_saturate(columns, [parities]), 1)[0]
 

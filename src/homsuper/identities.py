@@ -715,18 +715,13 @@ class Evaluator:
     A product of two bare variables, and the map on a bare variable, are
     read off the structure constants instead of being computed from basis
     vectors.
-
-    With sign_free=True every parity reads as 0, so every Koszul factor is
-    +1; this is the ungraded reading of the same law, used to cross-check
-    the purely even case against the graded machinery.
     """
 
     basis_shortcuts = True
 
-    def __init__(self, algebra, sign_free=False):
+    def __init__(self, algebra):
         self.algebra = algebra
         self.space = algebra.space
-        self.sign_free = sign_free
 
     @functools.cached_property
     def basis(self):
@@ -760,7 +755,7 @@ class Evaluator:
         raise KeyError("unknown operation slot: %r" % slot)
 
     def parity(self, bound):
-        return 0 if self.sign_free else self.space.parity(bound)
+        return self.space.parity(bound)
 
     def eval(self, node, env):
         """The value of a law (its residual lhs - rhs) or of a shape under
@@ -932,8 +927,8 @@ class _TensorEvaluator(Evaluator):
 
     basis_shortcuts = False
 
-    def __init__(self, algebra, variables, sign_free=False):
-        super().__init__(algebra, sign_free)
+    def __init__(self, algebra, variables):
+        super().__init__(algebra)
         self.base = self.space.dim + 1
         self.weights = [self.base ** p
                         for p in range(len(variables) - 1, -1, -1)]
@@ -977,7 +972,7 @@ class _TensorEvaluator(Evaluator):
         variable's parity is read from its digit in the key.  A key leaves
         a variable unbound only in a law that is not multilinear, and
         there the variable reads as even."""
-        if factors and not self.sign_free:
+        if factors:
             names, signs = _sign_table(factors)
             parities = (0, *self.space.parities)
             reads = [self.weights[_bound(name, env)] for name in names]
@@ -1035,8 +1030,7 @@ def _require_multilinear(identity):
             % pretty(identity))
 
 
-def check_identity(identity, algebra, name="identity", sign_free=False,
-                   first_only=False):
+def check_identity(identity, algebra, name="identity", first_only=False):
     """Exhaustively check a multilinear law over all homogeneous basis
     tuples.
 
@@ -1059,10 +1053,10 @@ def check_identity(identity, algebra, name="identity", sign_free=False,
     wait for ROADMAP item 1, the benchmark's one fingerprint per input.
     """
     _require_multilinear(identity)
-    evaluator = Evaluator(algebra, sign_free)
+    evaluator = Evaluator(algebra)
     ops = [evaluator.op(slot) for slot in identity.slots]
     if "{,,}" in identity.slots or any(op.is_zero() for op in ops):
-        found = residuals(identity, algebra, sign_free)
+        found = residuals(identity, algebra)
     else:
         found = _tuple_residuals(identity, evaluator)
     return residual_report(name, identity, algebra, found, first_only)
@@ -1089,13 +1083,13 @@ def residual_report(name, identity, algebra, found, first_only=False):
     return Report(name, not bad, checked, bad)
 
 
-def residuals(identity, algebra, sign_free=False):
+def residuals(identity, algebra):
     """Yield (tuple of basis indices, residual Vector) for every basis
     tuple, in lexicographic order, where a multilinear law does not vanish;
     any other law raises NonMultilinearLaw, and a law on an operation the
     algebra lacks MissingOpSlot.  The law is evaluated once, as a tensor
     over all tuples (`_TensorEvaluator`)."""
-    evaluator, tensor = _law_tensor(identity, algebra, sign_free)
+    evaluator, tensor = _law_tensor(identity, algebra)
     rows = {}
     for l, column in tensor.entries.items():
         for code, c in column.items():
@@ -1108,13 +1102,13 @@ def residuals(identity, algebra, sign_free=False):
         yield evaluator.binding(code), kernel.Vector(space, coords)
 
 
-def _law_tensor(identity, algebra, sign_free=False):
+def _law_tensor(identity, algebra):
     """The law evaluated over every basis tuple in one walk
     (`_TensorEvaluator`), with the evaluator, whose `binding` reads a
     key's tuple; any law that is not multilinear raises
     NonMultilinearLaw."""
     _require_multilinear(identity)
-    evaluator = _TensorEvaluator(algebra, identity.variables, sign_free)
+    evaluator = _TensorEvaluator(algebra, identity.variables)
     return evaluator, evaluator.eval(identity, evaluator.env)
 
 
@@ -1229,8 +1223,7 @@ def template_op(template, algebra):
 
 def commutator(algebra):
     """The graded commutator of the algebra's product, the operation that
-    DERIVED[None] declares for "[,]", built once and kept on the algebra.
-    Its signs are graded whatever reading a check uses."""
+    DERIVED[None] declares for "[,]", built once and kept on the algebra."""
     op = getattr(algebra, "_commutator", None)
     if op is None:
         op = algebra._commutator = template_op(DERIVED[None]["[,]"], algebra)

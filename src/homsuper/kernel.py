@@ -73,6 +73,8 @@ def exact(c):
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# The one type a basis index has (`MultilinearOp`).
+_INT = frozenset((int,))
 
 
 class SuperSpace:
@@ -215,10 +217,12 @@ class MultilinearOp:
         indices = frozenset(range(space.dim))
         rows = {}
         for key, value in (entries or {}).items():
-            if len(key) != width or not indices.issuperset(key):
+            # A float or bool equals an int index, so the types are checked.
+            if (len(key) != width or not indices.issuperset(key)
+                    or not _INT.issuperset(map(type, key))):
                 raise DimensionMismatch(
-                    "structure constant key %r is not %d indices in 0..%d"
-                    % (key, width, space.dim - 1))
+                    "structure constant key %r is not %d integer indices "
+                    "in 0..%d" % (key, width, space.dim - 1))
             value = scalar(value)
             if value:
                 rows.setdefault(key[:-1], []).append((key[-1], value))

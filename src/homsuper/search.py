@@ -132,9 +132,19 @@ class SearchSpec:
         return idn.resolve_suite(self.suite, HomSuperalgebra(
             space, BilinearOp(space), EvenMap.identity(space)))
 
+    @functools.cached_property
+    def _sizes(self):
+        """The candidates of one alpha block, and of the whole space."""
+        block = len(self.coeffs) ** len(self.slots)
+        return block, block * self.alpha_count()
+
     def candidate(self, index):
-        """Rebuild candidate number `index` (0-based, lexicographic)."""
-        constants_count = len(self.coeffs) ** len(self.slots)
+        """Rebuild candidate number `index` (0-based, lexicographic); an
+        index outside 0..space_size()-1 raises IndexError."""
+        constants_count, size = self._sizes
+        if not 0 <= index < size:
+            raise IndexError("candidate index %d is outside 0..%d"
+                             % (index, size - 1))
         alpha_index, value_index = divmod(index, constants_count)
         alpha = self._alpha(alpha_index)
         digits = _digits(value_index, len(self.coeffs), len(self.slots))

@@ -351,3 +351,32 @@ def leibniz_normal_form(coeffs, parities):
     for term, coeff in coeffs.items():
         add_normal(term, coeff)
     return {t: c for t, c in out.items() if c != 0}
+
+
+# --------------------------------------------------------------------------
+# The classical (ungraded) text of a law.
+
+def classical(node):
+    """The law with its Koszul signs deleted: every sign factor replaced by
+    its operand and every cyclic sum's leading sign set to 1.  Rebuilt node
+    by node from the AST, not from the package's lowering.  A law that
+    opens with a sign factor can name its variables in another order in
+    this text (`TERNARY_EQ_DEF` reads x, y, z and its classical text y, x,
+    z), and reports list their tuples in that order."""
+    kind = type(node).__name__
+    if kind in ("Var", "Zero"):
+        return node
+    if kind == "Sign":
+        return classical(node.sub)
+    if kind == "Cyc":
+        return type(node)(node.vars, (), classical(node.body))
+    if kind == "Sum":
+        return type(node)(tuple(classical(item) for item in node.items))
+    if kind in ("Alpha", "Scale"):
+        return type(node)(node._values()[0], classical(node.sub))
+    if kind == "Prod":
+        return type(node)(node.slot, classical(node.left),
+                          classical(node.right))
+    children = ((node.a, node.b, node.c) if kind == "Ternary"
+                else (node.lhs, node.rhs))
+    return type(node)(*map(classical, children))

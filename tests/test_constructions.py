@@ -546,13 +546,15 @@ def test_binary_ternary_bracket_is_the_binary_operation(tmp_path):
 
 
 def test_bracket_is_graded_whatever_the_reading():
-    # The "[,]" slot is the graded commutator even under sign_free, where
-    # the law's own s(x,y) reads +1: at (b2,b2), [f,f] = 2e while the
-    # ungraded right-hand side is 0.  Checked sign_free first, so that no
-    # graded check has built the bracket before.
+    # The "[,]" slot is the graded commutator even in a law read without
+    # its signs: at (b2,b2), [f,f] = 2e while the classical right-hand
+    # side is 0.  The classical text is checked first, so that no graded
+    # check has built the bracket before.
     algebra = _corpus_f2e()
     law = hs.parse_identity("[x, y] = x*y - s(x,y) y*x")
-    report = hs.check_identity(law, algebra, sign_free=True)
+    ungraded = hs.parse_identity("[x, y] = x*y - y*x")
+    assert naive.classical(law) == ungraded
+    report = hs.check_identity(ungraded, algebra)
     assert report.summary() == ("FAIL identity (checked 4) counterexamples:"
                                 " (b2,b2) -> {'b1': '2'}")
     assert hs.check_identity(law, algebra).passed

@@ -88,6 +88,20 @@ def test_leibniz_normalize_requires_distribution():
         fa.leibniz_normalize(wrapped, {"x": 0, "y": 0})
 
 
+@pytest.mark.parametrize("bad", [2, 3, -1])
+def test_a_parity_other_than_0_or_1_is_refused(bad):
+    # Both would read it: the expansion as a missing sign-table entry, the
+    # rewriting as an odd parity.
+    law = hs.parse_identity("x*y = s(x,y) y*x")
+    with pytest.raises(ValueError, match=r"'x' has parity %d" % bad):
+        fa.expand_template(law, {"x": bad, "y": 1})
+    term = fa.product(fa.product(fa.generator("x"), fa.generator("y")),
+                      fa.generator("z", 1))
+    with pytest.raises(ValueError, match=r"'x' has parity %d" % bad):
+        fa.leibniz_normalize(fa.FreeExpr.of(term),
+                             {"x": bad, "y": 1, "z": 0})
+
+
 def test_rewrite_strips_one_alpha_layer():
     # ((x*y))*a2(z) rewrites with C = a(z), keeping one alpha on the leaf.
     term = fa.product(fa.product(fa.generator("x"), fa.generator("y")),

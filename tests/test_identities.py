@@ -1,4 +1,5 @@
 import copy
+import functools
 import gc
 import itertools
 import pickle
@@ -14,6 +15,7 @@ import homsuper as hs
 from homsuper import constructions
 from homsuper import freealg as fa
 from homsuper import identities as idn
+from homsuper.search import SearchSpec, run_search
 from conftest import RATIONALS, graded_algebras, make_algebra
 import naive
 
@@ -222,10 +224,7 @@ def test_eval_reports_unbound_variable(a2b):
         hs.eval_identity_on_tuple(hs.REGISTRY["LLSI"], a2b, {"x": 0})
 
 
-# eval_identity_on_tuple reads a law graded only; the ungraded reading is
-# check_identity's (sign_free=True), which binds every variable.
-@pytest.mark.parametrize("sign_free", [False])
-def test_eval_reports_variable_bound_only_in_a_sign(a2b, sign_free):
+def test_eval_reports_variable_bound_only_in_a_sign(a2b):
     # x is even, so s(x,u) is +1 whatever u is; u must still be bound.
     ident = hs.parse_identity("s(x,u) x*x = 0")
     assert idn.free_variables(ident) == ["x", "u"]
@@ -443,13 +442,47 @@ def test_suite_passes_resolves_the_suite_once(a2b, f2e, monkeypatch):
     assert verdicts == {True, False}
 
 
-def test_sign_free_mode_differs_on_odd_sectors(f2e):
-    # Graded reading passes skew-symmetry thanks to the odd-odd sign;
-    # the sign-free reading of the same law must fail on f*f = e.
-    graded = hs.check_identity(hs.REGISTRY["SKEW_SUPER"], f2e)
-    ungraded = hs.check_identity(hs.REGISTRY["SKEW_SUPER"], f2e,
-                                 sign_free=True)
-    assert graded.passed and not ungraded.passed
+def test_classical_skew_symmetry_fails_on_odd_sectors(f2e):
+    # Graded skew-symmetry passes thanks to the odd-odd sign; its
+    # classical text, the same law without s(x,y), fails on f*f = e.
+    law = hs.REGISTRY["SKEW_SUPER"]
+    ungraded = hs.parse_identity("x*y = - y*x")
+    assert naive.classical(law) == ungraded
+    assert hs.check_identity(law, f2e).passed
+    assert not hs.check_identity(ungraded, f2e).passed
+
+
+@functools.cache
+def _even_leibniz_algebras():
+    """The (2|0) left Leibniz algebras with constants in -1, 0, 1 and a
+    diagonal twisting map over 1, -1, 2, as the search finds them: 69, 16
+    of them with a nonzero Lie-Yamaguti ternary."""
+    spec = SearchSpec((2, 0), alpha=["1", "-1", "2"], max_results=10 ** 6)
+    return [spec.candidate(doc["metadata"]["candidate"])
+            for doc in run_search(spec).documents]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(
+    graded_algebras().filter(lambda algebra: algebra.space.dim_odd == 0),
+    st.deferred(lambda: st.sampled_from(_even_leibniz_algebras()))))
+def test_even_algebras_read_every_law_as_its_classical_text(algebra):
+    # Every registry law names a variable before any sign factor, so its
+    # classical text keeps its variable order and the two reports compare
+    # tuple for tuple.
+    algebras = [algebra]
+    if all(report.passed for report in hs.check_suite("leibniz", algebra)):
+        algebras += [hs.build_hom_ly(algebra, verify=False),
+                     hs.build_hom_akivis(algebra, verify=False)]
+    for candidate in algebras:
+        for name, law in hs.REGISTRY.items():
+            if candidate.ternary is None and name in idn.TERNARY_LAWS:
+                continue
+            ungraded = naive.classical(law)
+            assert ungraded.variables == law.variables, name
+            assert hs.check_identity(law, candidate, name=name).to_dict(
+                cap=None) == hs.check_identity(
+                ungraded, candidate, name=name).to_dict(cap=None), name
 
 
 def test_cyclic_sum_rotates_leading_sign():
@@ -488,8 +521,6 @@ def _assert_sign_table(factors):
         expected = _koszul_by_definition(factors, env)
         assert signs[parities] == expected, (factors, parities)
         assert idn.Evaluator(algebra).koszul_sign(factors, env) == expected
-        assert idn.Evaluator(algebra, sign_free=True).koszul_sign(
-            factors, env) == 1
 
 
 def test_sign_tables_of_the_shipped_laws_match_the_definition():
@@ -1044,7 +1075,7 @@ def _signed_algebra():
     return hs.HomSuperalgebra(space, product, alpha, ternary=ternary)
 
 
-def _assert_tensor_matches_tuples(law, algebra, sign_free):
+def _assert_tensor_matches_tuples(law, algebra):
     """residuals against the per-tuple scan; returns the residuals, or
     None when the algebra lacks a slot of the law.  Every coordinate of a
     residual is a Fraction, whatever the tensor held."""
@@ -1053,33 +1084,41 @@ def _assert_tensor_matches_tuples(law, algebra, sign_free):
             idn.Evaluator(algebra).op(slot)
     except hs.MissingOpSlot:
         with pytest.raises(hs.MissingOpSlot):
-            list(idn.residuals(law, algebra, sign_free))
+            list(idn.residuals(law, algebra))
         return None
-    found = list(idn.residuals(law, algebra, sign_free))
+    found = list(idn.residuals(law, algebra))
     assert found == list(idn._tuple_residuals(
-        law, idn.Evaluator(algebra, sign_free))), idn.pretty(law)
+        law, idn.Evaluator(algebra))), idn.pretty(law)
     for _, residual in found:
         assert all(type(c) is Fraction for c in residual.coords)
     return found
+
+
+def _by_binding(law, found):
+    """Residuals keyed by the binding of each variable name, so that a
+    law and its classical text compare whatever order they name their
+    variables in."""
+    return {tuple(sorted(zip(law.variables, combo))): list(residual.coords)
+            for combo, residual in found}
 
 
 @pytest.mark.parametrize("law", _DEFERRED_SIGN_LAWS, ids=idn.pretty)
 def test_deferred_signs_match_the_per_tuple_scan(law):
     algebra = _signed_algebra()
     assert law.multilinear
-    found = {sign_free: _assert_tensor_matches_tuples(law, algebra,
-                                                      sign_free)
-             for sign_free in (False, True)}
-    for sign_free in (False, True):
-        report = hs.check_identity(law, algebra, sign_free=sign_free)
+    found = {}
+    for text in (law, naive.classical(law)):
+        found[text] = _assert_tensor_matches_tuples(text, algebra)
+        report = hs.check_identity(text, algebra)
         assert [tuple(int(label[1:]) - 1 for label in c["tuple"])
                 for c in report.counterexamples] == [
-            combo for combo, _ in found[sign_free]]
+            combo for combo, _ in found[text]]
+    graded, ungraded = (_by_binding(text, found[text]) for text in found)
     if law is _DEFERRED_SIGN_LAWS[1]:
         # The sign is a scalar, so where it stands makes no difference.
-        assert found[False] == []
+        assert graded == {}
     else:
-        assert found[False] and found[False] != found[True]
+        assert graded and graded != ungraded
 
 
 def test_deferred_signs_inside_a_cyclic_body_rotate_all_three():
@@ -1110,8 +1149,8 @@ _COMMON_LAWS = dict(
 
 
 def test_one_walk_per_law(monkeypatch):
-    # Every law, deferred signs included, graded or sign-free, is lowered
-    # once and walked once as a tensor.
+    # Every law, deferred signs included, is lowered once and walked once
+    # as a tensor.
     algebra = _signed_algebra()
     idn.commutator(algebra)  # the "[,]" slot's own walk, once per algebra
     laws = dict(_COMMON_LAWS, **{"deferred %d" % i: law for i, law
@@ -1132,10 +1171,9 @@ def test_one_walk_per_law(monkeypatch):
     monkeypatch.setattr(idn._TensorEvaluator, "eval", spy)
     monkeypatch.setattr(idn, "_lower", refuse)
     for name, law in laws.items():
-        for sign_free in (False, True):
-            walks.clear()
-            list(idn.residuals(law, algebra, sign_free))
-            assert walks == {law: 1}, (name, sign_free)
+        walks.clear()
+        list(idn.residuals(law, algebra))
+        assert walks == {law: 1}, name
 
 
 def test_residuals_leave_no_reference_cycle(corpus):
@@ -1168,27 +1206,27 @@ _ZERO_FACTOR_LAWS = [hs.parse_identity(text) for text in (
 _DIFFERENTIAL_LAWS = dict(
     _COMMON_LAWS, MIXED=_MIXED_LAW,
     **{"deferred %d" % i: law for i, law in enumerate(_DEFERRED_SIGN_LAWS)},
+    **{"classical deferred %d" % i: naive.classical(law)
+       for i, law in enumerate(_DEFERRED_SIGN_LAWS)},
     **{"zero factor %d" % i: law for i, law in enumerate(_ZERO_FACTOR_LAWS)})
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(graded_algebras(),
                  zeroed_algebras().map(lambda case: case[1]),
-                 sparse_algebras()),
-       st.booleans())
-def test_tensor_residuals_match_the_per_tuple_scan(algebra, sign_free):
+                 sparse_algebras()))
+def test_tensor_residuals_match_the_per_tuple_scan(algebra):
     for name, law in _DIFFERENTIAL_LAWS.items():
-        _assert_tensor_matches_tuples(law, algebra, sign_free)
+        _assert_tensor_matches_tuples(law, algebra)
 
 
 @settings(max_examples=30, deadline=None)
-@given(graded_algebras(RATIONALS, ternary=True, max_dim=3), st.booleans())
-def test_tensor_residuals_match_the_scan_over_rationals(algebra, sign_free):
+@given(graded_algebras(RATIONALS, ternary=True, max_dim=3))
+def test_tensor_residuals_match_the_scan_over_rationals(algebra):
     # Non-integral constants and map entries meet the integral ones, in
     # the structure constants, the map powers and the laws' own 1/2.
     for law in _DIFFERENTIAL_LAWS.values():
-        assert _assert_tensor_matches_tuples(law, algebra,
-                                             sign_free) is not None
+        assert _assert_tensor_matches_tuples(law, algebra) is not None
 
 
 def _assert_matches_the_naive_interpreter(law, algebra):

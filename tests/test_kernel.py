@@ -154,6 +154,19 @@ def test_structure_constant_keys_must_have_one_index_per_slot():
         hs.TernaryOp(sp, entries={(0, 0, 1): 1})
 
 
+def test_structure_constant_keys_must_be_ints():
+    # 1.0 and True equal the index 1, but neither is one: a float would
+    # be saved as "2.0", which loading refuses, and True would be stored.
+    sp = hs.SuperSpace(2, 0)
+    for op, width in ((hs.BilinearOp, 3), (hs.TernaryOp, 4)):
+        for bad in (1.0, True, False):
+            for slot in range(width):
+                key = [0] * width
+                key[slot] = bad
+                with pytest.raises(hs.DimensionMismatch):
+                    op(sp, entries={tuple(key): 1})
+
+
 def test_eval_ternary_examples():
     sp = hs.SuperSpace(2, 0)
     zero_op = hs.TernaryOp(sp)

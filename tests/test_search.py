@@ -191,7 +191,18 @@ def test_candidates_rebuild_the_same_in_any_order(alpha):
         assert (got.alpha, got.product, got.name) == \
             (want.alpha, want.product, want.name), index
     # Candidates of one alpha block share one twisting map.
-    assert spec.candidate(16).alpha is spec.candidate(17).alpha
+    last = spec.space_size() - 1
+    assert spec.candidate(last - 1).alpha is spec.candidate(last).alpha
+
+
+@pytest.mark.parametrize("alpha", ["id", ("0", "2", "-1")])
+def test_candidate_refuses_an_index_outside_the_space(alpha):
+    spec = SearchSpec((1, 0), coeffs=["0", "1"], alpha=alpha)
+    size = spec.space_size()
+    assert spec.candidate(size - 1).name == "search_1_0_%d" % (size - 1)
+    for index in (-1, size, 99):
+        with pytest.raises(IndexError, match=r"outside 0\.\.%d" % (size - 1)):
+            spec.candidate(index)
 
 
 def test_corpus_fixture_is_rediscoverable_from_its_index(corpus):
