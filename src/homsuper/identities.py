@@ -64,12 +64,13 @@ without a scan: consecutive candidates usually fail at the same tuple.
 Its full scans of these laws wait for the benchmark to keep one
 fingerprint per input (ROADMAP item 1) before they move to the tensor.
 
-`Evaluator` is the one interpreter of the language; it reads the monomials
-and walks shapes only.  The per-tuple scan evaluates over the algebra; the
-tensor evaluator and the prover's free expansion in `freealg` are
-subclasses of it with other values.  Structural questions about an AST
-(its variables, whether it needs "{,,}") are answered from `walk`, which
-visits every node.
+`Evaluator` reads the monomials and walks shapes only.  Over the algebra
+it serves the per-tuple scan (`_tuple_residuals`) only; the tensor
+evaluator and the prover's free expansion in `freealg` are subclasses of
+it.  A witness, like any one tuple (`eval_identity_on_tuple`), is read off
+the monomials by `_residual_at`, with the exact constants of the maps and
+operations and no Vector.  Structural questions about an AST (its
+variables, whether it needs "{,,}") are answered from `walk`.
 """
 
 import functools
@@ -708,9 +709,9 @@ class Evaluator:
     (`add`), and takes every value from a few hooks: `leaf` (the value of
     a bound variable), `zero`, `alpha(k)`, `op(slot)` and `parity` (of a
     bound variable).  This class evaluates over an algebra, with variables
-    bound to basis indices; the free expansion in `freealg` is a subclass
-    over formal expressions, and `_TensorEvaluator` one over sparse
-    tensors.
+    bound to basis indices, for `_tuple_residuals`; the free expansion in
+    `freealg` is a subclass over formal expressions, and `_TensorEvaluator`
+    one over sparse tensors.
 
     A product of two bare variables, and the map on a bare variable, are
     read off the structure constants instead of being computed from basis
@@ -833,8 +834,68 @@ def _bound(name, env):
         raise UnboundVariable(name) from None
 
 
+def _residual_at(identity, algebra, binding):
+    """The residual lhs - rhs of a law at one basis tuple, as {l: c} over
+    its nonzero coordinates.  Each monomial's shape is contracted with the
+    `exact_constants` of its map powers and of the operations `Evaluator.op`
+    resolves (`_shape_value`), so integral constants stay ints and no
+    Vector is built; the Koszul sign is read from `_sign_table`.  binding
+    must bind every variable of the law to a basis index."""
+    even = algebra.space.dim_even
+    tables = {}
+    total = {}
+    for coeff, factors, shape in identity.monomials:
+        if factors:
+            names, signs = _sign_table(factors)
+            coeff *= signs[tuple(int(binding[name] >= even) for name in names)]
+        for l, c in _shape_value(shape, binding, algebra, tables):
+            total[l] = total.get(l, 0) + coeff * c
+    return {l: c for l, c in total.items() if c}
+
+
+def _shape_value(shape, binding, algebra, tables):
+    """The (l, c) pairs of a shape's value at a binding, each l once.
+    tables keeps the constants of each map power and slot once resolved.
+    A module function, not a closure, so that a call leaves no cycle."""
+    kind = type(shape)
+    if kind is Var:
+        return ((binding[shape.name], 1),)
+    key = shape.power if kind is Alpha else shape.slot
+    table = tables.get(key)
+    if table is None:
+        op = (algebra.alpha.power(key) if kind is Alpha
+              else Evaluator(algebra).op(key))
+        table = tables[key] = op.exact_constants
+    args = binding, algebra, tables
+    out = {}
+    if kind is Alpha:
+        sub = shape.sub
+        if type(sub) is Var:
+            return table.get((binding[sub.name],), ())
+        for i, a in _shape_value(sub, *args):
+            for l, c in table.get((i,), ()):
+                out[l] = out.get(l, 0) + a * c
+    elif kind is Prod:
+        left, right = shape.left, shape.right
+        if type(left) is Var and type(right) is Var:
+            return table.get((binding[left.name], binding[right.name]), ())
+        right = _shape_value(right, *args)
+        for i, a in _shape_value(left, *args):
+            for j, b in right:
+                for l, c in table.get((i, j), ()):
+                    out[l] = out.get(l, 0) + a * b * c
+    else:  # Ternary
+        for combo in itertools.product(*(_shape_value(arg, *args) for arg
+                                         in (shape.a, shape.b, shape.c))):
+            scale = math.prod(c for _, c in combo)
+            for l, c in table.get(tuple(i for i, _ in combo), ()):
+                out[l] = out.get(l, 0) + scale * c
+    return out.items()
+
+
 def eval_identity_on_tuple(identity, algebra, binding):
-    """Residual lhs - rhs of an identity at one basis-element binding.
+    """Residual lhs - rhs of an identity at one basis-element binding, read
+    off the law's monomials (`_residual_at`), as the search's witnesses are.
 
     binding maps variable names to 0-based basis indices; a value that is
     not an int raises TypeError, and one outside 0..n-1 IndexError.  A
@@ -851,7 +912,8 @@ def eval_identity_on_tuple(identity, algebra, binding):
                              % (name, index, n - 1))
     for name in identity.variables:
         _bound(name, binding)
-    return Evaluator(algebra).eval(identity, binding)
+    residual = _residual_at(identity, algebra, binding)
+    return kernel.Vector(algebra.space, [residual.get(l, 0) for l in range(n)])
 
 
 class _Tensor:
@@ -1293,15 +1355,14 @@ def suite_passes(names, algebra, witnesses=None):
     `witnesses`, when given, is a dict the caller keeps across calls on
     algebras over one space (`run_search` keeps one per scan): it maps a
     law of the suite to the binding of the last counterexample the law
-    gave.  Every remembered binding is evaluated first; a nonzero residual
-    there refutes a multilinear law, so the verdict is False without a
-    scan.  Otherwise the checks run in order, and a law that fails
-    remembers its first counterexample.  The verdict is the same with or
-    without witnesses."""
+    gave.  Every remembered binding is evaluated first, straight from the
+    law's monomials (`_residual_at`); a nonzero residual there refutes a
+    multilinear law, so the verdict is False without a scan.  Otherwise
+    the checks run in order, and a law that fails remembers its first
+    counterexample.  The verdict is the same with or without witnesses."""
     checks = resolve_suite(names, algebra)
     if witnesses:
-        evaluator = Evaluator(algebra)  # the bindings are valid indices
-        if any(not evaluator.eval(REGISTRY[name], binding).is_zero()
+        if any(_residual_at(REGISTRY[name], algebra, binding)
                for name, binding in witnesses.items() if name in checks):
             return False
     for check in checks:

@@ -27,7 +27,8 @@ filter guarantees for every candidate it builds.
 A candidate is decided by `identities.suite_passes`, with one witness per
 law kept for the whole scan: the basis tuple of the last counterexample
 that law gave.  Consecutive candidates usually fail at the same tuple, so
-each candidate is first evaluated at the remembered tuples, and only one
+each candidate is first evaluated at the remembered tuples, straight from
+the law's monomials and the candidate's exact constants, and only one
 that none of them refutes is scanned in full.  A nonzero residual at any
 basis tuple refutes a multilinear law, so the hits are the same as
 without witnesses.
@@ -140,7 +141,10 @@ class SearchSpec:
 
     def candidate(self, index):
         """Rebuild candidate number `index` (0-based, lexicographic); an
-        index outside 0..space_size()-1 raises IndexError."""
+        index that is not an int (a bool is none) raises TypeError, and one
+        outside 0..space_size()-1 IndexError."""
+        if type(index) is not int:
+            raise TypeError("candidate index %r is not an integer" % (index,))
         constants_count, size = self._sizes
         if not 0 <= index < size:
             raise IndexError("candidate index %d is outside 0..%d"

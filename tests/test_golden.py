@@ -1,13 +1,15 @@
 """Golden outputs: the prover's reports and expansions, the constructed
 documents and their logs, `verify` over the corpus, the ternary equivalence
-reports, the derived ternary tables, the admissibility reports and the
-refusals of the constructions must stay byte-identical.
+reports, the derived ternary tables, the admissibility reports, the
+refusals of the constructions and `search` on a few plans must stay
+byte-identical.
 
 `golden.json` holds the sha256 digests of these outputs as the code
 produced them before the derived operations were declared once, in
 `identities.DERIVED` (the admissibility reports and refusals: before the
-constructions read their laws from the tensor).  Refactors must not move
-them.  When an output is meant to change, print the new digests with
+constructions read their laws from the tensor; the searches: before
+witnesses were read off the monomials).  Refactors must not move them.
+When an output is meant to change, print the new digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -99,6 +101,26 @@ def verify_digest():
                                  "--report", "json"]))
 
 
+# The four plans of the acceptance search, a diagonal-map plan stopped by
+# the result cap, and a capped plan of the lie suite.
+SEARCH_PLANS = (
+    ("--dims", "2,0", "--coeffs=-1,0,1"),
+    ("--dims", "1,1", "--coeffs=-2,-1,0,1,2"),
+    ("--dims", "1,2", "--coeffs", "0,1"),
+    ("--dims", "2,1", "--coeffs", "0,1"),
+    ("--dims", "1,1", "--coeffs=-1,0,1", "--alpha", "diag:0,-1,2,1/2"),
+    ("--dims", "2,0", "--suite", "lie", "--max", "3"),
+)
+
+
+def search_digests():
+    """`search --report json` on each plan: every hit, in order, and the
+    number of candidates examined."""
+    return {" ".join(plan): _digest(_run_cli(["search", *plan,
+                                              "--report", "json"]))
+            for plan in SEARCH_PLANS}
+
+
 def _full_report(report):
     return json.dumps({"name": report.name, "passed": report.passed,
                        "checked": report.checked,
@@ -166,7 +188,8 @@ def all_digests(workdir):
             "ternary_equivalence": ternary_equivalence_digests(),
             "tables": table_digests(),
             "admissibility": admissibility_digests(),
-            "refusals": refusal_digests()}
+            "refusals": refusal_digests(),
+            "search": search_digests()}
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +227,10 @@ def test_admissibility_reports_are_golden(golden):
 
 def test_construction_refusals_are_golden(golden):
     assert refusal_digests() == golden["refusals"]
+
+
+def test_search_output_is_golden(golden):
+    assert search_digests() == golden["search"]
 
 
 if __name__ == "__main__":

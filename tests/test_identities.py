@@ -1179,14 +1179,19 @@ def test_one_walk_per_law(monkeypatch):
 def test_residuals_leave_no_reference_cycle(corpus):
     # Each evaluator is freed by reference counting as soon as its call
     # returns: its operation hooks hold the constants, not the evaluator.
+    # So is all a one-tuple evaluation builds, as a search's witnesses
+    # build it for every candidate.
     algebra = corpus[0][1]
     law = hs.REGISTRY["LLSI"]
+    binding = {"x": 0, "y": 0, "z": 0}
     list(idn.residuals(law, algebra))
     gc.collect()
     gc.disable()
     try:
         for _ in range(100):
             list(idn.residuals(law, algebra))
+            idn._residual_at(law, algebra, binding)
+            hs.eval_identity_on_tuple(law, algebra, binding)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -1230,17 +1235,32 @@ def test_tensor_residuals_match_the_scan_over_rationals(algebra):
 
 
 def _assert_matches_the_naive_interpreter(law, algebra):
-    """Evaluator.eval against tests/naive.py on every basis tuple, the
-    multilinearity verdict against the naive expansion, and for a
-    multilinear law residuals against the naive scan."""
+    """Evaluator.eval and the one-tuple `_residual_at` against
+    tests/naive.py on every basis tuple, the multilinearity verdict against
+    the naive expansion, and for a multilinear law residuals against the
+    naive scan.  `_residual_at` keeps no zero value, so its dict is empty
+    exactly where the residual is zero, and where the constants and the
+    law's coefficients are ints so is every value it gives."""
     value = naive.ast_evaluator(algebra)
     evaluator = idn.Evaluator(algebra)
     names = law.variables
-    for combo in itertools.product(range(algebra.space.dim),
-                                   repeat=len(names)):
+    n = algebra.space.dim
+    integral = all(type(c) is int for c, _, _ in law.monomials) and all(
+        c.denominator == 1
+        for op in (algebra.product, algebra.alpha, algebra.ternary)
+        if op is not None for terms in op.constants.values()
+        for _, c in terms)
+    for combo in itertools.product(range(n), repeat=len(names)):
         env = dict(zip(names, combo))
-        assert list(evaluator.eval(law, env).coords) == value(law, env), (
-            idn.pretty(law), combo)
+        dense = evaluator.eval(law, env)
+        got = idn._residual_at(law, algebra, env)
+        where = (idn.pretty(law), combo)
+        assert list(dense.coords) == value(law, env) == [
+            got.get(l, 0) for l in range(n)], where
+        assert all(got.values()) and (not got) == dense.is_zero(), where
+        assert not integral or all(type(c) is int for c in got.values()), \
+            where
+        assert hs.eval_identity_on_tuple(law, algebra, env) == dense, where
     assert law.multilinear == naive.multilinear(law), idn.pretty(law)
     if law.multilinear:
         assert [(combo, list(residual.coords)) for combo, residual
@@ -1248,18 +1268,42 @@ def _assert_matches_the_naive_interpreter(law, algebra):
             law, algebra), idn.pretty(law)
 
 
+# Integral and rational constants, and a twisting map that is neither
+# diagonal nor multiplicative.
+def _integral_or_rational_algebras(max_dim):
+    return st.one_of(graded_algebras(ternary=True, max_dim=max_dim),
+                     graded_algebras(RATIONALS, ternary=True,
+                                     max_dim=max_dim))
+
+
 @settings(max_examples=40, deadline=None)
-@given(graded_algebras(ternary=True, max_dim=2),
+@given(_integral_or_rational_algebras(2),
        st.builds(idn.Identity, _expr_strategy, _expr_strategy))
 def test_drawn_laws_match_the_naive_interpreter(algebra, law):
     _assert_matches_the_naive_interpreter(law, algebra)
 
 
-@settings(max_examples=5, deadline=None)
-@given(graded_algebras(ternary=True, max_dim=3))
+@settings(max_examples=8, deadline=None)
+@given(_integral_or_rational_algebras(3))
 def test_shipped_laws_match_the_naive_interpreter(algebra):
     for law in _DIFFERENTIAL_LAWS.values():
         _assert_matches_the_naive_interpreter(law, algebra)
+
+
+def test_shipped_laws_match_the_naive_interpreter_on_binary_ternary_algebras(
+        corpus):
+    # "[,]" is the binary operation itself, and the ternary laws meet a2.
+    sources = [algebra for _, algebra in corpus
+               if algebra.metadata["expected"].get("leibniz")]
+    sources += _even_leibniz_algebras()[::8]
+    laws = [hs.REGISTRY[name] for name in ("SHLY2", "SHLY4", "SHLY5", "SHLY6",
+                                           "SHLY7", "SHLY8", "AKIVIS",
+                                           "PROP32_II")]
+    for source in sources:
+        for derived in (hs.build_hom_ly(source, verify=False),
+                        hs.build_hom_akivis(source, verify=False)):
+            for law in laws:
+                _assert_matches_the_naive_interpreter(law, derived)
 
 
 def test_tensor_path_raises_as_the_scan_does(a2b):

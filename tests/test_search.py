@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -203,6 +204,18 @@ def test_candidate_refuses_an_index_outside_the_space(alpha):
     for index in (-1, size, 99):
         with pytest.raises(IndexError, match=r"outside 0\.\.%d" % (size - 1)):
             spec.candidate(index)
+
+
+@pytest.mark.parametrize("index", [1.5, True, "1"])
+def test_candidate_refuses_an_index_that_is_not_an_int(index):
+    spec = SearchSpec((1, 0), coeffs=["0", "1"])
+    with pytest.raises(TypeError, match=r"^candidate index %s is not an "
+                       r"integer$" % re.escape(repr(index))):
+        spec.candidate(index)
+    assert spec.candidate(1).name == "search_1_0_1"
+    with pytest.raises(IndexError, match=r"^candidate index 2 is outside "
+                       r"0\.\.1$"):
+        spec.candidate(2)
 
 
 def test_corpus_fixture_is_rediscoverable_from_its_index(corpus):
@@ -490,32 +503,49 @@ def _naive_leibniz(algebra):
                for i, j, k in itertools.product(range(n), repeat=3))
 
 
+def _naive_lie(algebra):
+    n = algebra.space.dim
+    return all(not any(naive.skew_residual(algebra, i, j))
+               for i, j in itertools.product(range(n), repeat=2)) and all(
+        not any(naive.jacobi_residual(algebra, i, j, k))
+        for i, j, k in itertools.product(range(n), repeat=3))
+
+
+# The naive verdict on the laws of each suite besides multiplicativity.
+_NAIVE_SUITES = {"leibniz": _naive_leibniz, "lie": _naive_lie}
+
+
 @st.composite
 def _small_plans(draw):
-    """(dims, coeffs, alpha) over at most 2,304 candidates: (1|1) with pools
-    of 2 or 3 values, (2|0) with 2 coefficients (3 make 6,561 candidates
-    per alpha, too many for the oracle here)."""
+    """(dims, coeffs, alpha, suite) over at most 2,304 candidates: (1|1)
+    with pools of 2 or 3 values, (2|0) with 2 coefficients (3 make 6,561
+    candidates per alpha, too many for the oracle here)."""
     dims = draw(st.sampled_from([(1, 1), (2, 0)]))
     coeffs = draw(st.lists(_POOL, min_size=2,
                            max_size=3 if dims == (1, 1) else 2))
     alpha = draw(st.one_of(st.just("id"),
                            st.lists(_POOL, min_size=2, max_size=3)))
-    return dims, coeffs, alpha
+    return dims, coeffs, alpha, draw(st.sampled_from(sorted(_NAIVE_SUITES)))
 
 
 @settings(max_examples=15, deadline=None)
 @given(_small_plans())
-@example(((1, 1), ["0", "1", "-1"], ["0", "-1", "2"]))
-@example(((2, 0), ["1", "0"], "id"))
+@example(((1, 1), ["0", "1", "-1"], ["0", "-1", "2"], "leibniz"))
+@example(((2, 0), ["1", "0"], "id", "leibniz"))
+@example(((1, 1), ["0", "1", "-1"], ["0", "-1", "2"], "lie"))
+@example(((2, 0), ["0", "1"], ["1", "-1", "2"], "lie"))
 def test_search_hits_are_the_candidates_the_naive_oracle_accepts(plan):
-    dims, coeffs, alpha = plan
-    spec = SearchSpec(dims, coeffs=coeffs, alpha=alpha, suite="leibniz",
+    # The witness path on SKEW_SUPER and HOM_SUPER_JACOBI (the lie suite)
+    # and on LLSI, against oracles that share no code with the package.
+    dims, coeffs, alpha, suite = plan
+    spec = SearchSpec(dims, coeffs=coeffs, alpha=alpha, suite=suite,
                       max_results=10 ** 6)
     want = []
     for index in range(spec.space_size()):
         algebra = spec.candidate(index)
         table, rows = algebra.product.table, algebra.alpha.rows
-        if _naive_multiplicative(table, rows) and _naive_leibniz(algebra):
+        if (_naive_multiplicative(table, rows)
+                and _NAIVE_SUITES[suite](algebra)):
             want.append(index)
     outcome = run_search(spec)
     assert [doc["metadata"]["candidate"] for doc in outcome.documents] == want
