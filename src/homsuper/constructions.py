@@ -7,7 +7,7 @@ conversion, and a twist generator used to produce test fixtures.
 Every derived operation is a template in the identity language, declared
 once in `identities.DERIVED` for the constructions and the prover alike;
 `identities.template_op` reads its structure constants straight off the
-columns of the template's tensor, and the commutator is the "[,]" of a
+rows of the template's tensor, and the commutator is the "[,]" of a
 plain algebra (`identities.commutator`).
 The laws the checks need are templates too, so no formula is written twice.
 Every law a construction checks (its preconditions, its verdict and its

@@ -41,13 +41,14 @@ arguments are fixed: every monomial holds every variable of the law
 exactly once.  `check_identity` refuses any other law with
 NonMultilinearLaw; `Identity.multilinear` holds the verdict.
 
-`residuals` evaluates a law on every basis tuple at once: `_TensorEvaluator`
-walks it once over sparse tensors keyed by (binding, output coordinate),
+`residuals` evaluates a law on every basis tuple at once: a law's tensor
+(`_law_tensor`) is its monomials summed in place into rows keyed by basis
+tuple.  `_TensorEvaluator` walks each shape once over sparse tensors,
 contracting with the nonzero structure constants only, so a zero or sparse
-operation costs little, and the nonzero keys are the failing tuples, in
-lexicographic order.  `residual_report` turns them into a `Report`.  A key
-binds basis elements only; a monomial binds every variable, so its sign is
-applied once per full key.
+operation costs little; a monomial binds every variable, so its Koszul
+sign is read once per tuple.  The rows left nonzero are the failing
+tuples, in lexicographic order, and `residual_report` turns them into a
+`Report`.
 
 Every law `constructions` uses is read from the tensor: the derived
 operations (templates declared once in `DERIVED`), the ternary-equivalence
@@ -710,8 +711,9 @@ class Evaluator:
     a bound variable), `zero`, `alpha(k)`, `op(slot)` and `parity` (of a
     bound variable).  This class evaluates over an algebra, with variables
     bound to basis indices, for `_tuple_residuals`; the free expansion in
-    `freealg` is a subclass over formal expressions, and `_TensorEvaluator`
-    one over sparse tensors.
+    `freealg` is a subclass over formal expressions.  `_TensorEvaluator`
+    walks shapes only, over sparse tensors: `_law_tensor` sums a law's
+    monomials in place into rows keyed by basis tuple.
 
     A product of two bare variables, and the map on a bare variable, are
     read off the structure constants instead of being computed from basis
@@ -916,103 +918,48 @@ def eval_identity_on_tuple(identity, algebra, binding):
     return kernel.Vector(algebra.space, [residual.get(l, 0) for l in range(n)])
 
 
-class _Tensor:
-    """A value of `_TensorEvaluator`: a sparse tensor over the bindings of
-    the law's variables.  entries[l][code] = c (never zero) contributes
-    c b_l at every binding that the key `code` matches.  Coefficients follow
-    `kernel.exact`: the leaves and the integral structure constants are
-    ints, so a tensor holds Fractions only where a non-integral constant or
-    coefficient entered it; `residuals` hands out Fractions.  An
-    operation's constants are converted once per operation
-    (`MultilinearOp.exact_constants`), not once per law.
-
-    A key packs a partial binding into base-(n+1) digits, one per variable
-    of the law, the first variable the most significant: digit 0 leaves the
-    variable unbound and 1..n bind it to b_1..b_n.  The arguments of an
-    operation in a multilinear law bind disjoint variables, so two keys
-    join by adding them.  A key that binds every variable is its basis
-    tuple, and such keys order as their tuples do.  A tensor is never
-    changed once built, so tensors share columns freely.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = entries
-
-    def __add__(self, other):
-        entries = dict(self.entries)
-        for l, column in other.entries.items():
-            mine = entries.get(l)
-            if mine is None:
-                entries[l] = column
-                continue
-            mine = dict(mine)
-            for code, c in column.items():
-                c += mine.get(code, 0)
-                if c:
-                    mine[code] = c
-                else:
-                    del mine[code]
-            if mine:
-                entries[l] = mine
-            else:
-                del entries[l]
-        return _Tensor(entries)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def scale(self, c):
-        if not c:
-            return _Tensor({})
-        c = kernel.exact(c)
-        return _Tensor({l: {code: c * v for code, v in column.items()}
-                        for l, column in self.entries.items()})
-
-
 class _TensorEvaluator(Evaluator):
-    """The evaluator over sparse tensors (see `_Tensor`): one walk of a law
-    evaluates it on every basis tuple at once.  `env` binds each variable
-    to its position among the law's variables, and a variable's value is
-    the identity tensor of its position.  The map and every operation
-    contract their arguments with their nonzero structure constants, so a
-    zero or sparse operation leaves few keys.  A monomial of a multilinear
-    law binds every variable, so its sign is read key by key from the
-    key's digits.  This is sparse tensor algebra (Kjolstad et al., "The
-    Tensor Algebra Compiler", OOPSLA 2017), interpreted rather than
-    compiled.
+    """The evaluator of a multilinear law's shapes over sparse tensors: one
+    walk of a shape evaluates it on every basis tuple at once.  A value is
+    a dict {l: {code: c}} with no zero c and no empty column: c b_l at every
+    binding that the key `code` matches.  `env` binds each variable to its
+    position among the law's variables, and a variable's value is the
+    identity tensor of its position.  The map and every operation contract
+    their arguments with their nonzero structure constants
+    (`MultilinearOp.exact_constants`, converted once per operation), so a
+    zero or sparse operation leaves few keys, and coefficients follow
+    `kernel.exact`: ints, and Fractions only where a non-integral constant
+    entered.  A value is never changed once built, so values share columns
+    freely.  `_law_tensor` sums the shapes' values into the law's rows.
+
+    A key packs a binding into base-n digits, one per variable of the law,
+    the first variable the most significant: digit d binds the variable to
+    b_{d+1}, and a variable that the subterm does not bind reads digit 0.
+    The arguments of an operation in a multilinear law bind disjoint
+    variables, so two keys join by adding them.  A shape of a multilinear
+    law binds every variable, so its keys are its basis tuples, and they
+    order as their tuples do.  This is sparse tensor algebra (Kjolstad et
+    al., "The Tensor Algebra Compiler", OOPSLA 2017), interpreted rather
+    than compiled.
     """
 
     basis_shortcuts = False
 
     def __init__(self, algebra, variables):
         super().__init__(algebra)
-        self.base = self.space.dim + 1
-        self.weights = [self.base ** p
-                        for p in range(len(variables) - 1, -1, -1)]
+        n = self.space.dim
+        self.weights = [n ** p for p in range(len(variables) - 1, -1, -1)]
         self.env = {name: p for p, name in enumerate(variables)}
         self._leaves = {}
         self._linear = {}
-
-    def binding(self, code):
-        """The basis tuple of a key that binds every variable."""
-        return tuple(code // weight % self.base - 1
-                     for weight in self.weights)
 
     def leaf(self, position):
         tensor = self._leaves.get(position)
         if tensor is None:
             weight = self.weights[position]
-            tensor = self._leaves[position] = _Tensor(
-                {i: {(i + 1) * weight: 1} for i in range(self.space.dim)})
+            tensor = self._leaves[position] = {
+                i: {i * weight: 1} for i in range(self.space.dim)}
         return tensor
-
-    def zero(self):
-        return _Tensor({})
 
     def alpha(self, k):
         hook = self._linear.get(k)
@@ -1029,23 +976,6 @@ class _TensorEvaluator(Evaluator):
             hook = self._linear[slot] = _contraction(super().op(slot))
         return hook
 
-    def add(self, total, coeff, factors, env, value):
-        """The Koszul sign of the factors applied key by key: each named
-        variable's parity is read from its digit in the key.  A key leaves
-        a variable unbound only in a law that is not multilinear, and
-        there the variable reads as even."""
-        if factors:
-            names, signs = _sign_table(factors)
-            parities = (0, *self.space.parities)
-            reads = [self.weights[_bound(name, env)] for name in names]
-            base = self.base
-            value = _Tensor({
-                l: {code: -c if signs[tuple(parities[code // weight % base]
-                                            for weight in reads)] < 0
-                    else c for code, c in column.items()}
-                for l, column in value.entries.items()})
-        return super().add(total, coeff, (), env, value)
-
 
 def _contraction(op):
     """The hook of an operation on tensors; it holds the operation's exact
@@ -1057,7 +987,7 @@ def _contraction(op):
 def _contract(constants, args):
     """The operation with these structure constants on tensors: a key of
     the value is the sum of one key of each argument."""
-    first, *rest = [arg.entries for arg in args]
+    first, *rest = args
     out = {}
     for index, terms in constants.items():
         pairs = first.get(index[0])
@@ -1082,7 +1012,7 @@ def _contract(constants, args):
         column = {code: c for code, c in column.items() if c}
         if column:
             kept[l] = column
-    return _Tensor(kept)
+    return kept
 
 
 def _require_multilinear(identity):
@@ -1150,28 +1080,45 @@ def residuals(identity, algebra):
     tuple, in lexicographic order, where a multilinear law does not vanish;
     any other law raises NonMultilinearLaw, and a law on an operation the
     algebra lacks MissingOpSlot.  The law is evaluated once, as a tensor
-    over all tuples (`_TensorEvaluator`)."""
-    evaluator, tensor = _law_tensor(identity, algebra)
-    rows = {}
-    for l, column in tensor.entries.items():
-        for code, c in column.items():
-            rows.setdefault(code, {})[l] = c
+    over all tuples (`_law_tensor`)."""
     space = algebra.space
-    for code in sorted(rows):
+    for combo, row in _law_tensor(identity, algebra).items():
         coords = [kernel.ZERO] * space.dim
-        for l, c in rows[code].items():
+        for l, c in row.items():
             coords[l] = c
-        yield evaluator.binding(code), kernel.Vector(space, coords)
+        yield combo, kernel.Vector(space, coords)
 
 
 def _law_tensor(identity, algebra):
-    """The law evaluated over every basis tuple in one walk
-    (`_TensorEvaluator`), with the evaluator, whose `binding` reads a
-    key's tuple; any law that is not multilinear raises
-    NonMultilinearLaw."""
+    """The law evaluated over every basis tuple in one walk: {basis tuple:
+    {l: c}}, in lexicographic order, with no zero c and no empty row.  Each
+    monomial's shape is walked by `_TensorEvaluator`, its Koszul sign read
+    key by key from `_sign_table`, and coeff * sign * value summed in place
+    into one dict of rows keyed by code; each key is decoded once.  Any law
+    that is not multilinear raises NonMultilinearLaw."""
     _require_multilinear(identity)
     evaluator = _TensorEvaluator(algebra, identity.variables)
-    return evaluator, evaluator.eval(identity, evaluator.env)
+    env, weights = evaluator.env, evaluator.weights
+    parities = algebra.space.parities
+    n = algebra.space.dim
+    rows = {}
+    for coeff, factors, shape in identity.monomials:
+        if factors:
+            names, signs = _sign_table(factors)
+            reads = [weights[env[name]] for name in names]
+        for l, column in evaluator.eval(shape, env).items():
+            for code, c in column.items():
+                if factors and signs[tuple(parities[code // weight % n]
+                                           for weight in reads)] < 0:
+                    c = -c
+                row = rows.setdefault(code, {})
+                c = row.get(l, 0) + coeff * c
+                if c:
+                    row[l] = c
+                else:
+                    del row[l]
+    return {tuple(code // weight % n for weight in weights): row
+            for code, row in sorted(rows.items()) if row}
 
 
 def _tuple_residuals(identity, evaluator):
@@ -1275,10 +1222,9 @@ def template_op(template, algebra):
     if arity not in (2, 3):
         raise ValueError("a template defines an operation of 2 or 3 "
                          "variables, not %d" % arity)
-    evaluator, tensor = _law_tensor(template, algebra)
-    entries = {evaluator.binding(code) + (l,): c
-               for l, column in tensor.entries.items()
-               for code, c in column.items()}
+    entries = {combo + (l,): c
+               for combo, row in _law_tensor(template, algebra).items()
+               for l, c in row.items()}
     op = kernel.BilinearOp if arity == 2 else kernel.TernaryOp
     return op(algebra.space, entries=entries)
 
@@ -1331,10 +1277,10 @@ def resolve_suite(names, algebra):
     return checks
 
 
-def check_suite(names, algebra, first_only=False):
+def check_suite(names, algebra):
     """Run the named checks (`resolve_suite`) and return their reports in
     deterministic order."""
-    return [_run_check(check, algebra, first_only)
+    return [_run_check(check, algebra)
             for check in resolve_suite(names, algebra)]
 
 

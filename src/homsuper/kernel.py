@@ -4,11 +4,12 @@ operations given by structure constants, and even linear maps.
 All scalars are exact rationals, so every check in this package is an
 equality decision; there are no tolerances anywhere.  Every public value,
 and the kernel's own storage (`Vector` coordinates, structure constants),
-is a fractions.Fraction.  The tensor engine (`identities._TensorEvaluator`)
-and the prover (`freealg.FreeExpr`) keep each integral coefficient they
-combine as an int instead (`exact`), since int arithmetic is several times
-cheaper; the tensor engine reads an operation's constants so converted
-from `MultilinearOp.exact_constants`, built once per operation.  Ints and
+is a fractions.Fraction.  The tensor engine (`identities._law_tensor`, a
+law's monomials summed in place into rows keyed by basis tuple) and the
+prover (`freealg.FreeExpr`) keep each integral coefficient they combine as
+an int instead (`exact`), since int arithmetic is several times cheaper;
+the tensor engine reads an operation's constants so converted from
+`MultilinearOp.exact_constants`, built once per operation.  Ints and
 Fractions only add and multiply, so no float ever arises.  The basis is
 canonically ordered even-then-odd, which makes parity bookkeeping pure
 index arithmetic.  Kernel objects are immutable after construction (the

@@ -408,11 +408,16 @@ class _CheckedFreeEvaluator(fa._FreeEvaluator):
         return value
 
 
+def _assert_exact(columns):
+    """Every coefficient of a {key: {key: c}} dict is an int or a Fraction."""
+    for column in columns.values():
+        assert all(type(c) in (int, Fraction) for c in column.values())
+
+
 class _CheckedTensorEvaluator(idn._TensorEvaluator):
     def eval(self, node, env):
         value = super().eval(node, env)
-        for column in value.entries.values():
-            assert all(type(c) in (int, Fraction) for c in column.values())
+        _assert_exact(value)
         return value
 
 
@@ -431,10 +436,10 @@ _TENSOR_LAWS = [law for law, _, _ in _OBLIGATIONS] + [
 def test_coefficients_are_never_floats(algebra, data):
     # Every value of every walk, over a random algebra with rational
     # constants and in the free algebra, for all nine targets' obligations;
-    # the tensor walks are those of `_law_tensor`.
+    # the tensor walks are those of `_law_tensor`, and so are the rows.
     with mock.patch.object(idn, "_TensorEvaluator", _CheckedTensorEvaluator):
         for law in _TENSOR_LAWS:
-            idn._law_tensor(law, algebra)
+            _assert_exact(idn._law_tensor(law, algebra))
     for law, structure, assume_leibniz in _OBLIGATIONS:
         parities = {name: data.draw(st.integers(0, 1))
                     for name in law.variables}

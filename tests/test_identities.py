@@ -907,12 +907,13 @@ def test_pruned_check_matches_the_per_tuple_evaluator(algebra):
 
 def _tuples_evaluated(monkeypatch, law, algebra):
     """The report of check_identity and the basis tuples it evaluated the
-    law on one by one; the tensor evaluation of a law counts as none."""
+    law on one by one; the tensor evaluation of a law, which walks its
+    shapes only, counts as none."""
     seen = []
     evaluate = idn.Evaluator.eval
 
     def spy(self, node, env):
-        if node is law and not isinstance(self, idn._TensorEvaluator):
+        if node is law:
             seen.append(tuple(env[name] for name in law.variables))
         return evaluate(self, node, env)
 
@@ -997,19 +998,13 @@ def test_full_scan_when_no_used_slot_is_zero(monkeypatch, a2b):
 # The tensor evaluation of a law
 
 def _support(law, algebra):
-    """Coordinate -> the sorted keys of the law's tensor there, each key the
-    {variable: basis index} binding it matches."""
-    evaluator = idn._TensorEvaluator(algebra, law.variables)
-    tensor = evaluator.eval(law, evaluator.env)
-    n = algebra.space.dim
+    """Coordinate -> the bindings, in lexicographic order, of the rows of
+    the law's tensor that are nonzero there, each binding a {variable:
+    basis index} dict."""
     support = {}
-    for l, column in tensor.entries.items():
-        keys = []
-        for code in column:
-            digits = [code // w % evaluator.base for w in evaluator.weights]
-            keys.append({name: d - 1 for name, d in zip(law.variables, digits)
-                         if 1 <= d <= n})
-        support[l] = sorted(keys, key=lambda key: sorted(key.items()))
+    for combo, row in idn._law_tensor(law, algebra).items():
+        for l in row:
+            support.setdefault(l, []).append(dict(zip(law.variables, combo)))
     return support
 
 
@@ -1037,13 +1032,29 @@ def test_support_follows_output_coordinates_through_operations():
 
 
 def test_support_rotates_with_the_cyclic_sum():
-    # Not multilinear: each rotation of the body leaves one variable
-    # unbound, and its keys say so.
-    algebra = make_algebra(3, 0, {(0, 1, 2): 1})
-    law = hs.parse_identity("cyc[x,y,z; 1](x*y) = 0")
-    assert _support(law, algebra) == {2: [{"x": 0, "y": 1},
-                                          {"x": 1, "z": 0},
-                                          {"y": 0, "z": 1}]}
+    # b1*b2 = b3 and b3*b1 = b2, so (x*y)*z is nonzero at (b1, b2, b1)
+    # only; each rotation of the body moves that tuple with the variables.
+    algebra = make_algebra(3, 0, {(0, 1, 2): 1, (2, 0, 1): 1})
+    law = hs.parse_identity("cyc[x,y,z; 1]((x*y)*z) = 0")
+    assert _support(law, algebra) == {1: [{"x": 0, "y": 0, "z": 1},
+                                          {"x": 0, "y": 1, "z": 0},
+                                          {"x": 1, "y": 0, "z": 0}]}
+    # Each rotation of x*y leaves one variable unbound: no tensor.
+    with pytest.raises(hs.NonMultilinearLaw):
+        idn._law_tensor(hs.parse_identity("cyc[x,y,z; 1](x*y) = 0"), algebra)
+
+
+def test_cancelling_monomials_leave_no_zero_and_no_empty_row():
+    # x*y - s(x,y) x*y is 2 x*y where x and y are both odd, and its two
+    # monomials cancel wherever x or y is even.
+    algebra = make_algebra(1, 2, {(0, 0, 0): 1, (0, 1, 1): 2, (1, 0, 2): 3,
+                                  (1, 2, 0): 1, (2, 1, 0): -1, (2, 2, 0): 5})
+    law = hs.parse_identity("x*y - s(x,y) x*y")
+    rows = idn._law_tensor(law, algebra)
+    assert rows == {combo: {l: c for l, c in enumerate(residual) if c}
+                    for combo, residual in naive.law_residuals(law, algebra)}
+    assert list(rows) == [(1, 2), (2, 1), (2, 2)]
+    assert all(row and all(row.values()) for row in rows.values())
 
 
 # Sign factors on variables that their subterm does not bind: the sign is
@@ -1158,17 +1169,16 @@ def test_one_walk_per_law(monkeypatch):
     for law in laws.values():
         list(idn.residuals(law, algebra))
     walks = Counter()
-    evaluate = idn._TensorEvaluator.eval
+    law_tensor = idn._law_tensor
 
-    def spy(self, node, env):
-        if isinstance(node, idn.Identity):
-            walks[node] += 1
-        return evaluate(self, node, env)
+    def spy(law, algebra):
+        walks[law] += 1
+        return law_tensor(law, algebra)
 
     def refuse(node):
         raise AssertionError("a law lowered again")
 
-    monkeypatch.setattr(idn._TensorEvaluator, "eval", spy)
+    monkeypatch.setattr(idn, "_law_tensor", spy)
     monkeypatch.setattr(idn, "_lower", refuse)
     for name, law in laws.items():
         walks.clear()

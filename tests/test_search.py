@@ -242,13 +242,14 @@ def test_search_sound_and_complete_over_small_space():
 
 
 def _brute_force(spec):
-    """Every passing candidate, from spec.candidate and check_suite on each
-    index, as (index, document) pairs."""
+    """Every passing candidate, from spec.candidate and each check of the
+    suite, stopping at its first counterexample, on each index, as (index,
+    document) pairs."""
     hits = []
     for index in range(spec.space_size()):
         algebra = spec.candidate(index)
-        if all(r.passed for r in hs.check_suite(spec.suite, algebra,
-                                                first_only=True)):
+        if all(identities._run_check(check, algebra, first_only=True).passed
+               for check in identities.resolve_suite(spec.suite, algebra)):
             algebra.metadata = {"source": "search", "candidate": index,
                                 "expected": {spec.suite: True}}
             hits.append((index, algebra_to_document(algebra)))

@@ -205,11 +205,16 @@ def test_corpus_expected_verdicts_hold(corpus):
             assert got == verdict, (path.name, suite)
 
 
-def test_corpus_regenerates_byte_for_byte(tmp_path, capsys):
+def _make_corpus():
     script = Path(__file__).resolve().parents[1] / "tools" / "make_corpus.py"
     spec = importlib.util.spec_from_file_location("make_corpus", script)
     make_corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_corpus)
+    return make_corpus
+
+
+def test_corpus_regenerates_byte_for_byte(tmp_path, capsys):
+    make_corpus = _make_corpus()
     make_corpus.write_corpus(tmp_path)
     packaged = hs.corpus_paths()
     assert [p.name for p in sorted(tmp_path.iterdir())] == \
@@ -217,3 +222,15 @@ def test_corpus_regenerates_byte_for_byte(tmp_path, capsys):
     for path in packaged:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), \
             path.name
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["out", "extra"]])
+def test_corpus_script_refuses_options_and_extra_arguments(
+        argv, tmp_path, monkeypatch, capsys):
+    # An option is not an output directory: nothing is written, not even
+    # a directory named after it.
+    monkeypatch.chdir(tmp_path)
+    assert _make_corpus().main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "usage: python tools/make_corpus.py [OUT_DIR]\n")
+    assert list(tmp_path.iterdir()) == []

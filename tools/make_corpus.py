@@ -7,7 +7,9 @@ of them involving the odd generator.  Expected-verdict metadata is measured,
 not asserted, so the corpus contract test cannot drift from the checker.
 
 Run from the repository root:  python tools/make_corpus.py [OUT_DIR]
-(OUT_DIR defaults to the packaged corpus directory).
+(OUT_DIR defaults to the packaged corpus directory).  Any other arguments,
+or one that starts with "-", print the usage line on stderr and exit 2
+without writing anything.
 """
 
 import sys
@@ -20,6 +22,8 @@ from homsuper.serialize import algebra_to_document, canonical_text
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "homsuper" / "corpus"
 
 VERDICT_SUITES = ("multiplicativity", "leibniz", "lie")
+
+USAGE = "usage: python tools/make_corpus.py [OUT_DIR]"
 
 
 def measure(algebra, suites=VERDICT_SUITES):
@@ -107,5 +111,15 @@ def write_corpus(out_dir=CORPUS):
     searched(out_dir)
 
 
+def main(argv):
+    """Write the corpus into OUT_DIR, the one optional argument; return the
+    exit status."""
+    if len(argv) > 1 or any(arg.startswith("-") for arg in argv):
+        print(USAGE, file=sys.stderr)
+        return 2
+    write_corpus(*argv)
+    return 0
+
+
 if __name__ == "__main__":
-    write_corpus(*sys.argv[1:2])
+    sys.exit(main(sys.argv[1:]))
