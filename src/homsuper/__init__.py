@@ -52,9 +52,8 @@ from .constructions import (
 from .freealg import (
     PROOF_TARGETS,
     FreeExpr,
-    alpha_distribute,
     expand_template,
-    leibniz_normalize,
+    normal_form,
     prove_identity_free,
 )
 from .report import Report

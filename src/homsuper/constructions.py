@@ -43,16 +43,14 @@ class PreconditionError(ValueError):
 
 def _check_suite(names, algebra, first_only=False):
     """The reports of identities.check_suite(names, algebra, first_only),
-    with grading and multiplicativity from the kernel and every law from
-    its tensor (`identities.residuals`)."""
+    with every law from its tensor (`identities.residuals`) and the other
+    checks run as check_suite runs them (`identities._run_check`)."""
     reports = []
     for check in idn.resolve_suite(names, algebra):
-        if check == "grading":
-            reports.append(check_algebra_grading(algebra))
-        elif check == "multiplicativity":
-            reports.append(check_multiplicativity(algebra))
+        law = idn.REGISTRY.get(check)
+        if law is None:
+            reports.append(idn._run_check(check, algebra))
         else:
-            law = idn.REGISTRY[check]
             reports.append(idn.residual_report(
                 check, law, algebra, idn.residuals(law, algebra), first_only))
     return reports

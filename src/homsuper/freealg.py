@@ -30,7 +30,10 @@ carries a column, one coefficient per sector; a generator's parity is a
 bitmask over the sectors, and a term's parity the XOR of its leaves' masks.
 A Leibniz step gives its second term the sign +1 in the sectors of
 mask(A) & mask(B) and -1 in all others.  The step limit counts the rule
-applications of one such call.
+applications of one such call.  `normal_form` is the one entry to both
+passes, and it refuses with ValueError what it would misread: a sector
+list whose length differs from the expressions', and a parity other than
+0 or 1.
 
 The prover is sound but deliberately not complete: a certificate only ever
 says PROVED (all residuals vanished) or INCONCLUSIVE (some normal form
@@ -107,14 +110,6 @@ def term_text(term):
 
 def term_key(term):
     return (term_size(term), term_text(term))
-
-
-def is_distributed(term):
-    if term[0] == "g":
-        return True
-    if term[0] == "a":
-        return False
-    return is_distributed(term[1]) and is_distributed(term[2])
 
 
 def distribute_term(term, k=0):
@@ -296,8 +291,12 @@ def expand_template(identity, parities, structure=None):
     raises NonMultilinearLaw.  Sign factors are evaluated with `parities`
     and cyclic sums expanded.  `structure`, a key of `identities.DERIVED`,
     fills its slots with its templates over the free product; "*" is the
-    free product unless the structure fills it.
+    free product unless the structure fills it; any other structure raises
+    ValueError.
     """
+    if structure not in idn.DERIVED:
+        raise ValueError("unknown structure %r; known: %s" % (
+            structure, ", ".join(map(repr, idn.DERIVED))))
     if not identity.multilinear:
         raise idn.NonMultilinearLaw("not multilinear: %s"
                                     % idn.pretty(identity))
@@ -339,11 +338,6 @@ def _split(columns, size):
     """One expression per sector, read off the columns."""
     return [FreeExpr({t: column[s] for t, column in columns.items()})
             for s in range(size)]
-
-
-def alpha_distribute(expr):
-    """Push every map application down to generator leaves."""
-    return _split(_columns([expr]), 1)[0]
 
 
 def _rewrite_once(term, masks):
@@ -397,25 +391,20 @@ def _saturate(columns, sectors):
     return out
 
 
-def leibniz_normalize(expr, parities):
-    """Saturate the oriented left Leibniz rule on a distributed expression:
-    the one-sector case of `normal_form`.
-
-    _STEP_LIMIT caps the number of rule applications (RewriteLimit beyond
-    it); it is far above the sum of squared term sizes, which bounds every
-    saturation seen in practice.
-    """
-    if not all(map(is_distributed, expr._coeffs)):
-        raise ValueError("expression must be alpha-distributed first")
-    _require_parities(parities)
-    columns = {t: [c] for t, c in expr._coeffs.items()}
-    return _split(_saturate(columns, [parities]), 1)[0]
-
-
 def normal_form(exprs, sectors, assume_leibniz):
     """The normal forms of exprs[s] under the parities sectors[s], rewritten
     in one pass: the map distributed, then, if assume_leibniz, the left
-    Leibniz rule saturated."""
+    Leibniz rule saturated; with assume_leibniz false, distribution alone.
+    Raises ValueError for a sector count other than len(exprs) and for a
+    parity other than 0 or 1.  _STEP_LIMIT caps the rule applications of
+    the call (RewriteLimit beyond it); it is far above the sum of squared
+    term sizes, which bounds every saturation seen in practice.
+    """
+    if len(sectors) != len(exprs):
+        raise ValueError("%d expressions but %d sectors"
+                         % (len(exprs), len(sectors)))
+    for parities in sectors:
+        _require_parities(parities)
     columns = _columns(exprs)
     if assume_leibniz:
         columns = _saturate(columns, sectors)

@@ -365,7 +365,10 @@ class EvenMap(MultilinearOp):
 
     def power(self, k):
         """The k-fold composite (k >= 0), built once per map and k: a
-        repeated call returns the same map."""
+        repeated call returns the same map.  A k that is not an int (a bool
+        included) raises TypeError."""
+        if type(k) is not int:
+            raise TypeError("map power %r is not an integer" % (k,))
         if k < 0:
             raise ValueError("negative power of a map")
         if k == 1:

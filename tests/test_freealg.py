@@ -19,6 +19,16 @@ def expand(text, parities, **kw):
     return fa.expand_template(hs.parse_identity(text), parities, **kw)
 
 
+def distribute(expr):
+    """The distribution pass alone: normal_form without the Leibniz rule."""
+    return fa.normal_form([expr], [{}], False)[0]
+
+
+def leibniz_form(expr, parities):
+    """The one-sector normal form under the Leibniz rule."""
+    return fa.normal_form([expr], [parities], True)[0]
+
+
 def test_expand_trivial_identity_is_empty():
     assert expand("0 = 0", {}).is_zero()
 
@@ -43,20 +53,26 @@ def test_expand_requires_parities():
         expand("x*y = 0", {"x": 0})
 
 
+def test_expand_refuses_an_unknown_structure():
+    with pytest.raises(ValueError,
+                       match=r"'foo'; known: None, 'akivis', 'ly'"):
+        expand("x*y = 0", {"x": 0, "y": 0}, structure="foo")
+
+
 def test_alpha_distribute_steps():
     x, y = fa.generator("x"), fa.generator("y")
     wrapped = fa.FreeExpr.of(fa.alpha_wrap(fa.product(x, y), 1))
-    out = fa.alpha_distribute(wrapped)
+    out = distribute(wrapped)
     assert out == fa.FreeExpr.of(fa.product(fa.generator("x", 1),
                                             fa.generator("y", 1)))
 
     double = fa.FreeExpr.of(fa.alpha_wrap(fa.product(x, y), 2))
-    out = fa.alpha_distribute(double)
+    out = distribute(double)
     assert out == fa.FreeExpr.of(fa.product(fa.generator("x", 2),
                                             fa.generator("y", 2)))
 
     leaf = fa.FreeExpr.of(fa.generator("x", 3))
-    assert fa.alpha_distribute(leaf) == leaf
+    assert distribute(leaf) == leaf
 
 
 def test_alpha_wrap_merges_nested_wrappers():
@@ -70,22 +86,15 @@ def test_leibniz_normalize_cancels_symmetrized_products():
     for combo in itertools.product((0, 1), repeat=3):
         parities = dict(zip("xyz", combo))
         residual = expand("(x*y)*a(z) + s(x,y) (y*x)*a(z) = 0", parities)
-        assert not fa.alpha_distribute(residual).is_zero()
-        assert fa.normal_form([residual], [parities], True)[0].is_zero()
+        assert not distribute(residual).is_zero()
+        assert leibniz_form(residual, parities).is_zero()
 
 
 def test_leibniz_normalize_leaves_normal_terms_alone():
     term = fa.product(fa.generator("x", 1),
                       fa.product(fa.generator("y"), fa.generator("z")))
     expr = fa.FreeExpr.of(term)
-    assert fa.leibniz_normalize(expr, {"x": 0, "y": 0, "z": 0}) == expr
-
-
-def test_leibniz_normalize_requires_distribution():
-    wrapped = fa.FreeExpr.of(fa.alpha_wrap(fa.product(fa.generator("x"),
-                                                      fa.generator("y")), 1))
-    with pytest.raises(ValueError):
-        fa.leibniz_normalize(wrapped, {"x": 0, "y": 0})
+    assert leibniz_form(expr, {"x": 0, "y": 0, "z": 0}) == expr
 
 
 @pytest.mark.parametrize("bad", [2, 3, -1])
@@ -98,16 +107,28 @@ def test_a_parity_other_than_0_or_1_is_refused(bad):
     term = fa.product(fa.product(fa.generator("x"), fa.generator("y")),
                       fa.generator("z", 1))
     with pytest.raises(ValueError, match=r"'x' has parity %d" % bad):
-        fa.leibniz_normalize(fa.FreeExpr.of(term),
-                             {"x": bad, "y": 1, "z": 0})
+        leibniz_form(fa.FreeExpr.of(term), {"x": bad, "y": 1, "z": 0})
+
+
+def test_a_sector_count_other_than_the_expression_count_is_refused():
+    term = fa.product(fa.product(fa.generator("x"), fa.generator("y")),
+                      fa.generator("z", 1))
+    expr = fa.FreeExpr.of(term)
+    parities = {"x": 1, "y": 1, "z": 0}
+    for exprs, sectors, counts in [([expr, expr], [parities], (2, 1)),
+                                   ([expr], [parities] * 2, (1, 2)),
+                                   ([expr], [], (1, 0))]:
+        for assume_leibniz in (True, False):
+            with pytest.raises(ValueError, match=r"^%d expressions but %d "
+                               r"sectors$" % counts):
+                fa.normal_form(exprs, sectors, assume_leibniz)
 
 
 def test_rewrite_strips_one_alpha_layer():
     # ((x*y))*a2(z) rewrites with C = a(z), keeping one alpha on the leaf.
     term = fa.product(fa.product(fa.generator("x"), fa.generator("y")),
                       fa.generator("z", 2))
-    out = fa.leibniz_normalize(fa.FreeExpr.of(term),
-                               {"x": 0, "y": 0, "z": 0})
+    out = leibniz_form(fa.FreeExpr.of(term), {"x": 0, "y": 0, "z": 0})
     expected = (fa.FreeExpr.of(fa.product(
         fa.generator("x", 1),
         fa.product(fa.generator("y"), fa.generator("z", 1))))
@@ -120,9 +141,9 @@ def test_rewrite_strips_one_alpha_layer():
 def test_parity_coherence_through_normalization():
     parities = {"x": 1, "y": 1, "z": 0}
     residual = expand("(x*y)*a(z) = 0", parities)
-    before = fa.alpha_distribute(residual)
+    before = distribute(residual)
     total = fa.term_parity(before.terms()[0], parities)
-    after = fa.leibniz_normalize(before, parities)
+    after = leibniz_form(before, parities)
     for term in after.terms():
         assert fa.term_parity(term, parities) == total
 
@@ -154,11 +175,11 @@ def test_normalization_stays_within_step_bound(target):
         names = idn.free_variables(identity)
         for combo in itertools.product((0, 1), repeat=len(names)):
             parities = dict(zip(names, combo))
-            expr = fa.alpha_distribute(fa.expand_template(
+            expr = distribute(fa.expand_template(
                 identity, parities, structure))
             budget = sum(fa.term_size(t) ** 2 for t in expr.terms())
             with mock.patch.object(fa, "_STEP_LIMIT", budget):
-                fa.leibniz_normalize(expr, parities)
+                leibniz_form(expr, parities)
 
 
 def test_prove_rejects_too_many_generators(monkeypatch):
@@ -222,12 +243,12 @@ def _sectors(names):
 
 
 def _per_sector_forms(exprs, sectors):
-    """Each sector's normal form, from `leibniz_normalize` and from the
-    oracle in naive.py, which must agree."""
+    """Each sector's normal form, from `normal_form` one sector at a time
+    and from the oracle in naive.py, which must agree."""
     forms = []
     for expr, parities in zip(exprs, sectors):
-        distributed = fa.alpha_distribute(expr)
-        form = fa.leibniz_normalize(distributed, parities)
+        distributed = distribute(expr)
+        form = leibniz_form(distributed, parities)
         assert form == fa.FreeExpr(naive.leibniz_normal_form(
             dict(distributed.items()), parities))
         forms.append(form)
@@ -252,7 +273,7 @@ def test_one_pass_equals_per_sector_normalization(law, structure):
     assert fa.normal_form(exprs, sectors, True) == _per_sector_forms(
         exprs, sectors)
     assert fa.normal_form(exprs, sectors, False) == [
-        fa.alpha_distribute(expr) for expr in exprs]
+        distribute(expr) for expr in exprs]
 
 
 _GENERATORS = st.builds(fa.generator, st.sampled_from("xyz"),
@@ -344,7 +365,7 @@ def test_one_pass_steps_lie_between_the_per_sector_max_and_sum(target):
 
         def one_sector(budget, expr, parities):
             with mock.patch.object(fa, "_STEP_LIMIT", budget):
-                fa.leibniz_normalize(fa.alpha_distribute(expr), parities)
+                fa.normal_form([expr], [parities], True)
 
         per_sector = [_steps(lambda budget, expr=expr, parities=parities:
                              one_sector(budget, expr, parities))

@@ -197,6 +197,17 @@ def test_even_map_power_composition_law():
         assert m.power(j).compose(m.power(k)) == m.power(j + k)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, True, False, "2", None])
+def test_even_map_power_refuses_a_non_integer(k):
+    # Checked before the cache, so a float equal to a cached power is
+    # refused as well.
+    m = hs.EvenMap(hs.SuperSpace(1, 1), [["2", "0"], ["0", "-3"]])
+    m.power(2)
+    with pytest.raises(TypeError, match=r"^map power %s is not an integer$"
+                       % re.escape(repr(k))):
+        m.power(k)
+
+
 def test_even_map_rejects_parity_violation():
     sp = hs.SuperSpace(1, 1)
     with pytest.raises(hs.ParityError):
