@@ -32,8 +32,8 @@ A Leibniz step gives its second term the sign +1 in the sectors of
 mask(A) & mask(B) and -1 in all others.  The step limit counts the rule
 applications of one such call.  `normal_form` is the one entry to both
 passes, and it refuses with ValueError what it would misread: a sector
-list whose length differs from the expressions', and a parity other than
-0 or 1.
+list whose length differs from the expressions', a parity other than 0
+or 1, and, when it saturates, a sector that lacks a generator.
 
 The prover is sound but deliberately not complete: a certificate only ever
 says PROVED (all residuals vanished) or INCONCLUSIVE (some normal form
@@ -395,10 +395,12 @@ def normal_form(exprs, sectors, assume_leibniz):
     """The normal forms of exprs[s] under the parities sectors[s], rewritten
     in one pass: the map distributed, then, if assume_leibniz, the left
     Leibniz rule saturated; with assume_leibniz false, distribution alone.
-    Raises ValueError for a sector count other than len(exprs) and for a
-    parity other than 0 or 1.  _STEP_LIMIT caps the rule applications of
-    the call (RewriteLimit beyond it); it is far above the sum of squared
-    term sizes, which bounds every saturation seen in practice.
+    Raises ValueError for a sector count other than len(exprs), for a
+    parity other than 0 or 1, and, if assume_leibniz, for a sector that
+    assigns no parity to a generator that a term or another sector names.
+    _STEP_LIMIT caps the rule applications of the call (RewriteLimit beyond
+    it); it is far above the sum of squared term sizes, which bounds every
+    saturation seen in practice.
     """
     if len(sectors) != len(exprs):
         raise ValueError("%d expressions but %d sectors"
@@ -407,8 +409,21 @@ def normal_form(exprs, sectors, assume_leibniz):
         _require_parities(parities)
     columns = _columns(exprs)
     if assume_leibniz:
+        names = set().union(*sectors, *map(_generators, columns))
+        for parities in sectors:
+            missing = names.difference(parities)
+            if missing:
+                raise ValueError("no parity assigned to generator %r"
+                                 % min(missing))
         columns = _saturate(columns, sectors)
     return _split(columns, len(exprs))
+
+
+def _generators(term):
+    """The names of a distributed term's leaves."""
+    if term[0] == "g":
+        return {term[1]}
+    return _generators(term[1]) | _generators(term[2])
 
 
 # --------------------------------------------------------------------------

@@ -56,19 +56,21 @@ reports, and every law a construction checks, through its own suite runner
 and `residual_report`.  `check_identity`, which serves `verify`,
 `construct`'s checks of its output and `search`, reports from the same
 tensor on the laws with a "{,,}" slot or a zero operation.  The other laws,
-binary laws on nonzero operations, it evaluates tuple by tuple
-(`_tuple_residuals`): a search decides its candidates with them and stops
-at the first failing tuple, which is cheaper there than the whole tensor.
+binary laws on nonzero operations, it evaluates tuple by tuple.  A search
+decides its candidates with them and stops at the first failing tuple,
+which is cheaper there than the whole tensor: its scans read each tuple
+off the law's monomials (`_monomial_residuals`), as its witnesses are read.
 Before it scans a candidate, `suite_passes` evaluates each law at the
 tuple that refuted it last (its witness), which rejects most candidates
 without a scan: consecutive candidates usually fail at the same tuple.
-Its full scans of these laws wait for the benchmark to keep one
-fingerprint per input (ROADMAP item 1) before they move to the tensor.
+Only the full scans of these laws still go tuple by tuple through Vectors
+(`Evaluator`); they wait for the benchmark to keep one fingerprint per
+input (ROADMAP item 1) before they move to the tensor.
 
 `Evaluator` reads the monomials and walks shapes only.  Over the algebra
-it serves the per-tuple scan (`_tuple_residuals`) only; the tensor
-evaluator and the prover's free expansion in `freealg` are subclasses of
-it.  A witness, like any one tuple (`eval_identity_on_tuple`), is read off
+it serves the full per-tuple scans only; the tensor evaluator and the
+prover's free expansion in `freealg` are subclasses of it.  A witness, a
+search's scan, and any one tuple (`eval_identity_on_tuple`) are read off
 the monomials by `_residual_at`, with the exact constants of the maps and
 operations and no Vector.  Structural questions about an AST (its
 variables, whether it needs "{,,}") are answered from `walk`.
@@ -710,10 +712,11 @@ class Evaluator:
     (`add`), and takes every value from a few hooks: `leaf` (the value of
     a bound variable), `zero`, `alpha(k)`, `op(slot)` and `parity` (of a
     bound variable).  This class evaluates over an algebra, with variables
-    bound to basis indices, for `_tuple_residuals`; the free expansion in
-    `freealg` is a subclass over formal expressions.  `_TensorEvaluator`
-    walks shapes only, over sparse tensors: `_law_tensor` sums a law's
-    monomials in place into rows keyed by basis tuple.
+    bound to basis indices, for the full per-tuple scans of
+    `check_identity`; the free expansion in `freealg` is a subclass over
+    formal expressions.  `_TensorEvaluator` walks shapes only, over sparse
+    tensors: `_law_tensor` sums a law's monomials in place into rows keyed
+    by basis tuple.
 
     A product of two bare variables, and the map on a bare variable, are
     read off the structure constants instead of being computed from basis
@@ -836,15 +839,18 @@ def _bound(name, env):
         raise UnboundVariable(name) from None
 
 
-def _residual_at(identity, algebra, binding):
+def _residual_at(identity, algebra, binding, tables=None):
     """The residual lhs - rhs of a law at one basis tuple, as {l: c} over
     its nonzero coordinates.  Each monomial's shape is contracted with the
     `exact_constants` of its map powers and of the operations `Evaluator.op`
     resolves (`_shape_value`), so integral constants stay ints and no
     Vector is built; the Koszul sign is read from `_sign_table`.  binding
-    must bind every variable of the law to a basis index."""
+    must bind every variable of the law to a basis index.  tables, when
+    given, keeps the resolved constants across calls on one algebra, as a
+    scan of every tuple (`_monomial_residuals`) passes it."""
     even = algebra.space.dim_even
-    tables = {}
+    if tables is None:
+        tables = {}
     total = {}
     for coeff, factors, shape in identity.monomials:
         if factors:
@@ -1038,17 +1044,21 @@ def check_identity(identity, algebra, name="identity", first_only=False):
 
     A law with a "{,,}" slot or a zero operation is evaluated once as a
     tensor (`residuals`), which costs little where its operations are zero
-    or sparse.  Every other law is evaluated tuple by tuple
-    (`_tuple_residuals`), which stops at once on a failing search
-    candidate.  The constructions read all their laws from the tensor
-    instead; the full checks here would be faster as tensors too, but they
-    wait for ROADMAP item 1, the benchmark's one fingerprint per input.
+    or sparse.  Every other law is evaluated tuple by tuple, which stops at
+    once on a failing search candidate: with first_only each tuple is read
+    off the law's monomials (`_monomial_residuals`), and a full scan still
+    goes through Vectors (`Evaluator`).  The constructions read all their
+    laws from the tensor instead; the full checks here would be faster as
+    tensors too, but they wait for ROADMAP item 1, the benchmark's one
+    fingerprint per input.
     """
     _require_multilinear(identity)
     evaluator = Evaluator(algebra)
     ops = [evaluator.op(slot) for slot in identity.slots]
     if "{,,}" in identity.slots or any(op.is_zero() for op in ops):
         found = residuals(identity, algebra)
+    elif first_only:
+        found = _monomial_residuals(identity, algebra)
     else:
         found = _tuple_residuals(identity, evaluator)
     return residual_report(name, identity, algebra, found, first_only)
@@ -1119,6 +1129,22 @@ def _law_tensor(identity, algebra):
                     del row[l]
     return {tuple(code // weight % n for weight in weights): row
             for code, row in sorted(rows.items()) if row}
+
+
+def _monomial_residuals(identity, algebra):
+    """What `residuals` yields, found tuple by tuple in lexicographic
+    order, each residual read off the law's monomials (`_residual_at`) with
+    the constants of its map powers and slots resolved once for the scan.
+    A Vector is built for a failing tuple only."""
+    variables = identity.variables
+    space = algebra.space
+    tables = {}
+    for combo in itertools.product(range(space.dim), repeat=len(variables)):
+        residual = _residual_at(identity, algebra,
+                                dict(zip(variables, combo)), tables)
+        if residual:
+            yield combo, kernel.Vector(space, [residual.get(l, 0)
+                                               for l in range(space.dim)])
 
 
 def _tuple_residuals(identity, evaluator):

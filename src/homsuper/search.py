@@ -29,7 +29,9 @@ law kept for the whole scan: the basis tuple of the last counterexample
 that law gave.  Consecutive candidates usually fail at the same tuple, so
 each candidate is first evaluated at the remembered tuples, straight from
 the law's monomials and the candidate's exact constants, and only one
-that none of them refutes is scanned in full.  A nonzero residual at any
+that none of them refutes is scanned, up to its first failing tuple.  The
+scan reads each tuple off the monomials in the same way, so deciding a
+candidate builds no Vector until a law fails.  A nonzero residual at any
 basis tuple refutes a multilinear law, so the hits are the same as
 without witnesses.
 

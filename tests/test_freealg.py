@@ -110,6 +110,20 @@ def test_a_parity_other_than_0_or_1_is_refused(bad):
         leibniz_form(fa.FreeExpr.of(term), {"x": bad, "y": 1, "z": 0})
 
 
+def test_a_sector_lacking_a_generator_is_refused_before_saturating():
+    expr = expand("(x*y)*a(z)", {"x": 0, "y": 0, "z": 0})
+    every = {"x": 0, "y": 0, "z": 0}
+    # The term names y and z, which the only sector lacks; and the second
+    # sector lacks what the first one names.
+    for exprs, sectors in [([expr], [{"x": 0}]),
+                           ([expr, expr], [every, {"x": 0}])]:
+        with pytest.raises(ValueError,
+                           match=r"^no parity assigned to generator 'y'$"):
+            fa.normal_form(exprs, sectors, True)
+    # Distribution alone reads no parity.
+    assert fa.normal_form([expr], [{}], False) == [expr]
+
+
 def test_a_sector_count_other_than_the_expression_count_is_refused():
     term = fa.product(fa.product(fa.generator("x"), fa.generator("y")),
                       fa.generator("z", 1))

@@ -416,6 +416,38 @@ def test_scan_skips_the_parity_check(monkeypatch):
     assert outcome.examined == spec.space_size()
 
 
+def test_search_never_walks_the_dense_evaluator(monkeypatch):
+    # The witnesses and the first-counterexample scans read every tuple
+    # off the laws' monomials; no Vector passes through an operation.
+    spec = SearchSpec((1, 1), ("-1", "0", "1"))
+    llsi = identities.REGISTRY["LLSI"]
+    hits = []
+    for index in range(spec.space_size()):
+        algebra = spec.candidate(index)
+        if not naive.law_residuals(llsi, algebra):
+            algebra.metadata = {"source": "search", "candidate": index,
+                                "expected": {spec.suite: True}}
+            hits.append(algebra_to_document(algebra))
+    calls = []
+
+    def spy(name, original):
+        def spied(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return spied
+
+    monkeypatch.setattr(identities, "_tuple_residuals",
+                        spy("_tuple_residuals", identities._tuple_residuals))
+    monkeypatch.setattr(kernel.MultilinearOp, "_apply",
+                        spy("_apply", kernel.MultilinearOp._apply))
+    outcome = run_search(spec)
+    assert calls == []
+    assert outcome.documents == hits
+    # The spies see a full scan, which still walks the dense evaluator.
+    assert not identities.check_identity(llsi, spec.candidate(1)).passed
+    assert set(calls) == {"_tuple_residuals", "_apply"}
+
+
 def test_filtered_scan_skips_the_multiplicativity_check(monkeypatch):
     # Under a diagonal alpha, multiplicativity is c_ijk (d_k - d_i d_j) = 0,
     # which the slot filter already guarantees for every candidate it builds.
