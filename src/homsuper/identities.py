@@ -23,7 +23,7 @@ Identifiers name universally quantified homogeneous variables; their parities
 are never declared, they are induced by the basis elements bound to them.
 "a" applies the twisting map once, "a2" twice, and so on; "aN" and "s" are
 reserved and cannot be variables.  "*", "[x,y]" and "{x,y,z}" are operation
-slots, and `Evaluator.op` is the one place that resolves them against the
+slots, and `slot_op` is the one place that resolves them against the
 algebra under test: "[,]" is the binary operation itself on a binary-ternary
 algebra, and on a plain algebra the graded commutator that `DERIVED[None]`
 declares, built once per algebra from its template (`commutator`).
@@ -43,7 +43,7 @@ NonMultilinearLaw; `Identity.multilinear` holds the verdict.
 
 `residuals` evaluates a law on every basis tuple at once: a law's tensor
 (`_law_tensor`) is its monomials summed in place into rows keyed by basis
-tuple.  `_TensorEvaluator` walks each shape once over sparse tensors,
+tuple.  `_shape_tensor` walks each shape once over sparse tensors,
 contracting with the nonzero structure constants only, so a zero or sparse
 operation costs little; a monomial binds every variable, so its Koszul
 sign is read once per tuple.  The rows left nonzero are the failing
@@ -67,13 +67,13 @@ Only the full scans of these laws still go tuple by tuple through Vectors
 (`Evaluator`); they wait for the benchmark to keep one fingerprint per
 input (ROADMAP item 1) before they move to the tensor.
 
-`Evaluator` reads the monomials and walks shapes only.  Over the algebra
-it serves the full per-tuple scans only; the tensor evaluator and the
-prover's free expansion in `freealg` are subclasses of it.  A witness, a
-search's scan, and any one tuple (`eval_identity_on_tuple`) are read off
-the monomials by `_residual_at`, with the exact constants of the maps and
-operations and no Vector.  Structural questions about an AST (its
-variables, whether it needs "{,,}") are answered from `walk`.
+Three engines walk shapes over an algebra: `Evaluator` over Vectors, for
+the full per-tuple scans only (the prover's free expansion in `freealg` is
+a subclass of it); `_shape_value` at one tuple, with which `_residual_at`
+reads a witness, a search's scan and any one tuple
+(`eval_identity_on_tuple`); and `_shape_tensor` on every tuple at once.
+The last two are functions over exact constants.  Structural questions
+about an AST (its variables, whether it needs "{,,}") come from `walk`.
 """
 
 import functools
@@ -704,6 +704,24 @@ def _star_arg(node):
 # --------------------------------------------------------------------------
 # Evaluation
 
+def slot_op(algebra, slot):
+    """The operation a slot names on the algebra, the one place that
+    resolves slots: "*" is its product, "{,,}" its ternary product, and
+    "[,]" the binary operation itself on a binary-ternary algebra and the
+    graded commutator of the product (`commutator`) on any other."""
+    if slot == "*":
+        return algebra.product
+    if slot == "[,]":
+        if isinstance(algebra, kernel.BinaryTernaryAlgebra):
+            return algebra.product
+        return commutator(algebra)
+    if slot == "{,,}":
+        if algebra.ternary is None:
+            raise MissingOpSlot("algebra has no %r operation" % slot)
+        return algebra.ternary
+    raise KeyError("unknown operation slot: %r" % slot)
+
+
 class Evaluator:
     """The interpreter of identity ASTs.
 
@@ -713,10 +731,10 @@ class Evaluator:
     a bound variable), `zero`, `alpha(k)`, `op(slot)` and `parity` (of a
     bound variable).  This class evaluates over an algebra, with variables
     bound to basis indices, for the full per-tuple scans of
-    `check_identity`; the free expansion in `freealg` is a subclass over
-    formal expressions.  `_TensorEvaluator` walks shapes only, over sparse
-    tensors: `_law_tensor` sums a law's monomials in place into rows keyed
-    by basis tuple.
+    `check_identity`, the only place that builds one; the free expansion
+    in `freealg` is a subclass over formal expressions.  The other two
+    engines of shapes are functions over exact constants: `_shape_value`
+    at one tuple, `_shape_tensor` on every tuple at once.
 
     A product of two bare variables, and the map on a bare variable, are
     read off the structure constants instead of being computed from basis
@@ -743,22 +761,8 @@ class Evaluator:
         return self.algebra.alpha.power(k)
 
     def op(self, slot):
-        """The operation a slot names on the algebra: "*" is its product,
-        "{,,}" its ternary product, and "[,]" the binary operation itself on
-        a binary-ternary algebra and the graded commutator of the product
-        (`commutator`) on any other."""
-        algebra = self.algebra
-        if slot == "*":
-            return algebra.product
-        if slot == "[,]":
-            if isinstance(algebra, kernel.BinaryTernaryAlgebra):
-                return algebra.product
-            return commutator(algebra)
-        if slot == "{,,}":
-            if algebra.ternary is None:
-                raise MissingOpSlot("algebra has no %r operation" % slot)
-            return algebra.ternary
-        raise KeyError("unknown operation slot: %r" % slot)
+        """The operation a slot names on the algebra (`slot_op`)."""
+        return slot_op(self.algebra, slot)
 
     def parity(self, bound):
         return self.space.parity(bound)
@@ -842,7 +846,7 @@ def _bound(name, env):
 def _residual_at(identity, algebra, binding, tables=None):
     """The residual lhs - rhs of a law at one basis tuple, as {l: c} over
     its nonzero coordinates.  Each monomial's shape is contracted with the
-    `exact_constants` of its map powers and of the operations `Evaluator.op`
+    `exact_constants` of its map powers and of the operations `slot_op`
     resolves (`_shape_value`), so integral constants stay ints and no
     Vector is built; the Koszul sign is read from `_sign_table`.  binding
     must bind every variable of the law to a basis index.  tables, when
@@ -861,6 +865,22 @@ def _residual_at(identity, algebra, binding, tables=None):
     return {l: c for l, c in total.items() if c}
 
 
+_IDENTITY = object()
+
+
+def _constants(key, algebra, tables):
+    """The `exact_constants` of map power key (an int), or _IDENTITY if it
+    is the identity, or of the operation slot key names (`slot_op`), kept
+    in tables, the dict of one walk; a walk calls this on a miss only."""
+    if type(key) is int:
+        power = algebra.alpha.power(key)
+        table = _IDENTITY if power.is_identity() else power.exact_constants
+    else:
+        table = slot_op(algebra, key).exact_constants
+    tables[key] = table
+    return table
+
+
 def _shape_value(shape, binding, algebra, tables):
     """The (l, c) pairs of a shape's value at a binding, each l once.
     tables keeps the constants of each map power and slot once resolved.
@@ -871,13 +891,13 @@ def _shape_value(shape, binding, algebra, tables):
     key = shape.power if kind is Alpha else shape.slot
     table = tables.get(key)
     if table is None:
-        op = (algebra.alpha.power(key) if kind is Alpha
-              else Evaluator(algebra).op(key))
-        table = tables[key] = op.exact_constants
+        table = _constants(key, algebra, tables)
     args = binding, algebra, tables
     out = {}
     if kind is Alpha:
         sub = shape.sub
+        if table is _IDENTITY:
+            return _shape_value(sub, *args)
         if type(sub) is Var:
             return table.get((binding[sub.name],), ())
         for i, a in _shape_value(sub, *args):
@@ -924,70 +944,33 @@ def eval_identity_on_tuple(identity, algebra, binding):
     return kernel.Vector(algebra.space, [residual.get(l, 0) for l in range(n)])
 
 
-class _TensorEvaluator(Evaluator):
-    """The evaluator of a multilinear law's shapes over sparse tensors: one
-    walk of a shape evaluates it on every basis tuple at once.  A value is
-    a dict {l: {code: c}} with no zero c and no empty column: c b_l at every
-    binding that the key `code` matches.  `env` binds each variable to its
-    position among the law's variables, and a variable's value is the
-    identity tensor of its position.  The map and every operation contract
-    their arguments with their nonzero structure constants
-    (`MultilinearOp.exact_constants`, converted once per operation), so a
-    zero or sparse operation leaves few keys, and coefficients follow
-    `kernel.exact`: ints, and Fractions only where a non-integral constant
-    entered.  A value is never changed once built, so values share columns
-    freely.  `_law_tensor` sums the shapes' values into the law's rows.
-
-    A key packs a binding into base-n digits, one per variable of the law,
-    the first variable the most significant: digit d binds the variable to
-    b_{d+1}, and a variable that the subterm does not bind reads digit 0.
-    The arguments of an operation in a multilinear law bind disjoint
-    variables, so two keys join by adding them.  A shape of a multilinear
-    law binds every variable, so its keys are its basis tuples, and they
-    order as their tuples do.  This is sparse tensor algebra (Kjolstad et
-    al., "The Tensor Algebra Compiler", OOPSLA 2017), interpreted rather
-    than compiled.
-    """
-
-    basis_shortcuts = False
-
-    def __init__(self, algebra, variables):
-        super().__init__(algebra)
-        n = self.space.dim
-        self.weights = [n ** p for p in range(len(variables) - 1, -1, -1)]
-        self.env = {name: p for p, name in enumerate(variables)}
-        self._leaves = {}
-        self._linear = {}
-
-    def leaf(self, position):
-        tensor = self._leaves.get(position)
-        if tensor is None:
-            weight = self.weights[position]
-            tensor = self._leaves[position] = {
-                i: {i * weight: 1} for i in range(self.space.dim)}
-        return tensor
-
-    def alpha(self, k):
-        hook = self._linear.get(k)
-        if hook is None:
-            power = super().alpha(k)
-            hook = self._linear[k] = ((lambda tensor: tensor)
-                                      if power.is_identity()
-                                      else _contraction(power))
-        return hook
-
-    def op(self, slot):
-        hook = self._linear.get(slot)
-        if hook is None:
-            hook = self._linear[slot] = _contraction(super().op(slot))
-        return hook
-
-
-def _contraction(op):
-    """The hook of an operation on tensors; it holds the operation's exact
-    constants and nothing else."""
-    constants = op.exact_constants
-    return lambda *args: _contract(constants, args)
+def _shape_tensor(shape, leaves, algebra, tables):
+    """A shape's value on every basis tuple at once: a sparse tensor {l:
+    {code: c}} with no zero c and no empty column, c b_l at every binding
+    that the key `code` matches (`_law_tensor`).  A variable's value is
+    leaves[name], the identity tensor of its position.  An identity map
+    power passes its argument through; any other power and every operation
+    contract their arguments with their nonzero constants (`_contract`),
+    so a zero or sparse operation leaves few keys, and coefficients follow
+    `kernel.exact`.  Values are never changed once built, so they share
+    columns freely."""
+    kind = type(shape)
+    if kind is Var:
+        return leaves[shape.name]
+    key = shape.power if kind is Alpha else shape.slot
+    table = tables.get(key)
+    if table is None:
+        table = _constants(key, algebra, tables)
+    args = leaves, algebra, tables
+    if kind is Alpha:
+        value = _shape_tensor(shape.sub, *args)
+        return value if table is _IDENTITY else _contract(table, (value,))
+    if kind is Prod:
+        return _contract(table, (_shape_tensor(shape.left, *args),
+                                 _shape_tensor(shape.right, *args)))
+    return _contract(table, (_shape_tensor(shape.a, *args),
+                             _shape_tensor(shape.b, *args),
+                             _shape_tensor(shape.c, *args)))
 
 
 def _contract(constants, args):
@@ -1053,14 +1036,13 @@ def check_identity(identity, algebra, name="identity", first_only=False):
     fingerprint per input.
     """
     _require_multilinear(identity)
-    evaluator = Evaluator(algebra)
-    ops = [evaluator.op(slot) for slot in identity.slots]
+    ops = [slot_op(algebra, slot) for slot in identity.slots]
     if "{,,}" in identity.slots or any(op.is_zero() for op in ops):
         found = residuals(identity, algebra)
     elif first_only:
         found = _monomial_residuals(identity, algebra)
     else:
-        found = _tuple_residuals(identity, evaluator)
+        found = _tuple_residuals(identity, Evaluator(algebra))
     return residual_report(name, identity, algebra, found, first_only)
 
 
@@ -1102,21 +1084,36 @@ def residuals(identity, algebra):
 def _law_tensor(identity, algebra):
     """The law evaluated over every basis tuple in one walk: {basis tuple:
     {l: c}}, in lexicographic order, with no zero c and no empty row.  Each
-    monomial's shape is walked by `_TensorEvaluator`, its Koszul sign read
-    key by key from `_sign_table`, and coeff * sign * value summed in place
+    monomial's shape is walked by `_shape_tensor`, its Koszul sign read key
+    by key from `_sign_table`, and coeff * sign * value summed in place
     into one dict of rows keyed by code; each key is decoded once.  Any law
-    that is not multilinear raises NonMultilinearLaw."""
+    that is not multilinear raises NonMultilinearLaw.
+
+    A key packs a binding into base-n digits, one per variable of the law,
+    the first variable the most significant: digit d binds the variable to
+    b_{d+1}, and a variable that the subterm does not bind reads digit 0.
+    The arguments of an operation in a multilinear law bind disjoint
+    variables, so two keys join by adding them (`_contract`).  A shape of
+    a multilinear law binds every variable, so its keys are its basis
+    tuples, and they order as their tuples do.  This is sparse tensor
+    algebra (Kjolstad et al., "The Tensor Algebra Compiler", OOPSLA 2017),
+    interpreted rather than compiled."""
     _require_multilinear(identity)
-    evaluator = _TensorEvaluator(algebra, identity.variables)
-    env, weights = evaluator.env, evaluator.weights
-    parities = algebra.space.parities
+    variables = identity.variables
     n = algebra.space.dim
+    weights = {name: n ** (len(variables) - 1 - p)
+               for p, name in enumerate(variables)}
+    leaves = {name: {i: {i * w: 1} for i in range(n)}
+              for name, w in weights.items()}
+    tables = {}
+    parities = algebra.space.parities
     rows = {}
     for coeff, factors, shape in identity.monomials:
         if factors:
             names, signs = _sign_table(factors)
-            reads = [weights[env[name]] for name in names]
-        for l, column in evaluator.eval(shape, env).items():
+            reads = [weights[name] for name in names]
+        for l, column in _shape_tensor(shape, leaves, algebra,
+                                       tables).items():
             for code, c in column.items():
                 if factors and signs[tuple(parities[code // weight % n]
                                            for weight in reads)] < 0:
@@ -1127,7 +1124,7 @@ def _law_tensor(identity, algebra):
                     row[l] = c
                 else:
                     del row[l]
-    return {tuple(code // weight % n for weight in weights): row
+    return {tuple(code // weight % n for weight in weights.values()): row
             for code, row in sorted(rows.items()) if row}
 
 

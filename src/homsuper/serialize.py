@@ -10,7 +10,7 @@ matrix of rational strings (a sparse [i, k, "q"] triple list is also
 accepted on input).  No other field is read, and a document with one is
 refused, so a misspelt field never loads as its default.  kind is
 "hom_superalgebra" (default) or "binary_ternary".  The kind decides how a
-law reads the algebra (`identities.Evaluator.op`): on a binary-ternary
+law reads the algebra (`identities.slot_op`): on a binary-ternary
 algebra "[x, y]" is the binary operation itself, on any other the graded
 commutator of the product.
 

@@ -449,11 +449,14 @@ def _assert_exact(columns):
         assert all(type(c) in (int, Fraction) for c in column.values())
 
 
-class _CheckedTensorEvaluator(idn._TensorEvaluator):
-    def eval(self, node, env):
-        value = super().eval(node, env)
+def _checked_shape_tensor(shape_tensor):
+    """`identities._shape_tensor` checking every value it returns; patched
+    into the module, it also checks the values of the inner walks."""
+    def checked(*args):
+        value = shape_tensor(*args)
         _assert_exact(value)
         return value
+    return checked
 
 
 _OBLIGATIONS = [obligation for obligations in fa.TARGETS.values()
@@ -472,7 +475,8 @@ def test_coefficients_are_never_floats(algebra, data):
     # Every value of every walk, over a random algebra with rational
     # constants and in the free algebra, for all nine targets' obligations;
     # the tensor walks are those of `_law_tensor`, and so are the rows.
-    with mock.patch.object(idn, "_TensorEvaluator", _CheckedTensorEvaluator):
+    with mock.patch.object(idn, "_shape_tensor",
+                           _checked_shape_tensor(idn._shape_tensor)):
         for law in _TENSOR_LAWS:
             _assert_exact(idn._law_tensor(law, algebra))
     for law, structure, assume_leibniz in _OBLIGATIONS:

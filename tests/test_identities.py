@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import homsuper as hs
@@ -843,7 +843,9 @@ def test_folded_check_matches_the_per_tuple_evaluator(case):
     _assert_checks_match_the_per_tuple_evaluator(algebra)
 
 
-@settings(max_examples=40, deadline=None)
+# No shrinking: a failure is reported at once, not after minutes of it.
+@settings(max_examples=40, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(st.one_of(graded_algebras(), graded_algebras(RATIONALS),
                  graded_algebras(st.sampled_from([0, 0, 0, 1, -1])))
        .filter(lambda algebra: not algebra.product.is_zero()))
@@ -875,12 +877,9 @@ def test_first_counterexample_matches_the_naive_interpreter(algebra):
 
 def test_law_folded_to_zero_passes_without_evaluating(monkeypatch):
     zero = make_algebra(2, 1, {}, alpha=[2, 3, 5])
-    evaluate = idn.Evaluator.eval
 
     def refuse(self, node, env):
-        if not isinstance(self, idn._TensorEvaluator):
-            raise AssertionError("evaluated a tuple")
-        return evaluate(self, node, env)
+        raise AssertionError("evaluated a tuple")
 
     monkeypatch.setattr(idn.Evaluator, "eval", refuse)
     for first_only in (False, True):
