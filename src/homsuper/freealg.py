@@ -1,12 +1,14 @@
 """Symbolic engine over the free graded magma: identity templates are
 expanded over formal generators with chosen parities, normalized by directed
 rewriting, and certified when every residual cancels to the zero expression.
-The expansion is the package's one identity evaluator, `identities.Evaluator`,
-with formal expressions as its values.  Each proof obligation names the
-structure whose operations fill the law's slots; a derived operation is the
-template that `identities.DERIVED` declares for it, evaluated on the formal
-values of its arguments over the free product, so the prover and the
-constructions share one definition of every operation.
+The expansion (`_free_value`) walks a law's monomials as the numeric
+engines of `identities` walk them, with formal expressions as its values,
+and sums them with the same helper (`identities._accumulate`).  Each proof
+obligation names the structure whose operations fill the law's slots
+(`_free_ops`); a derived operation is the template that
+`identities.DERIVED` declares for it, evaluated on the formal values of its
+arguments over the free product, so the prover and the constructions share
+one definition of every operation.
 
 Terms are binary product trees whose leaves are generators carrying an
 exponent of the twisting map; an `("a", k, t)` wrapper marks a not yet
@@ -45,6 +47,8 @@ is left to the exhaustive numeric checker.
 import itertools
 
 from . import identities as idn
+from .identities import (Alpha, Identity, Prod, Var, _accumulate,
+                         _sign_table)
 from .kernel import exact
 from .report import Report
 
@@ -242,47 +246,68 @@ def alpha_expr(e, k):
 # --------------------------------------------------------------------------
 # Template expansion
 
-class _FreeEvaluator(idn.Evaluator):
-    """The identity evaluator over formal expressions.  A variable is bound
-    to its value, an expression, and a sign reads the parity of that value.
-    "*" is the free product; every slot of the structure, in
-    `identities.DERIVED`, evaluates its template on the argument values in
-    `source`, the evaluator of the free algebra itself."""
+def _free_ops(structure, parities):
+    """The operations over the free algebra that fill the slots of a
+    structure, a key of `identities.DERIVED`: "*" is the free product, and
+    each slot the structure declares evaluates its template on the argument
+    values over the free algebra's own ops, so a structure may also
+    replace "*"."""
+    ops = {"*": free_product}
+    source = ops if structure is None else _free_ops(None, parities)
+    for slot, template in idn.DERIVED[structure].items():
+        ops[slot] = _template_op(template, source, parities)
+    return ops
 
-    basis_shortcuts = False
 
-    def __init__(self, parities, structure=None):
-        self.parities = parities
-        self.source = self if structure is None else _FreeEvaluator(parities)
-        self.ops = {"*": free_product}
-        for slot, template in idn.DERIVED[structure].items():
-            self.ops[slot] = self._template_op(template)
+def _template_op(template, ops, parities):
+    """The operation a template defines over ops: its value with one
+    argument per variable, in order of first occurrence."""
+    names = template.variables
+    return lambda *args: _free_value(template, dict(zip(names, args)), ops,
+                                     parities)
 
-    def _template_op(self, template):
-        source, names = self.source, template.variables
-        return lambda *args: source.eval(template, dict(zip(names, args)))
 
-    def leaf(self, bound):
-        return bound
+def _free_value(node, env, ops, parities):
+    """The value of a law (its residual lhs - rhs) or of a shape over the
+    free algebra.  env binds each variable to its value, an expression;
+    ops fills the slots (`_free_ops`), and a slot it lacks raises
+    MissingOpSlot.  The monomials are summed by `identities._accumulate`,
+    each with its Koszul sign, for which a variable's parity is that of the
+    first term of its value under parities: the values of a multilinear law
+    are homogeneous, all their terms hold the same generators, and every
+    operation is even."""
+    kind = type(node)
+    if kind is Var:
+        return env[node.name]
+    if kind is Alpha:
+        return alpha_expr(_free_value(node.sub, env, ops, parities),
+                          node.power)
+    if kind is Identity:
+        total = None
+        for coeff, factors, shape in node.monomials:
+            if factors:
+                names, signs = _sign_table(factors)
+                coeff *= signs[tuple(_parity(env[name], parities)
+                                     for name in names)]
+            total = _accumulate(total, coeff,
+                                _free_value(shape, env, ops, parities))
+        return FreeExpr.zero() if total is None else total
+    op = ops.get(node.slot)
+    if op is None:
+        raise idn.MissingOpSlot("no %r operation bound" % node.slot)
+    if kind is Prod:
+        return op(_free_value(node.left, env, ops, parities),
+                  _free_value(node.right, env, ops, parities))
+    return op(_free_value(node.a, env, ops, parities),
+              _free_value(node.b, env, ops, parities),
+              _free_value(node.c, env, ops, parities))
 
-    def zero(self):
-        return FreeExpr.zero()
 
-    def alpha(self, k):
-        return lambda expr: alpha_expr(expr, k)
-
-    def op(self, slot):
-        op = self.ops.get(slot)
-        if op is None:
-            raise idn.MissingOpSlot("no %r operation bound" % slot)
-        return op
-
-    def parity(self, bound):
-        # The values of a multilinear law are homogeneous: all their terms
-        # hold the same generators, and every operation is even.
-        for term in bound._coeffs:
-            return term_parity(term, self.parities)
-        return 0
+def _parity(expr, parities):
+    """The parity of an expression's terms under parities, 0 for zero."""
+    for term in expr._coeffs:
+        return term_parity(term, parities)
+    return 0
 
 
 def expand_template(identity, parities, structure=None):
@@ -306,7 +331,8 @@ def expand_template(identity, parities, structure=None):
             raise ValueError("no parity assigned to generator %r" % name)
         env[name] = FreeExpr.of(generator(name))
     _require_parities(parities)
-    return _FreeEvaluator(parities, structure).eval(identity, env)
+    return _free_value(identity, env, _free_ops(structure, parities),
+                       parities)
 
 
 def _require_parities(parities):

@@ -64,16 +64,19 @@ Before it scans a candidate, `suite_passes` evaluates each law at the
 tuple that refuted it last (its witness), which rejects most candidates
 without a scan: consecutive candidates usually fail at the same tuple.
 Only the full scans of these laws still go tuple by tuple through Vectors
-(`Evaluator`); they wait for the benchmark to keep one fingerprint per
-input (ROADMAP item 1) before they move to the tensor.
+(`_tuple_residuals`); they wait for the benchmark to keep one fingerprint
+per input (ROADMAP item 1) before they move to the tensor.
 
-Three engines walk shapes over an algebra: `Evaluator` over Vectors, for
-the full per-tuple scans only (the prover's free expansion in `freealg` is
-a subclass of it); `_shape_value` at one tuple, with which `_residual_at`
-reads a witness, a search's scan and any one tuple
+Three functions walk shapes over an algebra, each dispatching on the node
+type in the same way: `_shape_vector` over Vectors, for the full
+per-tuple scans only; `_shape_value` at one tuple, with which
+`_residual_at` reads a witness, a search's scan and any one tuple
 (`eval_identity_on_tuple`); and `_shape_tensor` on every tuple at once.
-The last two are functions over exact constants.  Structural questions
-about an AST (its variables, whether it needs "{,,}") come from `walk`.
+The last two read exact constants.  The prover's free expansion
+(`freealg._free_value`) walks laws the same way over formal expressions,
+and it sums monomials with `_accumulate`, as `_tuple_residuals` does.
+Structural questions about an AST (its variables, whether it needs "{,,}")
+come from `walk`.
 """
 
 import functools
@@ -722,99 +725,16 @@ def slot_op(algebra, slot):
     raise KeyError("unknown operation slot: %r" % slot)
 
 
-class Evaluator:
-    """The interpreter of identity ASTs.
-
-    `eval` of a law sums its monomials (`Identity.monomials`): it walks each
-    shape, adds its value times the coefficient and the Koszul sign
-    (`add`), and takes every value from a few hooks: `leaf` (the value of
-    a bound variable), `zero`, `alpha(k)`, `op(slot)` and `parity` (of a
-    bound variable).  This class evaluates over an algebra, with variables
-    bound to basis indices, for the full per-tuple scans of
-    `check_identity`, the only place that builds one; the free expansion
-    in `freealg` is a subclass over formal expressions.  The other two
-    engines of shapes are functions over exact constants: `_shape_value`
-    at one tuple, `_shape_tensor` on every tuple at once.
-
-    A product of two bare variables, and the map on a bare variable, are
-    read off the structure constants instead of being computed from basis
-    vectors.
-    """
-
-    basis_shortcuts = True
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.space = algebra.space
-
-    @functools.cached_property
-    def basis(self):
-        return [self.space.basis_vector(i) for i in range(self.space.dim)]
-
-    def leaf(self, bound):
-        return self.basis[bound]
-
-    def zero(self):
-        return self.space.zero_vector()
-
-    def alpha(self, k):
-        return self.algebra.alpha.power(k)
-
-    def op(self, slot):
-        """The operation a slot names on the algebra (`slot_op`)."""
-        return slot_op(self.algebra, slot)
-
-    def parity(self, bound):
-        return self.space.parity(bound)
-
-    def eval(self, node, env):
-        """The value of a law (its residual lhs - rhs) or of a shape under
-        env, which maps variable names to bound values."""
-        if isinstance(node, Var):
-            return self.leaf(_bound(node.name, env))
-        if isinstance(node, Alpha):
-            alpha = self.alpha(node.power)
-            if self.basis_shortcuts and isinstance(node.sub, Var):
-                return alpha.on_basis(_bound(node.sub.name, env))
-            return alpha(self.eval(node.sub, env))
-        if isinstance(node, Prod):
-            op = self.op(node.slot)
-            left, right = node.left, node.right
-            if (self.basis_shortcuts and isinstance(left, Var)
-                    and isinstance(right, Var)):
-                return op.on_basis(_bound(left.name, env),
-                                   _bound(right.name, env))
-            return op(self.eval(left, env), self.eval(right, env))
-        if isinstance(node, Ternary):
-            op = self.op(node.slot)
-            return op(self.eval(node.a, env), self.eval(node.b, env),
-                      self.eval(node.c, env))
-        if isinstance(node, Identity):
-            total = None
-            for coeff, factors, shape in node.monomials:
-                total = self.add(total, coeff, factors, env,
-                                 self.eval(shape, env))
-            return self.zero() if total is None else total
-        raise TypeError("neither a law nor a shape: %r" % (node,))
-
-    def add(self, total, coeff, factors, env, value):
-        """total + coeff * value times the Koszul sign of the factors under
-        env, where a total of None stands for zero: the value is added or
-        subtracted when that product is 1 or -1, and scaled otherwise."""
-        if factors:
-            coeff *= self.koszul_sign(factors, env)
-        if total is not None and coeff == -1:
-            return total - value
-        if coeff != 1:
-            value = -value if coeff == -1 else value.scale(coeff)
-        return value if total is None else total + value
-
-    def koszul_sign(self, factors, env):
-        """The product of (-1)^{|P| |Q|} over the factors, read from their
-        `_sign_table`; every name of the factors is evaluated, so an unbound
-        name always raises."""
-        names, signs = _sign_table(factors)
-        return signs[tuple(self.parity(_bound(name, env)) for name in names)]
+def _accumulate(total, coeff, value):
+    """total + coeff * value, where a total of None stands for zero: the
+    value is subtracted when coeff is -1, negated when it is -1 and total
+    is None, added when it is 1, and scaled otherwise.  Values are Vectors
+    (`_tuple_residuals`) or free expressions (`freealg`)."""
+    if total is not None and coeff == -1:
+        return total - value
+    if coeff != 1:
+        value = -value if coeff == -1 else value.scale(coeff)
+    return value if total is None else total + value
 
 
 @functools.cache
@@ -834,13 +754,6 @@ def _sign_table(factors):
                 sign = -sign
         signs[parities] = sign
     return names, signs
-
-
-def _bound(name, env):
-    try:
-        return env[name]
-    except KeyError:
-        raise UnboundVariable(name) from None
 
 
 def _residual_at(identity, algebra, binding, tables=None):
@@ -939,7 +852,8 @@ def eval_identity_on_tuple(identity, algebra, binding):
             raise IndexError("variable %r is bound to %d, outside 0..%d"
                              % (name, index, n - 1))
     for name in identity.variables:
-        _bound(name, binding)
+        if name not in binding:
+            raise UnboundVariable(name)
     residual = _residual_at(identity, algebra, binding)
     return kernel.Vector(algebra.space, [residual.get(l, 0) for l in range(n)])
 
@@ -1029,11 +943,11 @@ def check_identity(identity, algebra, name="identity", first_only=False):
     tensor (`residuals`), which costs little where its operations are zero
     or sparse.  Every other law is evaluated tuple by tuple, which stops at
     once on a failing search candidate: with first_only each tuple is read
-    off the law's monomials (`_monomial_residuals`), and a full scan still
-    goes through Vectors (`Evaluator`).  The constructions read all their
-    laws from the tensor instead; the full checks here would be faster as
-    tensors too, but they wait for ROADMAP item 1, the benchmark's one
-    fingerprint per input.
+    off the law's monomials (`_monomial_residuals`), and a full scan walks
+    each tuple's shapes over Vectors (`_tuple_residuals`, `_shape_vector`).
+    The constructions read all their laws from the tensor instead; the full
+    checks here would be faster as tensors too, but they wait for ROADMAP
+    item 1, the benchmark's one fingerprint per input.
     """
     _require_multilinear(identity)
     ops = [slot_op(algebra, slot) for slot in identity.slots]
@@ -1042,7 +956,7 @@ def check_identity(identity, algebra, name="identity", first_only=False):
     elif first_only:
         found = _monomial_residuals(identity, algebra)
     else:
-        found = _tuple_residuals(identity, Evaluator(algebra))
+        found = _tuple_residuals(identity, algebra)
     return residual_report(name, identity, algebra, found, first_only)
 
 
@@ -1144,15 +1058,54 @@ def _monomial_residuals(identity, algebra):
                                                for l in range(space.dim)])
 
 
-def _tuple_residuals(identity, evaluator):
+def _tuple_residuals(identity, algebra):
     """What `residuals` yields, found by evaluating the law on every basis
-    tuple in turn."""
+    tuple in turn over Vectors: each monomial's shape through
+    `_shape_vector`, times its coefficient and its Koszul sign, read from
+    `_sign_table`, summed by `_accumulate`."""
     variables = identity.variables
-    for combo in itertools.product(range(evaluator.space.dim),
-                                   repeat=len(variables)):
-        residual = evaluator.eval(identity, dict(zip(variables, combo)))
-        if not residual.is_zero():
-            yield combo, residual
+    space = algebra.space
+    basis = [space.basis_vector(i) for i in range(space.dim)]
+    parities = space.parities
+    for combo in itertools.product(range(space.dim), repeat=len(variables)):
+        binding = dict(zip(variables, combo))
+        total = None
+        for coeff, factors, shape in identity.monomials:
+            if factors:
+                names, signs = _sign_table(factors)
+                coeff *= signs[tuple(parities[binding[name]]
+                                     for name in names)]
+            total = _accumulate(total, coeff, _shape_vector(
+                shape, binding, algebra, basis))
+        if total is not None and not total.is_zero():
+            yield combo, total
+
+
+def _shape_vector(shape, binding, algebra, basis):
+    """A shape's value at a binding as a Vector: a variable is the basis
+    vector basis[index] of its index, and each map power and operation
+    (`slot_op`) is applied to its arguments' values.  A product of two bare
+    variables, and a map power of a bare variable, are read off the
+    structure constants (`on_basis`) instead."""
+    kind = type(shape)
+    if kind is Var:
+        return basis[binding[shape.name]]
+    if kind is Alpha:
+        alpha = algebra.alpha.power(shape.power)
+        sub = shape.sub
+        if type(sub) is Var:
+            return alpha.on_basis(binding[sub.name])
+        return alpha(_shape_vector(sub, binding, algebra, basis))
+    op = slot_op(algebra, shape.slot)
+    if kind is Prod:
+        left, right = shape.left, shape.right
+        if type(left) is Var and type(right) is Var:
+            return op.on_basis(binding[left.name], binding[right.name])
+        return op(_shape_vector(left, binding, algebra, basis),
+                  _shape_vector(right, binding, algebra, basis))
+    return op(_shape_vector(shape.a, binding, algebra, basis),
+              _shape_vector(shape.b, binding, algebra, basis),
+              _shape_vector(shape.c, binding, algebra, basis))
 
 
 # --------------------------------------------------------------------------

@@ -433,6 +433,10 @@ class HomSuperalgebra:
     kind = "hom_superalgebra"
 
     def __init__(self, space, product, alpha, ternary=None, name=""):
+        _require_component("product", product, BilinearOp)
+        _require_component("twisting map", alpha, EvenMap)
+        if ternary is not None:
+            _require_component("ternary product", ternary, TernaryOp)
         if product.space != space or alpha.space != space:
             raise DimensionMismatch("components over different spaces")
         if ternary is not None and ternary.space != space:
@@ -457,6 +461,14 @@ class HomSuperalgebra:
     def __repr__(self):
         return "%s(%r%s)" % (type(self).__name__, self.space,
                              ", name=%r" % self.name if self.name else "")
+
+
+def _require_component(role, component, kind):
+    """Refuse, with TypeError naming the component, one that is not of the
+    kind it must be: an operation of the wrong arity, or no operation."""
+    if not isinstance(component, kind):
+        raise TypeError("%s: expected %s, got %s"
+                        % (role, kind.__name__, type(component).__name__))
 
 
 class BinaryTernaryAlgebra(HomSuperalgebra):

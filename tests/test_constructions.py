@@ -322,7 +322,7 @@ def test_bracket_matches_the_naive_commutator(algebra):
     # The one bracket: the "[,]" slot of a plain algebra, built from the
     # COMMUTATOR template, against the commutator summed basis pair by
     # basis pair, on every parity sector and with rational constants.
-    bracket = identities.Evaluator(algebra).op("[,]")
+    bracket = identities.slot_op(algebra, "[,]")
     assert bracket is hs.supercommutator(algebra)
     assert [[list(row) for row in block] for block in bracket.table] == \
         naive.commutator(algebra)
@@ -512,7 +512,7 @@ def test_left_leibniz_verdict_is_checked_once_per_algebra(monkeypatch):
 
 
 def test_supercommutator_is_the_cached_bracket(a2b):
-    bracket = identities.Evaluator(a2b).op("[,]")
+    bracket = identities.slot_op(a2b, "[,]")
     assert hs.supercommutator(a2b) is bracket
     assert hs.build_hom_ly(a2b).binary is bracket
 
@@ -536,7 +536,7 @@ def test_binary_ternary_bracket_is_the_binary_operation(tmp_path):
         (i, j, l): 2 * c for (i, j), terms in algebra.binary.constants.items()
         for l, c in terms})
     assert not twice.is_zero() and twice != algebra.binary
-    assert identities.Evaluator(algebra).op("[,]") is algebra.binary
+    assert identities.slot_op(algebra, "[,]") is algebra.binary
     assert hs.supercommutator(algebra) == twice
     assert hs.build_hom_akivis(algebra).binary == twice
     assert hs.build_hom_ly(algebra).binary is hs.supercommutator(algebra)
@@ -573,8 +573,8 @@ def test_left_to_right_twice_keeps_the_algebra(corpus, f2e):
             assert result.alpha == algebra.alpha
         assert once.product == algebra.product.transpose()
         assert twice.product == algebra.product
-        assert identities.Evaluator(twice).op("[,]") == \
-            identities.Evaluator(algebra).op("[,]")
+        assert identities.slot_op(twice, "[,]") == \
+            identities.slot_op(algebra, "[,]")
 
 
 def _construction_outcomes(algebra, forced):
@@ -652,14 +652,13 @@ def test_constructions_report_as_check_suite(algebra, forced):
 
 def test_constructions_evaluate_no_law_tuple_by_tuple(monkeypatch):
     seen = []
-    evaluate = identities.Evaluator.eval
+    evaluate = identities._shape_vector
 
-    def spy(self, node, env):
-        if isinstance(node, identities.Identity):
-            seen.append(node)
-        return evaluate(self, node, env)
+    def spy(shape, binding, algebra, basis):
+        seen.append(shape)
+        return evaluate(shape, binding, algebra, basis)
 
-    monkeypatch.setattr(identities.Evaluator, "eval", spy)
+    monkeypatch.setattr(identities, "_shape_vector", spy)
     algebras = [hs.load_algebra(path) for path in hs.corpus_paths()]
     algebras = [algebra for algebra in algebras + non_admissible_witnesses()
                 if algebra.metadata.get("expected", {}).get("leibniz", True)]

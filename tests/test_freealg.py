@@ -59,6 +59,15 @@ def test_expand_refuses_an_unknown_structure():
         expand("x*y = 0", {"x": 0, "y": 0}, structure="foo")
 
 
+def test_expand_refuses_a_slot_the_structure_lacks():
+    # The free algebra itself has no ternary; the "ly" structure fills it.
+    parities = dict.fromkeys("xyz", 0)
+    with pytest.raises(hs.MissingOpSlot, match="'{,,}'"):
+        expand("{x, y, z} = 0", parities)
+    assert expand("{x, y, z} = 0", parities, structure="ly").rendered() == [
+        "-1 ((x*y)*a(z))"]
+
+
 def test_alpha_distribute_steps():
     x, y = fa.generator("x"), fa.generator("y")
     wrapped = fa.FreeExpr.of(fa.alpha_wrap(fa.product(x, y), 1))
@@ -436,25 +445,19 @@ def _assert_free_coefficients(expr):
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
-class _CheckedFreeEvaluator(fa._FreeEvaluator):
-    def eval(self, node, env):
-        value = super().eval(node, env)
-        _assert_free_coefficients(value)
-        return value
-
-
 def _assert_exact(columns):
     """Every coefficient of a {key: {key: c}} dict is an int or a Fraction."""
     for column in columns.values():
         assert all(type(c) in (int, Fraction) for c in column.values())
 
 
-def _checked_shape_tensor(shape_tensor):
-    """`identities._shape_tensor` checking every value it returns; patched
-    into the module, it also checks the values of the inner walks."""
+def _checked(walk, check):
+    """A walk (`identities._shape_tensor`, `freealg._free_value`) that
+    checks every value it returns; patched into its module, it also checks
+    the values of the inner walks."""
     def checked(*args):
-        value = shape_tensor(*args)
-        _assert_exact(value)
+        value = walk(*args)
+        check(value)
         return value
     return checked
 
@@ -476,13 +479,14 @@ def test_coefficients_are_never_floats(algebra, data):
     # constants and in the free algebra, for all nine targets' obligations;
     # the tensor walks are those of `_law_tensor`, and so are the rows.
     with mock.patch.object(idn, "_shape_tensor",
-                           _checked_shape_tensor(idn._shape_tensor)):
+                           _checked(idn._shape_tensor, _assert_exact)):
         for law in _TENSOR_LAWS:
             _assert_exact(idn._law_tensor(law, algebra))
     for law, structure, assume_leibniz in _OBLIGATIONS:
         parities = {name: data.draw(st.integers(0, 1))
                     for name in law.variables}
-        with mock.patch.object(fa, "_FreeEvaluator", _CheckedFreeEvaluator):
+        with mock.patch.object(fa, "_free_value", _checked(
+                fa._free_value, _assert_free_coefficients)):
             expr = fa.expand_template(law, parities, structure)
         _assert_free_coefficients(expr.scale(data.draw(RATIONALS)))
         _assert_free_coefficients(fa.normal_form([expr], [parities],

@@ -224,6 +224,33 @@ def test_even_map_dimension_mismatch():
         m.compose(hs.EvenMap.identity(other))
 
 
+def test_algebras_refuse_operations_of_the_wrong_arity():
+    # A ternary as the product once passed a first-counterexample check of
+    # LLSI and failed a full one with a bare TypeError; a bilinear map as
+    # alpha failed with an AttributeError.  Each is refused up front, with
+    # the component named, in both kinds of algebra.
+    sp = hs.SuperSpace(1, 0)
+    binary, ternary = hs.BilinearOp(sp), hs.TernaryOp(sp, {(0, 0, 0, 0): 1})
+    alpha = hs.EvenMap.identity(sp)
+    cases = [
+        (hs.HomSuperalgebra, (sp, ternary, alpha), "product"),
+        (hs.HomSuperalgebra, (sp, None, alpha), "product"),
+        (hs.HomSuperalgebra, (sp, binary, binary), "twisting map"),
+        (hs.HomSuperalgebra, (sp, binary, object()), "twisting map"),
+        (hs.HomSuperalgebra, (sp, binary, alpha, binary), "ternary product"),
+        (hs.BinaryTernaryAlgebra, (sp, ternary, ternary, alpha), "product"),
+        (hs.BinaryTernaryAlgebra, (sp, binary, binary, alpha),
+         "ternary product"),
+        (hs.BinaryTernaryAlgebra, (sp, binary, ternary, binary),
+         "twisting map"),
+    ]
+    for kind, args, role in cases:
+        with pytest.raises(TypeError, match="^%s: expected " % role):
+            kind(*args)
+    assert hs.BinaryTernaryAlgebra(sp, binary, ternary, alpha).ternary \
+        is ternary
+
+
 def test_check_grading_examples():
     sp = hs.SuperSpace(1, 1)
     assert hs.check_grading(hs.BilinearOp(sp)).passed

@@ -420,7 +420,7 @@ def test_search_never_walks_the_dense_evaluator(monkeypatch):
     # The witnesses and the first-counterexample scans read every tuple
     # off the laws' monomials; no Vector passes through an operation.  Nor
     # do the tensor engine, the constructions and one-tuple evaluation
-    # build the dense evaluator: only a full scan does.
+    # walk a shape over Vectors: only a full scan does.
     spec = SearchSpec((1, 1), ("-1", "0", "1"))
     llsi = identities.REGISTRY["LLSI"]
     hits = []
@@ -442,8 +442,8 @@ def test_search_never_walks_the_dense_evaluator(monkeypatch):
                         spy("_tuple_residuals", identities._tuple_residuals))
     monkeypatch.setattr(kernel.MultilinearOp, "_apply",
                         spy("_apply", kernel.MultilinearOp._apply))
-    monkeypatch.setattr(identities.Evaluator, "__init__",
-                        spy("Evaluator", identities.Evaluator.__init__))
+    monkeypatch.setattr(identities, "_shape_vector",
+                        spy("_shape_vector", identities._shape_vector))
     outcome = run_search(spec)
     assert calls == []
     assert outcome.documents == hits
@@ -453,11 +453,11 @@ def test_search_never_walks_the_dense_evaluator(monkeypatch):
     assert identities.eval_identity_on_tuple(
         identities.REGISTRY["SHLY8"], ly,
         dict.fromkeys(("x", "y", "u", "v", "w"), 1)).is_zero()
-    assert "Evaluator" not in calls
-    # The spies see a full scan, which still walks the dense evaluator.
+    assert "_tuple_residuals" not in calls and "_shape_vector" not in calls
+    # The spies see a full scan, which still walks shapes over Vectors.
     calls.clear()
     assert not identities.check_identity(llsi, spec.candidate(1)).passed
-    assert set(calls) == {"_tuple_residuals", "_apply", "Evaluator"}
+    assert set(calls) == {"_tuple_residuals", "_apply", "_shape_vector"}
 
 
 def test_filtered_scan_skips_the_multiplicativity_check(monkeypatch):

@@ -164,7 +164,7 @@ def test_binary_ternary_kind_round_trip(tmp_path, f2e):
     path = hs.save_algebra(derived, tmp_path / "ly.json")
     loaded = hs.load_algebra(path)
     assert isinstance(loaded, hs.BinaryTernaryAlgebra)
-    assert idn.Evaluator(loaded).op("[,]") == loaded.binary
+    assert idn.slot_op(loaded, "[,]") == loaded.binary
     assert algebra_to_document(loaded) == algebra_to_document(derived)
 
 
