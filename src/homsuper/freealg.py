@@ -4,8 +4,9 @@ rewriting, and certified when every residual cancels to the zero expression.
 The expansion (`_free_value`) walks a law's monomials as the numeric
 engines of `identities` walk them, with formal expressions as its values,
 and sums them with the same helper (`identities._accumulate`).  Each proof
-obligation names the structure whose operations fill the law's slots
-(`_free_ops`); a derived operation is the template that
+obligation names the structure whose operations fill the law's slots, and
+the walk resolves each slot where it meets it, as `identities.slot_op`
+does on an algebra: a derived operation is the template that
 `identities.DERIVED` declares for it, evaluated on the formal values of its
 arguments over the free product, so the prover and the constructions share
 one definition of every operation.
@@ -175,7 +176,8 @@ class FreeExpr:
         return cls({term: coeff})
 
     def items(self):
-        return sorted(self._coeffs.items(), key=lambda kv: term_key(kv[0]))
+        return [(t, self._coeffs[t])
+                for t in sorted(self._coeffs, key=term_key)]
 
     def terms(self):
         return [t for t, _ in self.items()]
@@ -246,31 +248,13 @@ def alpha_expr(e, k):
 # --------------------------------------------------------------------------
 # Template expansion
 
-def _free_ops(structure, parities):
-    """The operations over the free algebra that fill the slots of a
-    structure, a key of `identities.DERIVED`: "*" is the free product, and
-    each slot the structure declares evaluates its template on the argument
-    values over the free algebra's own ops, so a structure may also
-    replace "*"."""
-    ops = {"*": free_product}
-    source = ops if structure is None else _free_ops(None, parities)
-    for slot, template in idn.DERIVED[structure].items():
-        ops[slot] = _template_op(template, source, parities)
-    return ops
-
-
-def _template_op(template, ops, parities):
-    """The operation a template defines over ops: its value with one
-    argument per variable, in order of first occurrence."""
-    names = template.variables
-    return lambda *args: _free_value(template, dict(zip(names, args)), ops,
-                                     parities)
-
-
-def _free_value(node, env, ops, parities):
+def _free_value(node, env, structure, parities):
     """The value of a law (its residual lhs - rhs) or of a shape over the
-    free algebra.  env binds each variable to its value, an expression;
-    ops fills the slots (`_free_ops`), and a slot it lacks raises
+    free algebra.  env binds each variable to its value, an expression.
+    Each slot resolves where it is used, as `identities.slot_op` resolves
+    it on an algebra: a slot that `identities.DERIVED[structure]` declares
+    is its template, evaluated with structure None on the argument values;
+    otherwise "*" is the free product, and any other slot raises
     MissingOpSlot.  The monomials are summed by `identities._accumulate`,
     each with its Koszul sign, for which a variable's parity is that of the
     first term of its value under parities: the values of a multilinear law
@@ -280,7 +264,7 @@ def _free_value(node, env, ops, parities):
     if kind is Var:
         return env[node.name]
     if kind is Alpha:
-        return alpha_expr(_free_value(node.sub, env, ops, parities),
+        return alpha_expr(_free_value(node.sub, env, structure, parities),
                           node.power)
     if kind is Identity:
         total = None
@@ -290,17 +274,22 @@ def _free_value(node, env, ops, parities):
                 coeff *= signs[tuple(_parity(env[name], parities)
                                      for name in names)]
             total = _accumulate(total, coeff,
-                                _free_value(shape, env, ops, parities))
+                                _free_value(shape, env, structure, parities))
         return FreeExpr.zero() if total is None else total
-    op = ops.get(node.slot)
-    if op is None:
+    template = idn.DERIVED[structure].get(node.slot)
+    if template is None and node.slot != "*":
         raise idn.MissingOpSlot("no %r operation bound" % node.slot)
     if kind is Prod:
-        return op(_free_value(node.left, env, ops, parities),
-                  _free_value(node.right, env, ops, parities))
-    return op(_free_value(node.a, env, ops, parities),
-              _free_value(node.b, env, ops, parities),
-              _free_value(node.c, env, ops, parities))
+        args = (_free_value(node.left, env, structure, parities),
+                _free_value(node.right, env, structure, parities))
+    else:
+        args = (_free_value(node.a, env, structure, parities),
+                _free_value(node.b, env, structure, parities),
+                _free_value(node.c, env, structure, parities))
+    if template is None:
+        return free_product(*args)
+    return _free_value(template, dict(zip(template.variables, args)), None,
+                       parities)
 
 
 def _parity(expr, parities):
@@ -331,8 +320,7 @@ def expand_template(identity, parities, structure=None):
             raise ValueError("no parity assigned to generator %r" % name)
         env[name] = FreeExpr.of(generator(name))
     _require_parities(parities)
-    return _free_value(identity, env, _free_ops(structure, parities),
-                       parities)
+    return _free_value(identity, env, structure, parities)
 
 
 def _require_parities(parities):

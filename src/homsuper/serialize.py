@@ -20,13 +20,18 @@ optionally "/" and a nonzero denominator or "." and more digits: "1",
 underscore, other digit or decimal exponent.
 
 Loading validates indices, rationals and the parity rule, so a malformed or
-ungraded document never becomes an algebra.  It bounds what a short
-document can cost: a dimension above MAX_DIM and a rational with a decimal
-exponent ("1e300000") are refused.  save(load(doc)) is the
-canonicalization; it is byte-stable on canonical documents.
+ungraded document never becomes an algebra.  The JSON itself must be
+unambiguous and plain: a name repeated in one object, the constants NaN,
+Infinity and -Infinity, and a number too large to be finite ("1e400") are
+refused, so no later duplicate silently wins and a loaded document never
+saves as what is not JSON.  Loading bounds what a short document can
+cost: a dimension above MAX_DIM and a rational with a decimal exponent
+("1e300000") are refused.  save(load(doc)) is the canonicalization; it is
+byte-stable on canonical documents.
 """
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -216,6 +221,28 @@ def canonical_text(doc):
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _unique_names(pairs):
+    """A JSON object as a dict; a name given twice raises DocumentError."""
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise DocumentError("invalid JSON: name %r repeated in one "
+                                "object" % name)
+        obj[name] = value
+    return obj
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise DocumentError("invalid JSON: number %s is not finite" % text)
+    return value
+
+
+def _no_constant(text):
+    raise DocumentError("invalid JSON: %s is not a JSON number" % text)
+
+
 def load_algebra(path):
     path = Path(path)
     try:
@@ -223,7 +250,11 @@ def load_algebra(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError("%s: %s" % (path, exc)) from None
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_unique_names,
+                         parse_float=_finite_float,
+                         parse_constant=_no_constant)
+    except DocumentError as exc:
+        raise DocumentError("%s: %s" % (path, exc)) from None
     except json.JSONDecodeError as exc:
         raise DocumentError("%s: invalid JSON at line %d column %d"
                             % (path, exc.lineno, exc.colno)) from None

@@ -585,7 +585,9 @@ def _free_value(expr, algebra, env):
     return total
 
 
-@settings(max_examples=20, deadline=None)
+# No shrinking: a failure is reported at once, not after a minute of it.
+@settings(max_examples=20, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(graded_algebras(), st.data())
 def test_numeric_and_free_evaluation_agree(algebra, data):
     # The two value domains of the shape walks: on every basis tuple, the
@@ -1250,10 +1252,13 @@ def test_residuals_leave_no_reference_cycle(corpus):
     # Each evaluator is freed by reference counting as soon as its call
     # returns: its operation hooks hold the constants, not the evaluator.
     # So is all a one-tuple evaluation builds, as a search's witnesses
-    # build it for every candidate.
+    # build it for every candidate, and all a free expansion builds, as
+    # the prover builds it for every sector of an obligation.
     algebra = corpus[0][1]
     law = hs.REGISTRY["LLSI"]
     binding = {"x": 0, "y": 0, "z": 0}
+    expansions = [(hs.REGISTRY[name], structure) for name, structure in (
+        ("SHLY8", "ly"), ("AKIVIS", "akivis"), ("PROP32_II", None))]
     list(idn.residuals(law, algebra))
     gc.collect()
     gc.disable()
@@ -1262,6 +1267,9 @@ def test_residuals_leave_no_reference_cycle(corpus):
             list(idn.residuals(law, algebra))
             idn._residual_at(law, algebra, binding)
             hs.eval_identity_on_tuple(law, algebra, binding)
+            for free_law, structure in expansions:
+                fa.expand_template(free_law, dict.fromkeys(
+                    free_law.variables, 0), structure)
         assert gc.collect() == 0
     finally:
         gc.enable()

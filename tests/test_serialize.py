@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import homsuper as hs
+from homsuper import cli
 from homsuper import identities as idn
 from homsuper import serialize
 from homsuper.serialize import (
@@ -189,6 +190,59 @@ def test_invalid_json_reports_location(tmp_path):
     with pytest.raises(DocumentError) as err:
         hs.load_algebra(path)
     assert "line" in str(err.value)
+
+
+# JSON texts that the standard decoder reads but a document must not hold,
+# each with what the error names: a repeated name, whose last value the
+# decoder would keep, and NaN, the infinities and a number too large to be
+# finite, which saving would write back as NaN or Infinity, not JSON.
+_REFUSED_TEXTS = {
+    "repeated field": ('{"dims": {"even": 1, "odd": 0}, '
+                       '"product": [[1, 1, 1, "1"]], "product": []}',
+                       "'product'"),
+    "repeated dimension": ('{"dims": {"even": 1, "odd": 0, "odd": 1}}',
+                           "'odd'"),
+    "repeated metadata name": ('{"dims": {"even": 1, "odd": 0}, '
+                               '"metadata": {"a": 1, "b": {"c": 2, "c": 2}}}',
+                               "'c'"),
+    "NaN": ('{"dims": {"even": 1, "odd": 0}, "metadata": {"a": NaN}}', "NaN"),
+    "Infinity": ('{"dims": {"even": 1, "odd": 0}, "metadata": [Infinity]}',
+                 "Infinity"),
+    "-Infinity": ('{"dims": {"even": 1, "odd": 0}, "metadata": -Infinity}',
+                  "-Infinity"),
+    "1e400": ('{"dims": {"even": 1, "odd": 0}, "metadata": {"a": 1e400}}',
+              "1e400"),
+    "-1e400": ('{"dims": {"even": 1, "odd": 0}, "metadata": {"a": -1e400}}',
+               "-1e400"),
+}
+
+
+@pytest.mark.parametrize("text, named", _REFUSED_TEXTS.values(),
+                         ids=_REFUSED_TEXTS.keys())
+def test_ambiguous_or_non_json_documents_are_refused(tmp_path, capsys, text,
+                                                     named):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DocumentError) as err:
+        hs.load_algebra(path)
+    assert named in str(err.value)
+    code = cli.main(["verify", str(path), "--suite", "LLSI"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s: " % path)
+    assert captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+def test_names_may_repeat_across_objects_and_finite_floats_load(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"dims": {"even": 1, "odd": 0}, "metadata": '
+                    '{"a": {"x": 1e300}, "b": {"x": -0.5}}}', encoding="utf-8")
+    algebra = hs.load_algebra(path)
+    assert algebra.metadata == {"a": {"x": 1e300}, "b": {"x": -0.5}}
+    saved = hs.save_algebra(algebra, tmp_path / "saved.json")
+    assert hs.load_algebra(saved).metadata == algebra.metadata
 
 
 def test_missing_file_is_a_document_error(tmp_path):
