@@ -115,9 +115,10 @@ def hom_super_jacobian(algebra):
 def _derive(algebra, structure, verify, failure):
     """The binary-ternary algebra of a structure in identities.DERIVED:
     the graded commutator and the structure's ternary template.  With
-    verify, the suite of the same name is a postcondition."""
+    verify, the suite of the same name is a postcondition.  The caller has
+    required the parity rule."""
     derived = BinaryTernaryAlgebra(
-        algebra.space, supercommutator(algebra),
+        algebra.space, idn.commutator(algebra),
         idn.template_op(idn.DERIVED[structure]["{,,}"], algebra),
         algebra.alpha, name="%s(%s)" % (structure, algebra.name or "?"))
     if verify:
@@ -153,7 +154,7 @@ def check_lie_admissible(algebra):
     report, = _check_suite("LIE_ADMISSIBLE", algebra)
     if report.passed:
         bracket_algebra = HomSuperalgebra(
-            algebra.space, supercommutator(algebra), algebra.alpha,
+            algebra.space, idn.commutator(algebra), algebra.alpha,
             name="commutator(%s)" % (algebra.name or "?"))
         _ensure_passed(_check_suite("lie", bracket_algebra),
                        "admissible verdict disagrees with the bracket laws: ")

@@ -72,11 +72,11 @@ type in the same way: `_shape_vector` over Vectors, for the full
 per-tuple scans only; `_shape_value` at one tuple, with which
 `_residual_at` reads a witness, a search's scan and any one tuple
 (`eval_identity_on_tuple`); and `_shape_tensor` on every tuple at once.
-The last two read exact constants.  The prover's free expansion
-(`freealg._free_value`) walks laws the same way over formal expressions,
-and it sums monomials with `_accumulate`, as `_tuple_residuals` does.
-Structural questions about an AST (its variables, whether it needs "{,,}")
-come from `walk`.
+The last two read constants as stored, ints where integral.  The prover's
+free expansion (`freealg._free_value`) walks laws the same way over formal
+expressions, and it sums monomials with `_accumulate`, as
+`_tuple_residuals` does.  Structural questions about an AST (its
+variables, whether it needs "{,,}") come from `walk`.
 """
 
 import functools
@@ -759,9 +759,9 @@ def _sign_table(factors):
 def _residual_at(identity, algebra, binding, tables=None):
     """The residual lhs - rhs of a law at one basis tuple, as {l: c} over
     its nonzero coordinates.  Each monomial's shape is contracted with the
-    `exact_constants` of its map powers and of the operations `slot_op`
-    resolves (`_shape_value`), so integral constants stay ints and no
-    Vector is built; the Koszul sign is read from `_sign_table`.  binding
+    `constants` of its map powers and of the operations `slot_op` resolves
+    (`_shape_value`), so integral constants stay ints and no Vector is
+    built; the Koszul sign is read from `_sign_table`.  binding
     must bind every variable of the law to a basis index.  tables, when
     given, keeps the resolved constants across calls on one algebra, as a
     scan of every tuple (`_monomial_residuals`) passes it."""
@@ -782,14 +782,14 @@ _IDENTITY = object()
 
 
 def _constants(key, algebra, tables):
-    """The `exact_constants` of map power key (an int), or _IDENTITY if it
-    is the identity, or of the operation slot key names (`slot_op`), kept
-    in tables, the dict of one walk; a walk calls this on a miss only."""
+    """The `constants` of map power key (an int), or _IDENTITY if it is
+    the identity, or of the operation slot key names (`slot_op`), kept in
+    tables, the dict of one walk; a walk calls this on a miss only."""
     if type(key) is int:
         power = algebra.alpha.power(key)
-        table = _IDENTITY if power.is_identity() else power.exact_constants
+        table = _IDENTITY if power.is_identity() else power.constants
     else:
-        table = slot_op(algebra, key).exact_constants
+        table = slot_op(algebra, key).constants
     tables[key] = table
     return table
 

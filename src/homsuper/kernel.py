@@ -2,19 +2,17 @@
 operations given by structure constants, and even linear maps.
 
 All scalars are exact rationals, so every check in this package is an
-equality decision; there are no tolerances anywhere.  Every public value,
-and the kernel's own storage (`Vector` coordinates, structure constants),
-is a fractions.Fraction.  The tensor engine (`identities._law_tensor`, a
-law's monomials summed in place into rows keyed by basis tuple) and the
-prover (`freealg.FreeExpr`) keep each integral coefficient they combine as
-an int instead (`exact`), since int arithmetic is several times cheaper;
-the tensor engine reads an operation's constants so converted from
-`MultilinearOp.exact_constants`, built once per operation.  Ints and
-Fractions only add and multiply, so no float ever arises.  The basis is
-canonically ordered even-then-odd, which makes parity bookkeeping pure
-index arithmetic.  Kernel objects are immutable after construction (the
-only mutation is monotone caching: dense views, converted constants, map
-powers) and can be shared freely.
+equality decision; there are no tolerances anywhere.  Structure constants
+are stored once, as `exact` gives them: an int where integral, otherwise a
+Fraction, since int arithmetic is several times cheaper.  The walks of
+`identities` and the prover (`freealg.FreeExpr`) combine coefficients
+under the same rule.  Every `Vector`, and so every dense view (`table`,
+`rows`) and basis image (`on_basis`), holds Fractions.  Ints and Fractions
+only add and multiply, so no float ever arises.  The basis is canonically
+ordered even-then-odd, which makes parity bookkeeping pure index
+arithmetic.  Kernel objects are immutable after construction (the only
+mutation is monotone caching: dense views, basis images, map powers) and
+can be shared freely.
 
 The kernel knows nothing of the identity language: `identities` decides
 what a law's operation names mean on an algebra, the graded commutator
@@ -208,7 +206,8 @@ class MultilinearOp:
     """Multilinear operation of a given arity, stored as its nonzero
     structure constants: constants[(i, j, ...)] = ((l, c), ...) means the
     product of b_{i+1}, b_{j+1}, ... is the sum of c b_{l+1}.  Keys and
-    pairs are in index order; zero entries are never stored.
+    pairs are in index order; zero entries are never stored, and each c is
+    as `exact` gives it.
     """
 
     arity = None
@@ -224,7 +223,7 @@ class MultilinearOp:
                 raise DimensionMismatch(
                     "structure constant key %r is not %d integer indices "
                     "in 0..%d" % (key, width, space.dim - 1))
-            value = scalar(value)
+            value = exact(value)
             if value:
                 rows.setdefault(key[:-1], []).append((key[-1], value))
         self.space = space
@@ -243,7 +242,7 @@ class MultilinearOp:
     def _row(self, index):
         row = [ZERO] * self.space.dim
         for l, c in self.constants.get(index, ()):
-            row[l] = c
+            row[l] = Fraction(c)
         return tuple(row)
 
     def _apply(self, args):
@@ -263,14 +262,6 @@ class MultilinearOp:
                 for l, c in terms:
                     out[l] += scale * c
         return Vector._trusted(space, tuple(out))
-
-    @functools.cached_property
-    def exact_constants(self):
-        """`constants` with each coefficient as `exact` gives it (an int
-        where integral), converted once per operation for the tensor
-        engine."""
-        return {index: tuple((l, exact(c)) for l, c in terms)
-                for index, terms in self.constants.items()}
 
     @functools.cached_property
     def table(self):

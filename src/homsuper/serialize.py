@@ -24,8 +24,9 @@ ungraded document never becomes an algebra.  The JSON itself must be
 unambiguous and plain: a name repeated in one object, the constants NaN,
 Infinity and -Infinity, and a number too large to be finite ("1e400") are
 refused, so no later duplicate silently wins and a loaded document never
-saves as what is not JSON.  Loading bounds what a short document can
-cost: a dimension above MAX_DIM and a rational with a decimal exponent
+saves as what is not JSON; saving refuses a float that is not finite
+before it writes a byte.  Loading bounds what a short document can cost:
+a dimension above MAX_DIM and a rational with a decimal exponent
 ("1e300000") are refused.  save(load(doc)) is the canonicalization; it is
 byte-stable on canonical documents.
 """
@@ -218,7 +219,13 @@ def _sparse_entries(op):
 
 
 def canonical_text(doc):
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """The document as JSON text; a float that is not finite, which only
+    Python code can put in `metadata`, raises DocumentError."""
+    try:
+        text = json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False)
+    except ValueError as exc:
+        raise DocumentError("not JSON: %s" % exc) from None
+    return text + "\n"
 
 
 def _unique_names(pairs):

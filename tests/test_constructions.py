@@ -517,6 +517,26 @@ def test_supercommutator_is_the_cached_bracket(a2b):
     assert hs.build_hom_ly(a2b).binary is bracket
 
 
+def test_constructions_check_grading_once(monkeypatch):
+    calls = []
+    checked = constructions.check_algebra_grading
+
+    def counting(algebra):
+        calls.append(algebra)
+        return checked(algebra)
+
+    monkeypatch.setattr(constructions, "check_algebra_grading", counting)
+    for path in hs.corpus_paths():
+        algebra = hs.load_algebra(path)
+        if not algebra.metadata["expected"].get("leibniz"):
+            continue
+        for build in (hs.build_hom_ly, hs.build_hom_akivis,
+                      hs.check_lie_admissible):
+            calls.clear()
+            build(algebra)
+            assert calls == [algebra], (path.name, build.__name__)
+
+
 def _corpus_f2e():
     path, = [p for p in hs.corpus_paths() if p.name == "leibniz_f2_e.json"]
     return hs.load_algebra(path)

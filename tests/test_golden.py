@@ -22,6 +22,7 @@ import io
 import itertools
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -135,12 +136,19 @@ def ternary_equivalence_digests():
             if algebra.metadata["expected"].get("leibniz")}
 
 
+def _constants_text(op):
+    """The repr of op's constants with each constant as a Fraction, so the
+    digest pins the rationals, not the type the kernel stores them as."""
+    return repr({index: tuple((l, Fraction(c)) for l, c in terms)
+                 for index, terms in op.constants.items()})
+
+
 def table_digests():
     return {path.name: {
-                "hom_associator": _digest(repr(
-                    constructions.hom_associator(algebra).constants)),
-                "hom_super_jacobian": _digest(repr(
-                    constructions.hom_super_jacobian(algebra).constants))}
+                "hom_associator": _digest(_constants_text(
+                    constructions.hom_associator(algebra))),
+                "hom_super_jacobian": _digest(_constants_text(
+                    constructions.hom_super_jacobian(algebra)))}
             for path, algebra in _corpus()}
 
 

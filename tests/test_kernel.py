@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import re
 import sys
 from fractions import Fraction
@@ -118,11 +119,75 @@ def test_kernel_vectors_hold_fractions():
     op = hs.BilinearOp(sp, entries={(0, 1, 1): 2, (2, 2, 0): "-1/3"})
     alpha = hs.EvenMap.diagonal(sp, [1, "1/2", 3])
     x = hs.Vector(sp, [1, 2, 3])
-    for v in (op(x, x), op.on_basis(2, 2), alpha(x), alpha.on_basis(1),
-              x + x, x - x, -x, x.scale(2), 2 * x):
+    # The stored constants 2 and 3 are ints; their images are not.
+    for v in (op(x, x), op.on_basis(2, 2), op.on_basis(0, 1), alpha(x),
+              alpha.on_basis(1), alpha.on_basis(2), x + x, x - x, -x,
+              x.scale(2), 2 * x):
         assert len(v.coords) == 3
         assert all(type(c) is Fraction for c in v.coords), v
     assert op(x, x).coords == (Fraction(-3), Fraction(4), 0)
+    assert op.on_basis(0, 1).coords == (0, 2, 0)
+    assert op.table[0][1] == (0, 2, 0) and alpha.rows[2] == (0, 0, 3)
+    for row in (*alpha.rows, *itertools.chain(*op.table)):
+        assert all(type(c) is Fraction for c in row), row
+
+
+def _assert_exact(op):
+    """Every stored constant is nonzero and an int exactly where it is
+    integral, as `kernel.exact` gives it."""
+    for terms in op.constants.values():
+        for _, c in terms:
+            assert c != 0
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
+
+
+def test_every_operation_stores_its_constants_exactly(tmp_path):
+    sp = hs.SuperSpace(2, 1)
+    values = [2, "3", "-1/2", "4/2", "1.0", "0.5", Fraction(6, 3),
+              Fraction(1, 3)]
+    want = [2, 3, Fraction(-1, 2), 2, 1, Fraction(1, 2), 2, Fraction(1, 3)]
+    slots = [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1), (0, 2, 2),
+             (2, 0, 2), (2, 2, 0), (2, 2, 1)]
+    product = hs.BilinearOp(sp, entries=dict(zip(slots, values)))
+    assert {index + (l,): c for index, terms in product.constants.items()
+            for l, c in terms} == dict(zip(slots, want))
+    ternary = hs.TernaryOp(sp, entries={index[:-1] + (0,) + index[-1:]: v
+                                        for index, v in zip(slots, values)})
+    alpha = hs.EvenMap(sp, [["1/2", "2", 0], [Fraction(3), "-1", 0],
+                            [0, 0, "4/2"]])
+    algebra = hs.HomSuperalgebra(sp, product, alpha, ternary=ternary)
+    ops = [product, ternary, alpha, product.transpose(),
+           hs.EvenMap.diagonal(sp, ["2/1", "1/3", 5]),
+           hs.EvenMap.identity(sp), alpha.compose(alpha),
+           hs.hom_associator(algebra)]
+    ops += [alpha.power(k) for k in range(5)]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "dims": {"even": 2, "odd": 1},
+        "product": [[1, 1, 1, "4/2"], [1, 2, 2, "1.0"], [1, 3, 3, "0.5"]],
+        "ternary": [[1, 1, 1, 1, "-6/3"], [3, 3, 1, 1, "-1/3"]],
+        "alpha": [["1", "0", "0"], ["0", "3/3", "0"], ["0", "0", "1/2"]]}),
+        encoding="utf-8")
+    loaded = hs.load_algebra(path)
+    ops += [loaded.product, loaded.ternary, loaded.alpha]
+    for corpus_path in hs.corpus_paths():
+        algebra = hs.load_algebra(corpus_path)
+        ops += [algebra.product, algebra.alpha]
+    for op in ops:
+        _assert_exact(op)
+    # Both kinds of constant occur, including after composing.
+    kinds = {type(c) for op in ops for terms in op.constants.values()
+             for _, c in terms}
+    assert kinds == {int, Fraction}
+    assert {type(c) for terms in alpha.power(3).constants.values()
+            for _, c in terms} == {int, Fraction}
+    # The rule refuses what scalar refuses.
+    for bad, error in ((0.5, TypeError), (1.0, TypeError),
+                       ("1e3", ValueError)):
+        with pytest.raises(error):
+            hs.BilinearOp(sp, entries={(0, 0, 0): bad})
+        with pytest.raises(error):
+            hs.EvenMap.diagonal(sp, [bad, 1, 1])
 
 
 def test_eval_bilinear_examples():
@@ -526,11 +591,7 @@ def test_even_map_power_is_repeated_composition(m):
         assert power == composed, k
         assert power.rows == _naive_power_rows(m.rows, k), k
         assert m.power(k) is power, k
-        # Equal as rationals, an int exactly where the constant is integral.
-        assert power.exact_constants == power.constants
-        for index, terms in power.constants.items():
-            for (_, c), (_, e) in zip(terms, power.exact_constants[index]):
-                assert type(e) is (int if c.denominator == 1 else Fraction)
+        _assert_exact(power)
         composed = m.compose(composed)
     for _ in range(2):
         with pytest.raises(ValueError):

@@ -245,6 +245,17 @@ def test_names_may_repeat_across_objects_and_finite_floats_load(tmp_path):
     assert hs.load_algebra(saved).metadata == algebra.metadata
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_saving_a_float_that_is_not_finite_is_refused(tmp_path, value):
+    algebra = hs.load_algebra(serialize.corpus_paths()[0])
+    algebra.metadata = {"a": {"b": [value]}}
+    path = tmp_path / "saved.json"
+    with pytest.raises(DocumentError):
+        hs.save_algebra(algebra, path)
+    assert not path.exists()
+
+
 def test_missing_file_is_a_document_error(tmp_path):
     with pytest.raises(DocumentError):
         hs.load_algebra(tmp_path / "absent.json")
