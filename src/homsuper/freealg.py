@@ -2,14 +2,14 @@
 expanded over formal generators with chosen parities, normalized by directed
 rewriting, and certified when every residual cancels to the zero expression.
 The expansion (`_free_value`) walks a law's monomials as the numeric
-engines of `identities` walk them, with formal expressions as its values,
-and sums them with the same helper (`identities._accumulate`).  Each proof
-obligation names the structure whose operations fill the law's slots, and
-the walk resolves each slot where it meets it, as `identities.slot_op`
-does on an algebra: a derived operation is the template that
-`identities.DERIVED` declares for it, evaluated on the formal values of its
-arguments over the free product, so the prover and the constructions share
-one definition of every operation.
+engines of `identities` walk them, over plain {term: coeff} rows summed in
+place, as `identities._law_tensor` sums its rows; a FreeExpr is built once,
+from the finished row.  Each proof obligation names the structure whose
+operations fill the law's slots, and the walk resolves each slot where it
+meets it, as `identities.slot_op` does on an algebra: a derived operation
+is the template that `identities.DERIVED` declares for it, evaluated on the
+formal values of its arguments over the free product, so the prover and
+the constructions share one definition of every operation.
 
 Terms are binary product trees whose leaves are generators carrying an
 exponent of the twisting map; an `("a", k, t)` wrapper marks a not yet
@@ -27,8 +27,9 @@ produce normal forms:
     counter guards the loop anyway.
 
 A law is expanded once per sector (parity assignment of its generators),
-and the residuals of all sectors are normalized in one pass: a sector
-changes the Koszul signs, never which terms the rewriting visits.  A term
+after one validation per obligation (`_expand_sectors`), and the residuals
+of all sectors are normalized in one pass: a sector changes the Koszul
+signs, never which terms the rewriting visits.  A term
 carries a column, one coefficient per sector; a generator's parity is a
 bitmask over the sectors, and a term's parity the XOR of its leaves' masks.
 A Leibniz step gives its second term the sign +1 in the sectors of
@@ -48,8 +49,7 @@ is left to the exhaustive numeric checker.
 import itertools
 
 from . import identities as idn
-from .identities import (Alpha, Identity, Prod, Var, _accumulate,
-                         _sign_table)
+from .identities import Alpha, Identity, Prod, Var, _sign_table
 from .kernel import exact
 from .report import Report
 
@@ -168,10 +168,6 @@ class FreeExpr:
         return expr
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def of(cls, term, coeff=ONE):
         return cls({term: coeff})
 
@@ -186,6 +182,8 @@ class FreeExpr:
         return not self._coeffs
 
     def __add__(self, other):
+        if not isinstance(other, FreeExpr):
+            return NotImplemented
         if not other._coeffs:
             return self
         coeffs = dict(self._coeffs)
@@ -200,6 +198,8 @@ class FreeExpr:
         return FreeExpr._trusted(coeffs)
 
     def __sub__(self, other):
+        if not isinstance(other, FreeExpr):
+            return NotImplemented
         return self + -other
 
     def __neg__(self):
@@ -230,52 +230,43 @@ class FreeExpr:
         return ["%s %s" % (c, term_text(t)) for t, c in self.items()]
 
 
-def free_product(e1, e2):
-    # Distinct pairs of terms have distinct products, so nothing merges.
-    return FreeExpr._trusted({product(t1, t2): exact(c1 * c2)
-                              for t1, c1 in e1._coeffs.items()
-                              for t2, c2 in e2._coeffs.items()})
-
-
-def alpha_expr(e, k):
-    if k == 0:
-        return e
-    # alpha_wrap is injective, so nothing merges.
-    return FreeExpr._trusted({alpha_wrap(t, k): c
-                              for t, c in e._coeffs.items()})
-
-
 # --------------------------------------------------------------------------
 # Template expansion
 
 def _free_value(node, env, structure, parities):
     """The value of a law (its residual lhs - rhs) or of a shape over the
-    free algebra.  env binds each variable to its value, an expression.
-    Each slot resolves where it is used, as `identities.slot_op` resolves
-    it on an algebra: a slot that `identities.DERIVED[structure]` declares
-    is its template, evaluated with structure None on the argument values;
-    otherwise "*" is the free product, and any other slot raises
-    MissingOpSlot.  The monomials are summed by `identities._accumulate`,
-    each with its Koszul sign, for which a variable's parity is that of the
-    first term of its value under parities: the values of a multilinear law
-    are homogeneous, all their terms hold the same generators, and every
+    free algebra, a row {term: coeff} of `kernel.exact` coefficients.  env
+    binds each variable to its value, a row.  Each slot resolves where it
+    is used, as `identities.slot_op` resolves it on an algebra: a slot that
+    `identities.DERIVED[structure]` declares is its template, evaluated
+    with structure None on the argument values; otherwise "*" is the free
+    product, and any other slot raises MissingOpSlot.  The monomials are
+    summed in place into one row, dropping what cancels, each with its
+    Koszul sign, for which a variable's parity is that of the first term of
+    its value under parities: the values of a multilinear law are
+    homogeneous, all their terms hold the same generators, and every
     operation is even."""
     kind = type(node)
     if kind is Var:
         return env[node.name]
-    if kind is Alpha:
-        return alpha_expr(_free_value(node.sub, env, structure, parities),
-                          node.power)
+    if kind is Alpha:  # alpha_wrap is injective, so nothing merges.
+        return {alpha_wrap(t, node.power): c for t, c in
+                _free_value(node.sub, env, structure, parities).items()}
     if kind is Identity:
-        total = None
+        row = {}
         for coeff, factors, shape in node.monomials:
             if factors:
                 names, signs = _sign_table(factors)
                 coeff *= signs[tuple(_parity(env[name], parities)
                                      for name in names)]
-            total = _accumulate(total, coeff,
-                                _free_value(shape, env, structure, parities))
-        return FreeExpr.zero() if total is None else total
+            for t, c in _free_value(shape, env, structure,
+                                    parities).items():
+                c = row.get(t, 0) + coeff * c
+                if c:
+                    row[t] = exact(c)
+                else:
+                    del row[t]
+        return row
     template = idn.DERIVED[structure].get(node.slot)
     if template is None and node.slot != "*":
         raise idn.MissingOpSlot("no %r operation bound" % node.slot)
@@ -287,14 +278,16 @@ def _free_value(node, env, structure, parities):
                 _free_value(node.b, env, structure, parities),
                 _free_value(node.c, env, structure, parities))
     if template is None:
-        return free_product(*args)
+        # Distinct pairs of terms have distinct products, so nothing merges.
+        return {product(t1, t2): exact(c1 * c2)
+                for t1, c1 in args[0].items() for t2, c2 in args[1].items()}
     return _free_value(template, dict(zip(template.variables, args)), None,
                        parities)
 
 
-def _parity(expr, parities):
-    """The parity of an expression's terms under parities, 0 for zero."""
-    for term in expr._coeffs:
+def _parity(row, parities):
+    """The parity of a row's terms under parities, 0 for zero."""
+    for term in row:
         return term_parity(term, parities)
     return 0
 
@@ -308,25 +301,34 @@ def expand_template(identity, parities, structure=None):
     free product unless the structure fills it; any other structure raises
     ValueError.
     """
-    if structure not in idn.DERIVED:
+    row, = _expand_sectors(identity, [parities], structure)
+    return FreeExpr._trusted(row)
+
+
+def _expand_sectors(identity, sectors, structure):
+    """The residual rows of a law, one per parity assignment in sectors,
+    as `expand_template` gives each; the structure, the law and every
+    sector are validated once, in that order, before any walk."""
+    if structure not in tuple(idn.DERIVED):  # by ==: a list is refused too
         raise ValueError("unknown structure %r; known: %s" % (
             structure, ", ".join(map(repr, idn.DERIVED))))
     if not identity.multilinear:
         raise idn.NonMultilinearLaw("not multilinear: %s"
                                     % idn.pretty(identity))
-    env = {}
-    for name in identity.variables:
-        if name not in parities:
-            raise ValueError("no parity assigned to generator %r" % name)
-        env[name] = FreeExpr.of(generator(name))
-    _require_parities(parities)
-    return _free_value(identity, env, structure, parities)
+    env = {name: {generator(name): ONE} for name in identity.variables}
+    for parities in sectors:
+        for name in env:
+            if name not in parities:
+                raise ValueError("no parity assigned to generator %r" % name)
+        _require_parities(parities)
+    return [_free_value(identity, env, structure, parities)
+            for parities in sectors]
 
 
 def _require_parities(parities):
-    """Refuse, with ValueError, a parity other than 0 or 1."""
+    """Refuse, with ValueError, a parity other than 0 or 1 (or a bool)."""
     for name, parity in parities.items():
-        if parity not in (0, 1):
+        if parity not in (0, 1) or type(parity) is bool:
             raise ValueError("generator %r has parity %r, not 0 or 1"
                              % (name, parity))
 
@@ -336,14 +338,18 @@ def _require_parities(parities):
 
 def _columns(exprs):
     """The alpha-distributed terms of exprs, each with its column: its
-    coefficient in every expression.  All-zero columns are dropped."""
+    coefficient in every expression.  Each distinct term is distributed
+    once.  All-zero columns are dropped."""
     columns = {}
+    distributed = {}
     for s, expr in enumerate(exprs):
         for t, c in expr._coeffs.items():
-            t = distribute_term(t)
-            column = columns.get(t)
+            d = distributed.get(t)
+            if d is None:
+                d = distributed[t] = distribute_term(t)
+            column = columns.get(d)
             if column is None:
-                column = columns[t] = [0] * len(exprs)
+                column = columns[d] = [0] * len(exprs)
             column[s] += c
     return {t: column for t, column in columns.items() if any(column)}
 
@@ -481,8 +487,8 @@ def prove_identity_free(target):
             raise ValueError("proof scope is limited to 6 generators")
         sectors = [dict(zip(names, combo))
                    for combo in itertools.product((0, 1), repeat=len(names))]
-        exprs = [expand_template(identity, parities, structure)
-                 for parities in sectors]
+        exprs = [FreeExpr._trusted(row) for row in
+                 _expand_sectors(identity, sectors, structure)]
         checked += len(sectors)
         for parities, expr in zip(sectors, normal_form(exprs, sectors,
                                                        assume_leibniz)):

@@ -73,9 +73,9 @@ per-tuple scans only; `_shape_value` at one tuple, with which
 `_residual_at` reads a witness, a search's scan and any one tuple
 (`eval_identity_on_tuple`); and `_shape_tensor` on every tuple at once.
 The last two read constants as stored, ints where integral.  The prover's
-free expansion (`freealg._free_value`) walks laws the same way over formal
-expressions, and it sums monomials with `_accumulate`, as
-`_tuple_residuals` does.  Structural questions about an AST (its
+free expansion (`freealg._free_value`) walks laws the same way over rows of
+formal terms, and it sums monomials in place into one row, as
+`_law_tensor` does.  Structural questions about an AST (its
 variables, whether it needs "{,,}") come from `walk`.
 """
 
@@ -725,18 +725,6 @@ def slot_op(algebra, slot):
     raise KeyError("unknown operation slot: %r" % slot)
 
 
-def _accumulate(total, coeff, value):
-    """total + coeff * value, where a total of None stands for zero: the
-    value is subtracted when coeff is -1, negated when it is -1 and total
-    is None, added when it is 1, and scaled otherwise.  Values are Vectors
-    (`_tuple_residuals`) or free expressions (`freealg`)."""
-    if total is not None and coeff == -1:
-        return total - value
-    if coeff != 1:
-        value = -value if coeff == -1 else value.scale(coeff)
-    return value if total is None else total + value
-
-
 @functools.cache
 def _sign_table(factors):
     """(names, signs) for a tuple of sign factors: the names the factors
@@ -1062,7 +1050,8 @@ def _tuple_residuals(identity, algebra):
     """What `residuals` yields, found by evaluating the law on every basis
     tuple in turn over Vectors: each monomial's shape through
     `_shape_vector`, times its coefficient and its Koszul sign, read from
-    `_sign_table`, summed by `_accumulate`."""
+    `_sign_table`, summed into one Vector (subtracted or negated, not
+    scaled, for a factor of -1)."""
     variables = identity.variables
     space = algebra.space
     basis = [space.basis_vector(i) for i in range(space.dim)]
@@ -1075,8 +1064,13 @@ def _tuple_residuals(identity, algebra):
                 names, signs = _sign_table(factors)
                 coeff *= signs[tuple(parities[binding[name]]
                                      for name in names)]
-            total = _accumulate(total, coeff, _shape_vector(
-                shape, binding, algebra, basis))
+            value = _shape_vector(shape, binding, algebra, basis)
+            if total is not None and coeff == -1:
+                total = total - value
+                continue
+            if coeff != 1:
+                value = -value if coeff == -1 else value.scale(coeff)
+            total = value if total is None else total + value
         if total is not None and not total.is_zero():
             yield combo, total
 

@@ -57,6 +57,30 @@ def test_expand_refuses_an_unknown_structure():
     with pytest.raises(ValueError,
                        match=r"'foo'; known: None, 'akivis', 'ly'"):
         expand("x*y = 0", {"x": 0, "y": 0}, structure="foo")
+    # An unhashable structure is unknown too, not a bare TypeError.
+    with pytest.raises(ValueError,
+                       match=r"\['ly'\]; known: None, 'akivis', 'ly'"):
+        expand("x*y = 0", {"x": 0, "y": 0}, structure=["ly"])
+
+
+def test_halves_that_sum_to_an_integer_leave_an_int():
+    # The in-place sum keeps each coefficient exact: 1/2 + 1/2 is the int
+    # 1, and what cancels is dropped.
+    t = fa.product(fa.generator("x"), fa.generator("y"))
+    for parities in _sectors("xy"):
+        residual = expand("1/2 x*y + 1/2 x*y = 0", parities)
+        assert residual.rendered() == ["1 (x*y)"]
+        assert type(residual._coeffs[t]) is int
+        assert expand("1/2 x*y + 1/2 x*y = x*y", parities).is_zero()
+
+
+def test_free_expr_arithmetic_with_a_non_expression_is_a_type_error():
+    e = fa.FreeExpr.of(fa.generator("x"))
+    for other in (1, 0, Fraction(1, 2), "x", None):
+        for operation in (lambda: e + other, lambda: other + e,
+                          lambda: e - other, lambda: other - e):
+            with pytest.raises(TypeError):
+                operation()
 
 
 def test_expand_refuses_a_slot_the_structure_lacks():
@@ -106,17 +130,20 @@ def test_leibniz_normalize_leaves_normal_terms_alone():
     assert leibniz_form(expr, {"x": 0, "y": 0, "z": 0}) == expr
 
 
-@pytest.mark.parametrize("bad", [2, 3, -1])
+@pytest.mark.parametrize("bad", [2, 3, -1, True, False])
 def test_a_parity_other_than_0_or_1_is_refused(bad):
     # Both would read it: the expansion as a missing sign-table entry, the
-    # rewriting as an odd parity.
+    # rewriting as an odd parity.  A bool is refused as FreeExpr refuses a
+    # bool coefficient and the kernel a bool index.
     law = hs.parse_identity("x*y = s(x,y) y*x")
-    with pytest.raises(ValueError, match=r"'x' has parity %d" % bad):
+    with pytest.raises(ValueError, match=r"'x' has parity %r" % bad):
         fa.expand_template(law, {"x": bad, "y": 1})
     term = fa.product(fa.product(fa.generator("x"), fa.generator("y")),
                       fa.generator("z", 1))
-    with pytest.raises(ValueError, match=r"'x' has parity %d" % bad):
+    with pytest.raises(ValueError, match=r"'x' has parity %r" % bad):
         leibniz_form(fa.FreeExpr.of(term), {"x": bad, "y": 1, "z": 0})
+    with pytest.raises(ValueError, match=r"'x' has parity %r" % bad):
+        fa.normal_form([fa.FreeExpr.of(term)], [{"x": bad}], False)
 
 
 def test_a_sector_lacking_a_generator_is_refused_before_saturating():
@@ -289,6 +316,17 @@ _LEIBNIZ_LAWS = [
 
 
 @pytest.mark.parametrize("law,structure", _LEIBNIZ_LAWS)
+def test_one_expansion_per_obligation_equals_expand_template(law, structure):
+    # The prover's entry, validated once for all sectors, against the
+    # one-sector case.
+    sectors = _sectors(law.variables)
+    rows = fa._expand_sectors(law, sectors, structure)
+    assert len(rows) == len(sectors)
+    for row, parities in zip(rows, sectors):
+        assert row == fa.expand_template(law, parities, structure)._coeffs
+
+
+@pytest.mark.parametrize("law,structure", _LEIBNIZ_LAWS)
 def test_one_pass_equals_per_sector_normalization(law, structure):
     sectors = _sectors(law.variables)
     exprs = [fa.expand_template(law, parities, structure)
@@ -432,17 +470,24 @@ def test_free_coefficients_compare_as_rationals():
     assert half.rendered() == ["1/2 (x*y)"]
     assert type((half + half)._coeffs[t]) is int
     assert type(half.scale(2)._coeffs[t]) is int
-    assert type(fa.free_product(half, fa.FreeExpr.of(t, 2))
-                ._coeffs[fa.product(t, t)]) is int
+    # The free product of the walk's rows.
+    shape = hs.parse_identity("x*y = 0").monomials[0][2]
+    row = fa._free_value(shape, {"x": {t: Fraction(1, 2)}, "y": {t: 2}},
+                         None, {})
+    assert row == {fa.product(t, t): 1}
+    assert type(row[fa.product(t, t)]) is int
     with pytest.raises(TypeError):
         fa.FreeExpr({t: 0.5})
 
 
-def _assert_free_coefficients(expr):
-    """The coefficient rule of FreeExpr: an int when integral, otherwise a
-    Fraction, never a float."""
-    for c in expr._coeffs.values():
+def _assert_free_coefficients(row):
+    """The coefficient rule of the free walk's rows ({term: coeff} dicts)
+    and of a FreeExpr's: an int when integral, otherwise a Fraction, never
+    a float, and never zero."""
+    assert type(row) is dict
+    for c in row.values():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c != 0
 
 
 def _assert_exact(columns):
@@ -478,6 +523,7 @@ def test_coefficients_are_never_floats(algebra, data):
     # Every value of every walk, over a random algebra with rational
     # constants and in the free algebra, for all nine targets' obligations;
     # the tensor walks are those of `_law_tensor`, and so are the rows.
+    # Every value of the free walk is a row, a plain dict.
     with mock.patch.object(idn, "_shape_tensor",
                            _checked(idn._shape_tensor, _assert_exact)):
         for law in _TENSOR_LAWS:
@@ -488,6 +534,7 @@ def test_coefficients_are_never_floats(algebra, data):
         with mock.patch.object(fa, "_free_value", _checked(
                 fa._free_value, _assert_free_coefficients)):
             expr = fa.expand_template(law, parities, structure)
-        _assert_free_coefficients(expr.scale(data.draw(RATIONALS)))
+        _assert_free_coefficients(expr._coeffs)
+        _assert_free_coefficients(expr.scale(data.draw(RATIONALS))._coeffs)
         _assert_free_coefficients(fa.normal_form([expr], [parities],
-                                                 assume_leibniz)[0])
+                                                 assume_leibniz)[0]._coeffs)
